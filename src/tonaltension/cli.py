@@ -32,8 +32,8 @@ from . import __version__, evaluate, mi as mi_mod, model as model_mod, synth
 from .errors import ParseError, TrainingDiverged, ValidationError
 from .features import assemble_features, feature_names
 from .spiral import SpiralParams
-from .symbolic import (parse_performance, parse_score, serialize_performance,
-                       serialize_score)
+from .symbolic import (group_onsets, parse_performance, parse_score,
+                       serialize_performance, serialize_score)
 from .targets import TARGET_NAMES, targets as extract_targets
 from .tension import WindowConfig, tension_track
 
@@ -91,6 +91,12 @@ class Manifest:
     def add_input(self, path: str) -> None:
         self.inputs[os.path.basename(path)] = _sha256_file(path)
         self.input_paths[os.path.basename(path)] = os.path.abspath(path)
+
+    def add_corpus(self, corpus_dir: str, pieces) -> None:
+        """Record each piece's features and targets CSV as inputs."""
+        for p in pieces:
+            self.add_input(os.path.join(corpus_dir, f"{p.id}.features.csv"))
+            self.add_input(os.path.join(corpus_dir, f"{p.id}.targets.csv"))
 
     def digest(self, output_names) -> str:
         core = {
@@ -281,8 +287,9 @@ def cmd_extract(args) -> int:
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
     names = feature_names(groups)
-    track = tension_track(score, window, spiral) if "T" in groups else None
-    rows = assemble_features(score, track, groups)
+    frames = group_onsets(score)
+    track = tension_track(score, window, spiral, frames) if "T" in groups else None
+    rows = assemble_features(score, track, groups, frames)
 
     stem = os.path.basename(args.score)
     for suffix in (".score.tsv", ".tsv", ".txt"):
@@ -301,7 +308,7 @@ def cmd_extract(args) -> int:
     if args.match:
         manifest.add_input(args.match)
         perf = parse_performance(open(args.match).read(), score)
-        target_rows = extract_targets(score, perf)
+        target_rows = extract_targets(score, perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
         files.append(OutputFile(
@@ -357,9 +364,7 @@ def cmd_mi(args) -> int:
     manifest = Manifest("mi", {
         "fs_fraction": args.fs_fraction, "fs_k": args.fs_k,
         "pieces": ",".join(sorted(subset_ids))}, {"fs_seed": args.fs_seed})
-    for p in subset:
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.features.csv"))
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.targets.csv"))
+    manifest.add_corpus(args.corpus, subset)
     header = [("fs_fraction", args.fs_fraction), ("fs_k", args.fs_k),
               ("subset", ",".join(sorted(subset_ids)))]
     norm = table.normalized()
@@ -393,9 +398,7 @@ def cmd_train(args) -> int:
         "target": args.target, "groups": ",".join(sorted(groups)),
         "lr": args.lr, "epochs": args.epochs, "patience": args.patience},
         {"seed": args.seed})
-    for p in pieces:
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.features.csv"))
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.targets.csv"))
+    manifest.add_corpus(args.corpus, pieces)
 
     meta = {
         "target": args.target,
@@ -473,9 +476,7 @@ def cmd_eval(args) -> int:
         "include_fs": args.include_fs, "lr": args.lr, "epochs": args.epochs,
         "patience": args.patience, "fs_fraction": args.fs_fraction,
         "fs_k": args.fs_k, "fs_count": args.fs_count}, {"seed": args.seed})
-    for p in pieces:
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.features.csv"))
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.targets.csv"))
+    manifest.add_corpus(args.corpus, pieces)
     header = [("folds", args.folds), ("significance_level", 0.01)] \
         + list(cfg.header_items())
     files = [OutputFile(
@@ -507,9 +508,7 @@ def cmd_sensitivity(args) -> int:
         "used_positions": result.used_positions,
         "skipped_positions": result.skipped_positions}, {})
     manifest.add_input(args.model)
-    for p in pieces:
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.features.csv"))
-        manifest.add_input(os.path.join(args.corpus, f"{p.id}.targets.csv"))
+    manifest.add_corpus(args.corpus, pieces)
     header = [("target", meta.get("target", "")), ("radius", args.radius),
               ("used_positions", result.used_positions),
               ("skipped_positions", result.skipped_positions)]

@@ -39,9 +39,8 @@ def feature_names(groups) -> tuple[str, ...]:
 def pitch_features(frame: OnsetFrame, score: Score) -> tuple[float, float, float]:
     """(highest, lowest, melody) MIDI pitches / 127; melody is 0 when the
     frame has no melody note, the highest such note otherwise."""
-    notes = [n for n in score.notes if n.id in frame.note_ids]
-    midis = [n.midi_pitch for n in notes]
-    melody = [n.midi_pitch for n in notes if n.is_melody]
+    midis = [n.midi_pitch for n in frame.notes]
+    melody = [n.midi_pitch for n in frame.notes if n.is_melody]
     pitch_m = max(melody) / 127.0 if melody else 0.0
     return max(midis) / 127.0, min(midis) / 127.0, pitch_m
 
@@ -49,7 +48,7 @@ def pitch_features(frame: OnsetFrame, score: Score) -> tuple[float, float, float
 def vertical_intervals(frame: OnsetFrame, score: Score) -> tuple[float, float, float]:
     """Up to three distinct interval classes above the frame's bass note,
     octaves and unisons excluded, each divided by 11; zero-padded."""
-    midis = sorted(n.midi_pitch for n in score.notes if n.id in frame.note_ids)
+    midis = sorted(n.midi_pitch for n in frame.notes)
     bass = midis[0]
     classes = sorted({(m - bass) % 12 for m in midis[1:]} - {0})
     vic = [c / 11.0 for c in classes[:3]]
@@ -82,12 +81,17 @@ def metrical_features(frame: OnsetFrame, score: Score) -> tuple[float, float, fl
 
 
 def assemble_features(score: Score, tension: list[TensionFrame] | None,
-                      groups) -> list[FeatureRow]:
+                      groups, frames: list[OnsetFrame] | None = None
+                      ) -> list[FeatureRow]:
     """Stack the requested feature groups into per-frame rows in canonical
-    column order; excluded groups contribute no columns."""
+    column order; excluded groups contribute no columns.
+
+    ``frames`` is ``group_onsets(score)``, computed here when not given.
+    """
     groups = set(groups)
     names = feature_names(groups)
-    frames = group_onsets(score)
+    if frames is None:
+        frames = group_onsets(score)
     if "T" in groups:
         if tension is None or len(tension) != len(frames):
             got = "none" if tension is None else str(len(tension))

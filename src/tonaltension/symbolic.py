@@ -19,6 +19,7 @@ proceed concurrently without coordination.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -120,10 +121,11 @@ class Score:
             if n.id in seen:
                 raise ValidationError(f"duplicate note id {n.id!r}")
             seen.add(n.id)
-            if n.onset < 0:
-                raise ValidationError(f"note {n.id!r}: negative onset {n.onset}")
-            if not n.duration > 0:
-                raise ValidationError(f"note {n.id!r}: duration must be > 0, got {n.duration}")
+            # extraction sweeps notes in onset order, which needs real numbers
+            if not math.isfinite(n.onset) or n.onset < 0:
+                raise ValidationError(f"note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
+            if not (math.isfinite(n.duration) and n.duration > 0):
+                raise ValidationError(f"note {n.id!r}: duration must be finite and > 0, got {n.duration}")
             if not 0 <= n.midi_pitch <= 127:
                 raise ValidationError(f"note {n.id!r}: midi pitch {n.midi_pitch} out of range")
             if n.spelled is not None and n.spelled.midi_pitch != n.midi_pitch:
@@ -168,7 +170,11 @@ class Performance:
 class OnsetFrame:
     index: int
     beat: float
-    note_ids: frozenset[str]
+    notes: tuple[ScoreNote, ...]  # in score order
+
+    @property
+    def note_ids(self) -> frozenset[str]:
+        return frozenset(n.id for n in self.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +334,16 @@ def group_onsets(score: Score) -> list[OnsetFrame]:
 
     A note joins the current frame when its onset is within
     ONSET_TOLERANCE of the frame's anchor beat (the first note's onset).
+    Each frame carries its notes, so per-frame lookups never rescan the
+    score.
     """
-    frames: list[OnsetFrame] = []
-    current_ids: list[str] = []
-    current_beat = 0.0
+    groups: list[list[ScoreNote]] = []
     for n in score.notes:  # already sorted by onset
-        if current_ids and n.onset - current_beat <= ONSET_TOLERANCE:
-            current_ids.append(n.id)
+        if groups and n.onset - groups[-1][0].onset <= ONSET_TOLERANCE:
+            groups[-1].append(n)
         else:
-            if current_ids:
-                frames.append(OnsetFrame(len(frames), current_beat, frozenset(current_ids)))
-            current_ids = [n.id]
-            current_beat = n.onset
-    if current_ids:
-        frames.append(OnsetFrame(len(frames), current_beat, frozenset(current_ids)))
-    return frames
+            groups.append([n])
+    return [OnsetFrame(i, g[0].onset, tuple(g)) for i, g in enumerate(groups)]
 
 
 # ---------------------------------------------------------------------------

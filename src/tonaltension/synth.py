@@ -102,7 +102,7 @@ def generate_performance(rng: np.random.Generator, score: Score,
     frames = group_onsets(score)
     beats = np.array([f.beat for f in frames])
     if cfg.rule == "t_cd-slow":
-        t_cd = np.array([t.t_cd for t in tension_track(score, window, spiral)])
+        t_cd = np.array([t.t_cd for t in tension_track(score, window, spiral, frames)])
         shape = 1.0 + cfg.tempo_gain * (t_cd - t_cd.mean())
     else:
         walk = np.cumsum(rng.normal(0.0, 0.02, size=len(frames)))

@@ -39,12 +39,13 @@ TARGET_NAMES = ("bpr", "d_bpr", "vel", "d_vel")
 
 
 def _matched_frames(performance: Performance, frames: list[OnsetFrame]):
-    """Frames paired with their matched performed notes; empty frames dropped."""
+    """Frames paired with their matched performed notes, in score order;
+    empty frames dropped with one warning."""
     by_id = performance.by_score_id()
     kept = []
     dropped = []
     for frame in frames:
-        notes = [by_id[i] for i in frame.note_ids if i in by_id]
+        notes = [by_id[n.id] for n in frame.notes if n.id in by_id]
         if notes:
             kept.append((frame, notes))
         else:
@@ -55,9 +56,7 @@ def _matched_frames(performance: Performance, frames: list[OnsetFrame]):
     return kept
 
 
-def average_onsets(performance: Performance, frames: list[OnsetFrame]) -> list[float]:
-    """Mean performed onset seconds per surviving frame, in frame order."""
-    kept = _matched_frames(performance, frames)
+def _mean_onsets(kept) -> list[float]:
     onsets = [sum(n.onset_sec for n in notes) / len(notes) for _, notes in kept]
     for i in range(1, len(onsets)):
         if onsets[i] <= onsets[i - 1]:
@@ -65,6 +64,15 @@ def average_onsets(performance: Performance, frames: list[OnsetFrame]) -> list[f
                 f"averaged onsets not increasing at frame {kept[i][0].index} "
                 f"({onsets[i - 1]} -> {onsets[i]}); alignment is defective")
     return onsets
+
+
+def _loudest(kept) -> list[float]:
+    return [max(n.velocity for n in notes) / 127.0 for _, notes in kept]
+
+
+def average_onsets(performance: Performance, frames: list[OnsetFrame]) -> list[float]:
+    """Mean performed onset seconds per surviving frame, in frame order."""
+    return _mean_onsets(_matched_frames(performance, frames))
 
 
 def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
@@ -97,20 +105,23 @@ def derivative(series: list[float], beats: list[float]) -> list[float]:
 
 def compute_vel(performance: Performance, frames: list[OnsetFrame]) -> list[float]:
     """Loudest velocity per surviving frame, scaled to (0, 1]."""
-    kept = _matched_frames(performance, frames)
-    return [max(n.velocity for n in notes) / 127.0 for _, notes in kept]
+    return _loudest(_matched_frames(performance, frames))
 
 
-def targets(score: Score, performance: Performance) -> list[TargetRow]:
-    """Assemble the four expressive parameters for the surviving frames."""
-    frames = group_onsets(score)
+def targets(score: Score, performance: Performance,
+            frames: list[OnsetFrame] | None = None) -> list[TargetRow]:
+    """Assemble the four expressive parameters for the surviving frames.
+
+    ``frames`` is ``group_onsets(score)``, computed here when not given.
+    """
+    if frames is None:
+        frames = group_onsets(score)
     kept = _matched_frames(performance, frames)
     if len(kept) < 2:
         raise ValueError("target extraction needs at least 2 matched frames")
     beats = [frame.beat for frame, _ in kept]
-    onsets = average_onsets(performance, frames)
-    bpr = compute_bpr(onsets, beats)
-    vel = compute_vel(performance, frames)
+    bpr = compute_bpr(_mean_onsets(kept), beats)
+    vel = _loudest(kept)
     d_bpr = derivative(bpr, beats)
     d_vel = derivative(vel, beats)
     return [

@@ -9,6 +9,11 @@ commensurate with the other score features:
 * cloud diameter: largest pairwise distance among the cloud's pitches;
 * cloud momentum: distance from the previous frame's center of effect;
 * tensile strain: distance from the key's center of effect.
+
+``tension_track`` sweeps the onset-sorted notes once: a forward pointer
+admits notes that start before the window ends, and an active list drops
+notes that end before the window starts (frame beats only increase). The
+sweep costs O(notes + frames x cloud size), not O(notes x frames).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from .spiral import Cloud, SpiralParams, SpiralPoint
 from .spiral import distance, enharmonic_unit, key_coe, make_cloud as _merge_cloud
 from .spiral import pitch_position
-from .symbolic import OnsetFrame, Score, group_onsets
+from .symbolic import OnsetFrame, Score, ScoreNote, group_onsets
 
 
 @dataclass(frozen=True)
@@ -56,23 +61,27 @@ def make_cloud(score: Score, frame: OnsetFrame, cfg: WindowConfig,
     ``[frame.beat, frame.beat + width)``; with ``include_held`` off only
     notes starting inside the window count. Equal tpcs merge.
     """
+    return _window_cloud(score.notes, frame, cfg, params)
+
+
+def _window_cloud(candidates, frame: OnsetFrame, cfg: WindowConfig,
+                  params: SpiralParams) -> Cloud:
+    """The cloud of ``make_cloud`` built from ``candidates``, which must hold,
+    in score order, every note that overlaps the window."""
     w_start = frame.beat
     w_end = frame.beat + cfg.width_beats
     members = []
-    for n in score.notes:
+    for n in candidates:
         if not cfg.include_held and n.onset < w_start - 1e-12:
             continue
         overlap = min(n.onset + n.duration, w_end) - max(n.onset, w_start)
         if overlap > 0:
             members.append((n.tpc, overlap))
     if not members:
-        # unreachable for well-formed frames (their own notes always
-        # overlap a positive-width window), kept as a defensive fallback
-        by_id = {n.id: n for n in score.notes}
-        members = [
-            (by_id[i].tpc, min(by_id[i].duration, cfg.width_beats))
-            for i in sorted(frame.note_ids)
-        ]
+        # reached only when the width or the anchor note's duration is
+        # lost in rounding against the frame's beat
+        members = [(n.tpc, min(n.duration, cfg.width_beats))
+                   for n in sorted(frame.notes, key=lambda n: n.id)]
     return _merge_cloud(members, params)
 
 
@@ -117,17 +126,30 @@ def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
     return best[1], best[2]
 
 
-def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams) -> list[TensionFrame]:
-    """One TensionFrame per onset frame, in frame order."""
-    frames = group_onsets(score)
+def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
+                  frames: list[OnsetFrame] | None = None) -> list[TensionFrame]:
+    """One TensionFrame per onset frame, in frame order.
+
+    ``frames`` is ``group_onsets(score)``, computed here when not given.
+    """
+    if frames is None:
+        frames = group_onsets(score)
     if not frames:
         return []
     tonic, mode = score.key if score.key is not None else estimate_key(score, params)
     key_center = key_coe(tonic, mode, params)
+    notes = score.notes
+    admitted = 0
+    active: list[ScoreNote] = []  # score order, so clouds merge in that order
     out = []
     prev: Cloud | None = None
     for frame in frames:
-        cloud = make_cloud(score, frame, cfg, params)
+        w_end = frame.beat + cfg.width_beats
+        while admitted < len(notes) and notes[admitted].onset < w_end:
+            active.append(notes[admitted])
+            admitted += 1
+        active = [n for n in active if n.onset + n.duration > frame.beat]
+        cloud = _window_cloud(active, frame, cfg, params)
         out.append(TensionFrame(
             frame_index=frame.index,
             t_cd=cloud_diameter(cloud, params),

@@ -66,6 +66,13 @@ class TestParseScore:
         with pytest.raises(ValidationError, match="duration"):
             parse_score("#meter 0 4 4 duple\nn1\t0\t0\t60\tC\t0\t4\t0\n")
 
+    @pytest.mark.parametrize("onset,duration,field", [
+        ("nan", "1", "onset"), ("inf", "1", "onset"),
+        ("0", "inf", "duration"), ("0", "nan", "duration")])
+    def test_non_finite_time_rejected(self, onset, duration, field):
+        with pytest.raises(ValidationError, match=field):
+            parse_score(f"#meter 0 4 4 duple\nn1\t{onset}\t{duration}\t60\tC\t0\t4\t0\n")
+
     def test_triad_shares_onset(self):
         score = parse_score(TRIAD)
         assert len(score.notes) == 3

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +166,40 @@ class TestTargets:
         b = [r.bpr for r in targets(score, p2)]
         assert b == pytest.approx(a, abs=1e-9)
         assert np.mean(a) == pytest.approx(1.0, abs=1e-9)
+
+    def test_dropped_frames_warned_once(self, caplog):
+        score = build_score([note("a", 0.0, 1.0, 0), note("b", 1.0, 1.0, 1),
+                             note("c", 2.0, 1.0, 2), note("d", 3.0, 1.0, 3)])
+        p = perf(("a", 0.0, 0.4, 64), ("b", 0.5, 0.4, 64), ("d", 1.5, 0.4, 64))
+        with caplog.at_level("WARNING", logger="tonaltension.targets"):
+            rows = targets(score, p)
+        assert [r.frame_index for r in rows] == [0, 1, 3]
+        dropping = [r for r in caplog.records if "dropping" in r.getMessage()]
+        assert len(dropping) == 1
+        assert "dropping 1 frame(s)" in dropping[0].getMessage()
+
+
+_AVERAGE_CHORD = """
+from tonaltension.symbolic import Performance, PerformedNote, Score, group_onsets
+from conftest import METER_44, note
+from tonaltension.targets import average_onsets
+score = Score(tuple(note(i, 0.0, 1.0, t) for i, t in (("a", 0), ("b", 1), ("c", 2))),
+              (METER_44,))
+p = Performance((PerformedNote("a", 0.1, 0.4, 64), PerformedNote("b", 0.2, 0.4, 64),
+                 PerformedNote("c", 0.3, 0.4, 64)))
+print(repr(average_onsets(p, group_onsets(score))[0]))
+"""
+
+
+def test_chord_average_ignores_string_hashing():
+    # summing a chord's onsets in set order made the last bit depend on
+    # PYTHONHASHSEED; score order makes it reproducible across processes
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, "..", "src"), here])
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", _AVERAGE_CHORD], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout.strip())
+    assert outputs == {repr((0.1 + 0.2 + 0.3) / 3)}
