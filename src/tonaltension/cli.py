@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -170,6 +171,31 @@ def read_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
 # corpus loading
 
 
+def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.ndarray:
+    """CSV string rows -> (rows, columns) float matrix; ragged rows and
+    non-numeric or non-finite cells raise ValidationError naming the file,
+    the frame and the column."""
+    for k, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ValidationError(f"{path}: data row {k + 1} (frame {row[0]}) has "
+                                  f"{len(row)} cells, expected {len(columns)}")
+    try:
+        data = np.array([[float(v) for v in r] for r in rows], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        for row in rows:
+            for name, cell in zip(columns, row):
+                try:
+                    ok = math.isfinite(float(cell))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise ValidationError(f"{path}: frame {row[0]}, column {name}: "
+                                          f"{cell!r} is not a finite number")
+    return data.reshape(len(rows), len(columns))
+
+
 def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
     """Read ``<stem>.features.csv`` / ``<stem>.targets.csv`` pairs."""
     stems = sorted(
@@ -177,28 +203,25 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
         for name in os.listdir(corpus_dir) if name.endswith(".features.csv"))
     pieces = []
     for stem in stems:
+        fpath = os.path.join(corpus_dir, f"{stem}.features.csv")
         tpath = os.path.join(corpus_dir, f"{stem}.targets.csv")
         if not os.path.exists(tpath):
             log.warning("skipping %s: no targets file", stem)
             continue
-        _, fcols, frows = read_csv(os.path.join(corpus_dir, f"{stem}.features.csv"))
+        _, fcols, frows = read_csv(fpath)
         _, tcols, trows = read_csv(tpath)
         if fcols[:2] != ["frame", "beat"] or tcols[:2] != ["frame", "beat"]:
             raise ValidationError(f"{stem}: feature/target CSVs must start with frame,beat")
-        f_frames = [int(r[0]) for r in frows]
-        t_frames = [int(r[0]) for r in trows]
-        if f_frames != t_frames:
+        fdata = _numeric_rows(fpath, fcols, frows)
+        tdata = _numeric_rows(tpath, tcols, trows)
+        if not np.array_equal(fdata[:, 0], tdata[:, 0]):
             raise ValidationError(f"{stem}: feature and target rows are not aligned")
         names = tuple(fcols[2:])
         target_names = tuple(tcols[2:])
         if target_names != TARGET_NAMES:
             raise ValidationError(f"{stem}: unexpected target columns {target_names}")
-        features = np.array([[float(v) for v in r[2:]] for r in frows], dtype=float)
-        if features.size == 0:
-            features = features.reshape(len(frows), 0)
-        targets = np.array([[float(v) for v in r[2:]] for r in trows], dtype=float)
-        beats = np.array([float(r[1]) for r in frows])
-        pieces.append(evaluate.Piece(stem, beats, features, names, targets))
+        pieces.append(evaluate.Piece(stem, fdata[:, 1].copy(), fdata[:, 2:].copy(),
+                                     names, tdata[:, 2:].copy()))
     if not pieces:
         raise ValidationError(f"no feature/target CSV pairs found in {corpus_dir}")
     return pieces
@@ -210,7 +233,11 @@ def corpus_sequences(pieces, columns) -> list[np.ndarray]:
     for p in pieces:
         key = p.feature_names
         if key not in idx_cache:
-            idx_cache[key] = [p.feature_names.index(c) for c in columns]
+            missing = [c for c in columns if c not in key]
+            if missing:
+                raise ValidationError(
+                    f"piece {p.id} has no feature column(s) {','.join(missing)}")
+            idx_cache[key] = [key.index(c) for c in columns]
         out.append(p.features[:, idx_cache[key]])
     return out
 

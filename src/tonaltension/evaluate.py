@@ -18,7 +18,7 @@ from scipy.special import betainc
 
 from . import mi as mi_mod
 from .features import feature_names as group_feature_names
-from .model import ModelParams, TrainConfig, forward, forward_batch, train
+from .model import ModelParams, TrainConfig, forward, input_jacobian_band, train
 from .targets import TARGET_NAMES
 
 log = logging.getLogger(__name__)
@@ -202,15 +202,16 @@ class SensitivityResult:
     skipped_positions: int
 
 
-def sensitivity(params: ModelParams, sequences, radius: int = 5,
-                step: float = 1e-4) -> SensitivityResult:
+def sensitivity(params: ModelParams, sequences, radius: int = 5) -> SensitivityResult:
     """Average local linear response of the model output.
 
     Cell (f, d) is the mean over pieces and interior times tau of the
-    central-difference derivative of the prediction at tau with respect
-    to feature f at time tau + d. Positive values mean a larger feature
-    value pushes the predicted parameter up (slower tempo / louder).
-    Times closer than ``radius`` to either end are skipped and counted.
+    exact derivative of the prediction at tau with respect to feature f
+    at time tau + d, read from ``input_jacobian_band`` (one scan per
+    direction plus radius + 1 batched reverse steps: O(T * radius) per
+    piece). Positive values mean a larger feature value pushes the
+    predicted parameter up (slower tempo / louder). Times closer than
+    ``radius`` to either end are skipped and counted.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -228,15 +229,8 @@ def sensitivity(params: ModelParams, sequences, radius: int = 5,
             continue
         used += interior.size
         skipped += T - interior.size
-        for f in range(n_features):
-            batch = np.repeat(xs[None, :, :], 2 * T, axis=0)
-            rows = np.arange(T)
-            batch[2 * rows, rows, f] += step
-            batch[2 * rows + 1, rows, f] -= step
-            ys = forward_batch(params, batch)
-            dy = (ys[0::2] - ys[1::2]) / (2.0 * step)  # [perturbed s, output tau]
-            for col, d in enumerate(offsets):
-                acc[f, col] += dy[interior + d, interior].sum()
+        J = input_jacobian_band(params, xs, radius)
+        acc += J[interior].sum(axis=0).T
     if used:
         acc /= used
     return SensitivityResult(acc, offsets, used, skipped)

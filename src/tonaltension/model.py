@@ -12,11 +12,13 @@ direction scans the reversed sequence, and the output at step t is
 v . [h_fwd_t ; h_bwd_t] + c.
 
 Everything is float64 numpy. Gradients are exact backpropagation through
-time (verified against central finite differences); training is RMSProp
-with one update per piece, global-norm gradient clipping, and early
-stopping on a held-out slice of the training pieces. All randomness flows
-from explicit seeds, so identical (seed, data, config) reproduce
-bit-identical parameters and logs.
+time (verified against central finite differences); the input Jacobian
+band behind the sensitivity analysis runs the same reverse cell step,
+batched over output steps. Training is RMSProp with one update per piece,
+global-norm gradient clipping, and early stopping on a held-out slice of
+the training pieces. All randomness flows from explicit seeds, so
+identical (seed, data, config) reproduce bit-identical parameters and
+logs.
 """
 
 from __future__ import annotations
@@ -180,6 +182,39 @@ def _scan(d: DirectionParams, xs: np.ndarray, hidden: int):
     return {"P": P, "Q": Q, "gates": gates, "C": C, "H": Hs, "xs": xs}
 
 
+def _previous(rows: np.ndarray) -> np.ndarray:
+    """Per-step rows shifted one step later: row t holds step t-1, row 0 zeros."""
+    return np.vstack([np.zeros((1, rows.shape[1])), rows[:-1]])
+
+
+def _cell_grad(d: DirectionParams, gates, c, c_prev, p, q, dh, dc):
+    """Reverse one cell step on (H,) rows or (B, H) stacks of rows.
+
+    ``gates``, ``p`` and ``q`` are the step's cached activations and
+    projections, ``c``/``c_prev`` its cell state and the previous one,
+    ``dh``/``dc`` the gradient arriving at its hidden and cell state.
+    Returns (da, dp, dq, dh_prev, dc_prev): the gradients of the gate
+    pre-activations, of the input and recurrent projections, and those
+    carried to the previous step.
+    """
+    H = c.shape[-1]
+    i = gates[..., :H]
+    f = gates[..., H:2 * H]
+    o = gates[..., 2 * H:3 * H]
+    g = gates[..., 3 * H:]
+    tc = np.tanh(c)
+    do = dh * tc
+    dc = dc + dh * o * (1.0 - tc * tc)
+    da = np.empty(gates.shape)
+    da[..., :H] = (dc * g) * i * (1.0 - i)
+    da[..., H:2 * H] = (dc * c_prev) * f * (1.0 - f)
+    da[..., 2 * H:3 * H] = do * o * (1.0 - o)
+    da[..., 3 * H:] = (dc * i) * (1.0 - g * g)
+    dp = da * (d.alpha * q + d.beta2)
+    dq = da * (d.alpha * p + d.beta1)
+    return da, dp, dq, dq @ d.U, dc * f
+
+
 def _scan_grad(d: DirectionParams, cache: dict, dH_out: np.ndarray, hidden: int):
     """BPTT through one direction; dH_out holds the loss gradient injected
     at each scan step's hidden state."""
@@ -194,33 +229,64 @@ def _scan_grad(d: DirectionParams, cache: dict, dH_out: np.ndarray, hidden: int)
     g_bias = np.zeros_like(d.bias)
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
-    da = np.empty(4 * H)
+    C_prev = _previous(C)
+    H_prev = _previous(Hs)
     for t in range(T - 1, -1, -1):
-        i = gates[t, :H]
-        f = gates[t, H:2 * H]
-        o = gates[t, 2 * H:3 * H]
-        g = gates[t, 3 * H:]
-        c_prev = C[t - 1] if t > 0 else np.zeros(H)
-        h_prev = Hs[t - 1] if t > 0 else np.zeros(H)
-        tc = np.tanh(C[t])
-        dh = dH_out[t] + dh_rec
-        do = dh * tc
-        dc = dc_rec + dh * o * (1.0 - tc * tc)
-        da[:H] = (dc * g) * i * (1.0 - i)
-        da[H:2 * H] = (dc * c_prev) * f * (1.0 - f)
-        da[2 * H:3 * H] = do * o * (1.0 - o)
-        da[3 * H:] = (dc * i) * (1.0 - g * g)
+        da, dp, dq, dh_rec, dc_rec = _cell_grad(
+            d, gates[t], C[t], C_prev[t], P[t], Q[t], dH_out[t] + dh_rec, dc_rec)
         g_alpha += da * P[t] * Q[t]
         g_beta1 += da * Q[t]
         g_beta2 += da * P[t]
         g_bias += da
-        dp = da * (d.alpha * Q[t] + d.beta2)
-        dq = da * (d.alpha * P[t] + d.beta1)
-        g_W += np.outer(dp, xs[t])
-        g_U += np.outer(dq, h_prev)
-        dh_rec = d.U.T @ dq
-        dc_rec = dc * f
+        g_W += dp[:, None] * xs[t]  # np.outer without its call overhead
+        g_U += dq[:, None] * H_prev[t]
     return DirectionParams(g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias)
+
+
+def _band_sweep(d: DirectionParams, cache: dict, v: np.ndarray, radius: int) -> np.ndarray:
+    """Exact d y_tau / d x_{tau-k} for k = 0..radius through one scan.
+
+    Every output step tau starts its own reverse sweep (dh = v) at once;
+    sweep k processes scan step tau - k for all tau >= k together, so the
+    carried (dh, dc) rows line up with cache rows 0..T-1-k and the row of
+    the sweep that just reached step 0 is dropped. Returns (T, radius+1, D)
+    with entry [tau, k] zero where tau - k < 0.
+    """
+    P, Q, gates, C, xs = (cache[k] for k in ("P", "Q", "gates", "C", "xs"))
+    T, D = xs.shape
+    C_prev = _previous(C)
+    band = np.zeros((T, radius + 1, D))
+    dh = np.tile(v, (T, 1))
+    dc = np.zeros_like(C)
+    for k in range(min(radius + 1, T)):
+        n = T - k
+        _, dp, _, dh, dc = _cell_grad(d, gates[:n], C[:n], C_prev[:n],
+                                      P[:n], Q[:n], dh, dc)
+        band[k:, k] = dp @ d.W
+        dh, dc = dh[1:], dc[1:]
+    return band
+
+
+def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
+    """Exact input Jacobian of the predictions within ``radius`` steps.
+
+    Returns J of shape (T, 2*radius + 1, input_dim) with
+    J[tau, k, f] = d y_tau / d x_{tau + k - radius, f}; entries whose
+    input step falls off the sequence are exactly 0. Costs one scan per
+    direction plus radius + 1 batched reverse steps, O(T * radius).
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    xs = _check_sequence(params, xs)
+    H = params.hidden
+    fwd = _band_sweep(params.fwd, _scan(params.fwd, xs, H), params.v[:H], radius)
+    bwd = _band_sweep(params.bwd, _scan(params.bwd, xs[::-1], H), params.v[H:], radius)
+    J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
+    # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
+    # the backward scan, flipped into tau order, reaches ahead (0..radius)
+    J[:, radius::-1] += fwd
+    J[:, radius:] += bwd[::-1]
+    return J
 
 
 def forward(params: ModelParams, xs) -> np.ndarray:
@@ -474,34 +540,68 @@ def dumps_model(params: ModelParams, meta: dict[str, str] | None = None) -> str:
 
 
 def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
+    """Parse a dumps_model text; every malformed file raises ValueError
+    naming the header line or tensor at fault."""
     # leading '#' lines (manifest headers) are tolerated and skipped
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith(_FILE_MAGIC):
         raise ValueError("not a model file")
-    version = lines[0].split("v")[-1]
-    if int(version) != _FILE_VERSION:
-        raise ValueError(f"unsupported model file version {version}")
+    if lines[0].split() != [_FILE_MAGIC, f"v{_FILE_VERSION}"]:
+        raise ValueError(f"unsupported model file version line {lines[0]!r}, "
+                         f"expected '{_FILE_MAGIC} v{_FILE_VERSION}'")
     meta: dict[str, str] = {}
     header: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, tuple[str, list[str]]] = {}
     for line in lines[1:]:
-        kind, rest = line.split(" ", 1)
+        kind, _, rest = line.partition(" ")
         if kind == "meta":
-            key, value = rest.split(" ", 1)
+            key, _, value = rest.partition(" ")
             meta[key] = value
         elif kind == "tensor":
-            parts = rest.split(" ")
-            name, shape = parts[0], parts[1]
-            dims = tuple(int(s) for s in shape.split("x"))
-            data = np.array([float(v) for v in parts[2:]])
-            tensors[name] = data.reshape(dims)
+            name, _, body = rest.partition(" ")
+            if name in tensors:
+                raise ValueError(f"tensor {name} appears more than once")
+            shape, *cells = body.split(" ")
+            tensors[name] = (shape, cells)
         else:
             header[kind] = rest
-    input_dim = int(header["input_dim"])
-    hidden = int(header["hidden"])
-    flat = np.concatenate([tensors[name].ravel()
-                           for name, _ in _shapes(input_dim, hidden)])
-    return unflatten(flat, input_dim, hidden), meta
+    dims = {}
+    for key in ("input_dim", "hidden"):
+        if key not in header:
+            raise ValueError(f"missing '{key}' header line")
+        try:
+            dims[key] = int(header[key])
+        except ValueError:
+            raise ValueError(f"'{key}' header is not an integer: {header[key]!r}") from None
+        if dims[key] < 0:
+            raise ValueError(f"'{key}' header is negative: {dims[key]}")
+    input_dim, hidden = dims["input_dim"], dims["hidden"]
+    if header.get("gate_order") != ",".join(GATE_ORDER):
+        raise ValueError(f"gate_order header is {header.get('gate_order')!r}, "
+                         f"expected {','.join(GATE_ORDER)}")
+    expected = _shapes(input_dim, hidden)
+    unknown = sorted(set(tensors) - {name for name, _ in expected})
+    if unknown:
+        raise ValueError(f"unknown tensor {unknown[0]}")
+    flat = []
+    for name, shape in expected:
+        if name not in tensors:
+            raise ValueError(f"missing tensor {name}")
+        declared, cells = tensors[name]
+        want = "x".join(str(s) for s in shape)
+        if declared != want:
+            raise ValueError(f"tensor {name} has shape {declared!r}, expected {want}")
+        if len(cells) != int(np.prod(shape)):
+            raise ValueError(f"tensor {name} has {len(cells)} values, "
+                             f"expected {int(np.prod(shape))}")
+        try:
+            values = [float(v) for v in cells]
+        except ValueError:
+            raise ValueError(f"tensor {name} holds a non-numeric value") from None
+        if not np.isfinite(values).all():
+            raise ValueError(f"tensor {name} holds a non-finite parameter")
+        flat.extend(values)
+    return unflatten(np.array(flat), input_dim, hidden), meta
 
 
 def save_model(params: ModelParams, path, meta: dict[str, str] | None = None) -> None:
@@ -511,4 +611,8 @@ def save_model(params: ModelParams, path, meta: dict[str, str] | None = None) ->
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
     with open(path) as fh:
-        return loads_model(fh.read())
+        text = fh.read()
+    try:
+        return loads_model(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -255,3 +255,109 @@ class TestSensitivity:
         _, _, rows = cli.read_csv(str(out / "sensitivity.csv"))
         offsets = sorted({int(r[1]) for r in rows})
         assert offsets == [-2, -1, 0, 1, 2]
+
+
+def canonical_model(path, seed=0):
+    from tonaltension.features import CANONICAL_ORDER
+    save_model(init_model(len(CANONICAL_ORDER), seed=seed), path, {
+        "target": "bpr",
+        "feature_names": ",".join(CANONICAL_ORDER),
+        "feature_mean": ",".join("0.0" for _ in CANONICAL_ORDER),
+        "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)})
+    return path
+
+
+def single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def poison_cell(csv_path, frame, column, text):
+    """Replace one cell of a headered CSV, keyed by frame and column name."""
+    lines = csv_path.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("frame,"))
+    col = lines[header].split(",").index(column)
+    for i in range(header + 1, len(lines)):
+        cells = lines[i].split(",")
+        if cells[0] == str(frame):
+            if text is None:
+                del cells[col]
+            else:
+                cells[col] = text
+            lines[i] = ",".join(cells)
+            break
+    else:
+        raise AssertionError(f"no frame {frame} in {csv_path}")
+    csv_path.write_text("\n".join(lines) + "\n")
+
+
+class TestBadInputs:
+    def test_each_missing_tensor_fails_cleanly(self, tmp_path, capsys):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        good = canonical_model(tmp_path / "good.txt").read_text().splitlines()
+        tensor_lines = [k for k, ln in enumerate(good) if ln.startswith("tensor ")]
+        assert len(tensor_lines) == 14  # six per direction, out.v, out.bias
+        for k in tensor_lines:
+            name = good[k].split(" ")[1]
+            path = tmp_path / f"no-{name}.txt"
+            path.write_text("\n".join(good[:k] + good[k + 1:]) + "\n")
+            assert run_cli("sensitivity", "--model", path, "--corpus", feats,
+                           "--out-dir", tmp_path / "s") == 1
+            line = single_error_line(capsys)
+            assert str(path) in line and f"missing tensor {name}" in line
+
+    @pytest.mark.parametrize("command", ["train", "sensitivity"])
+    def test_non_finite_feature_cell_fails_at_load(self, tmp_path, capsys, command):
+        _, feats = make_corpus(tmp_path, pieces=2, length=12)
+        csv_path = feats / "piece001.features.csv"
+        poison_cell(csv_path, 3, "t_cd", "nan")
+        if command == "train":
+            argv = ["train", "--corpus", feats, "--target", "bpr", "--seed", 1,
+                    "--epochs", 1]
+        else:
+            argv = ["sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
+                    "--corpus", feats]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert str(csv_path) in line and "frame 3" in line and "column t_cd" in line
+        assert not (tmp_path / "out").exists()
+
+    def test_ragged_target_row_fails_at_load(self, tmp_path, capsys):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        csv_path = feats / "piece000.targets.csv"
+        poison_cell(csv_path, 2, "vel", None)
+        capsys.readouterr()
+        assert run_cli("train", "--corpus", feats, "--target", "bpr", "--seed", 1,
+                       "--epochs", 1, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert str(csv_path) in line and "frame 2" in line
+
+    def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
+        corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
+        feats = tmp_path / "p_only"
+        assert run_cli("extract", corpus / "piece000.score.tsv",
+                       "--match", corpus / "piece000.match.tsv",
+                       "--groups", "P", "--out-dir", feats) == 0
+        capsys.readouterr()
+        assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
+                       "--corpus", feats, "--out-dir", tmp_path / "s") == 1
+        line = single_error_line(capsys)
+        assert "piece000" in line and "t_cd" in line
+
+
+def test_run_pipeline_script_smoke(tmp_path):
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "run_pipeline.py"),
+         "--work-dir", str(tmp_path / "work"), "--pieces", "5", "--length", "20",
+         "--epochs", "1", "--radius", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "=== normalized mutual information" in proc.stdout
+    assert "=== cross-validation R2" in proc.stdout
+    assert (tmp_path / "work" / "results" / "sensitivity.csv").exists()

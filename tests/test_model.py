@@ -214,3 +214,54 @@ class TestModelFile:
         params = init_model(0, seed=2)
         loaded, _ = loads_model(dumps_model(params))
         assert np.array_equal(loaded.flatten(), params.flatten())
+
+    def test_version_token_must_match_exactly(self):
+        text = dumps_model(init_model(2, seed=0))
+        for first in ("tonaltension-model v2", "tonaltension-model v1.0",
+                      "tonaltension-model", "tonaltension-modelv1"):
+            with pytest.raises(ValueError):
+                loads_model(text.replace("tonaltension-model v1", first, 1))
+
+    @pytest.mark.parametrize("header", ["input_dim", "hidden", "gate_order"])
+    def test_missing_header_rejected(self, header):
+        lines = dumps_model(init_model(2, seed=0)).splitlines()
+        text = "\n".join(ln for ln in lines if not ln.startswith(header + " "))
+        with pytest.raises(ValueError, match=header):
+            loads_model(text)
+
+    def test_other_gate_order_rejected(self):
+        text = dumps_model(init_model(2, seed=0)).replace(
+            "gate_order input,forget,output,candidate",
+            "gate_order forget,input,output,candidate")
+        with pytest.raises(ValueError, match="gate_order"):
+            loads_model(text)
+
+    def test_duplicate_unknown_and_misshapen_tensors_rejected(self):
+        lines = dumps_model(init_model(2, seed=0)).splitlines()
+        v_line = next(ln for ln in lines if ln.startswith("tensor out.v "))
+        cases = {
+            "more than once": lines + [v_line],
+            "unknown tensor": lines + ["tensor out.w 1 0.5"],
+            "shape": [ln.replace("tensor out.v 10 ", "tensor out.v 2x5 ") for ln in lines],
+            "values": [ln + " 0.5" if ln == v_line else ln for ln in lines],
+        }
+        for message, case in cases.items():
+            with pytest.raises(ValueError, match=message):
+                loads_model("\n".join(case))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_value_rejected(self, bad):
+        text = dumps_model(init_model(2, seed=0))
+        lines = text.splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith("tensor bwd.U "))
+        cells = lines[k].split(" ")
+        cells[5] = bad
+        lines[k] = " ".join(cells)
+        with pytest.raises(ValueError, match="bwd.U"):
+            loads_model("\n".join(lines))
+
+    def test_load_error_names_the_path(self, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_text("tonaltension-model v1\ninput_dim 2\n")
+        with pytest.raises(ValueError, match="broken.txt: missing 'hidden'"):
+            load_model(path)
