@@ -24,12 +24,11 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, evaluate, mi as mi_mod, model as model_mod, synth
+from . import __version__, evaluate, model as model_mod, synth
 from .errors import ParseError, TrainingDiverged, ValidationError
 from .features import assemble_features, feature_names
 from .spiral import SpiralParams
@@ -227,21 +226,6 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
     return pieces
 
 
-def corpus_sequences(pieces, columns) -> list[np.ndarray]:
-    idx_cache = {}
-    out = []
-    for p in pieces:
-        key = p.feature_names
-        if key not in idx_cache:
-            missing = [c for c in columns if c not in key]
-            if missing:
-                raise ValidationError(
-                    f"piece {p.id} has no feature column(s) {','.join(missing)}")
-            idx_cache[key] = [key.index(c) for c in columns]
-        out.append(p.features[:, idx_cache[key]])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shared flags
 
@@ -280,8 +264,6 @@ def _train_config(args) -> model_mod.TrainConfig:
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across independent pieces/experiments")
     if seed_required:
         p.add_argument("--seed", type=int, required=True,
                        help="random seed (stochastic commands have no default)")
@@ -308,8 +290,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_extract(args) -> int:
-    score_text = open(args.score).read()
-    score = parse_score(score_text)
+    with open(args.score) as fh:
+        score = parse_score(fh.read())
     groups = _parse_groups(args.groups)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
@@ -334,7 +316,8 @@ def cmd_extract(args) -> int:
     files = []
     if args.match:
         manifest.add_input(args.match)
-        perf = parse_performance(open(args.match).read(), score)
+        with open(args.match) as fh:
+            perf = parse_performance(fh.read(), score)
         target_rows = extract_targets(score, perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
@@ -375,33 +358,23 @@ def cmd_synth(args) -> int:
 
 def cmd_mi(args) -> int:
     pieces = load_corpus(args.corpus)
-    subset_ids = set(mi_mod.subsample_pieces(
-        [p.id for p in pieces], args.fs_fraction, args.fs_seed))
-    subset = [p for p in pieces if p.id in subset_ids]
-    names = subset[0].feature_names
-    for p in subset:
-        if p.feature_names != names:
-            raise ValidationError(
-                f"piece {p.id!r} has feature columns {p.feature_names}, "
-                f"expected {names}; re-extract the corpus with one --groups setting")
-    feats = np.vstack([p.features for p in subset])
-    targs = np.vstack([p.targets for p in subset])
-    table = mi_mod.mi_table(feats, names, targs, TARGET_NAMES,
-                            k=args.fs_k, seed=args.fs_seed)
+    subset, table = evaluate.mi_subset(pieces, args.fs_fraction, args.fs_k,
+                                       args.fs_seed)
+    subset_ids = ",".join(sorted(p.id for p in subset))
     manifest = Manifest("mi", {
         "fs_fraction": args.fs_fraction, "fs_k": args.fs_k,
-        "pieces": ",".join(sorted(subset_ids))}, {"fs_seed": args.fs_seed})
+        "pieces": subset_ids}, {"fs_seed": args.fs_seed})
     manifest.add_corpus(args.corpus, subset)
     header = [("fs_fraction", args.fs_fraction), ("fs_k", args.fs_k),
-              ("subset", ",".join(sorted(subset_ids)))]
+              ("subset", subset_ids)]
     norm = table.normalized()
     files = [
         OutputFile(os.path.join(args.out_dir, "mi_raw.csv"), list(header),
                    csv_body(("feature",) + TARGET_NAMES,
-                            [(n,) + tuple(table.values[i]) for i, n in enumerate(names)])),
+                            [(n,) + tuple(table.values[i]) for i, n in enumerate(table.rows)])),
         OutputFile(os.path.join(args.out_dir, "mi_normalized.csv"), list(header),
                    csv_body(("feature",) + TARGET_NAMES,
-                            [(n,) + tuple(norm[i]) for i, n in enumerate(names)])),
+                            [(n,) + tuple(norm[i]) for i, n in enumerate(table.rows)])),
     ]
     emit_outputs(manifest, args.out_dir, files)
     return 0
@@ -409,17 +382,10 @@ def cmd_mi(args) -> int:
 
 def cmd_train(args) -> int:
     pieces = load_corpus(args.corpus)
-    if args.target not in TARGET_NAMES:
-        raise ValidationError(f"unknown target {args.target!r}")
     groups = _parse_groups(args.groups)
     columns = feature_names(groups)
-    X = corpus_sequences(pieces, columns)
-    stacked = np.vstack(X) if columns else np.zeros((1, 0))
-    mean, std = evaluate.standardize_stats(stacked)
-    t_idx = TARGET_NAMES.index(args.target)
-    dataset = [((x - mean) / std, p.targets[:, t_idx]) for x, p in zip(X, pieces)]
     cfg = _train_config(args)
-    params, train_log = model_mod.train(dataset, cfg)
+    params, train_log, mean, std = evaluate.fit(pieces, columns, args.target, cfg)
 
     manifest = Manifest("train", {
         "target": args.target, "groups": ",".join(sorted(groups)),
@@ -462,20 +428,10 @@ def cmd_eval(args) -> int:
     if args.include_fs:
         labels.append("FS")
 
-    def one(target, label):
-        return evaluate.run_cv(pieces, target, label, cfg, seed=args.seed,
-                               k=args.folds, fs_fraction=args.fs_fraction,
-                               fs_k=args.fs_k, fs_count=args.fs_count)
-
-    results: dict[tuple[str, str], evaluate.EvalResult] = {}
-    jobs = [(t, lbl) for t in requested for lbl in labels]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for (t, lbl), res in zip(jobs, pool.map(lambda j: one(*j), jobs)):
-                results[(t, lbl)] = res
-    else:
-        for t, lbl in jobs:
-            results[(t, lbl)] = one(t, lbl)
+    results = {(t, lbl): evaluate.run_cv(pieces, t, lbl, cfg, seed=args.seed,
+                                         k=args.folds, fs_fraction=args.fs_fraction,
+                                         fs_k=args.fs_k, fs_count=args.fs_count)
+               for t in requested for lbl in labels}
 
     rows = []
     for target in requested:
@@ -516,18 +472,18 @@ def cmd_eval(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     params, meta = model_mod.load_model(args.model)
-    columns = tuple(n for n in meta.get("feature_names", "").split(",") if n)
-    if len(columns) != params.input_dim:
+    names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
+    if len(names) != params.input_dim:
         raise ValidationError(
-            f"model file lists {len(columns)} features but input_dim is {params.input_dim}")
-    if columns and not ("feature_mean" in meta and "feature_std" in meta):
+            f"model file lists {len(names)} features but input_dim is {params.input_dim}")
+    if names and not ("feature_mean" in meta and "feature_std" in meta):
         raise ValidationError("model file lacks feature standardization metadata")
     mean = np.array([float(v) for v in meta["feature_mean"].split(",")]) \
-        if columns else np.zeros(0)
+        if names else np.zeros(0)
     std = np.array([float(v) for v in meta["feature_std"].split(",")]) \
-        if columns else np.ones(0)
+        if names else np.ones(0)
     pieces = load_corpus(args.corpus)
-    sequences = [(x - mean) / std for x in corpus_sequences(pieces, columns)]
+    sequences = [(evaluate.columns(p, names) - mean) / std for p in pieces]
     result = evaluate.sensitivity(params, sequences, radius=args.radius)
 
     manifest = Manifest("sensitivity", {
@@ -540,7 +496,7 @@ def cmd_sensitivity(args) -> int:
               ("used_positions", result.used_positions),
               ("skipped_positions", result.skipped_positions)]
     rows = [(name, offset, result.matrix[i, j])
-            for i, name in enumerate(columns)
+            for i, name in enumerate(names)
             for j, offset in enumerate(result.offsets)]
     files = [OutputFile(os.path.join(args.out_dir, "sensitivity.csv"), header,
                         csv_body(("feature", "offset", "value"), rows))]

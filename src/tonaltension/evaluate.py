@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import betainc
 
 from . import mi as mi_mod
+from .errors import TrainingDiverged, ValidationError
 from .features import feature_names as group_feature_names
 from .model import ModelParams, TrainConfig, forward, input_jacobian_band, train
 from .targets import TARGET_NAMES
@@ -115,13 +116,33 @@ def standardize_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _columns(piece: Piece, names) -> np.ndarray:
-    idx = []
-    for n in names:
-        if n not in piece.feature_names:
-            raise ValueError(f"piece {piece.id!r} lacks feature column {n!r}")
-        idx.append(piece.feature_names.index(n))
-    return piece.features[:, idx] if idx else np.zeros((piece.features.shape[0], 0))
+def columns(piece: Piece, names) -> np.ndarray:
+    """The piece's feature matrix restricted to ``names``, in that order."""
+    missing = [n for n in names if n not in piece.feature_names]
+    if missing:
+        raise ValidationError(
+            f"piece {piece.id} has no feature column(s) {','.join(missing)}")
+    return piece.features[:, [piece.feature_names.index(n) for n in names]]
+
+
+def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
+    """Train one model on ``pieces``: select the ``names`` columns,
+    standardize them with these pieces' statistics and train on
+    ``target``. Returns (params, log, mean, std); a divergence is
+    re-raised naming the piece it happened on."""
+    if not pieces:
+        raise ValueError("empty training dataset")
+    X = [columns(p, names) for p in pieces]
+    mean, std = standardize_stats(np.vstack(X))
+    t_idx = pieces[0].target_names.index(target)
+    dataset = [((x - mean) / std, p.targets[:, t_idx]) for x, p in zip(X, pieces)]
+    try:
+        params, train_log = train(dataset, cfg)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(
+            f"non-finite loss at epoch {exc.epoch}, piece {pieces[exc.index].id}",
+            exc.epoch, exc.index) from None
+    return params, train_log, mean, std
 
 
 def resolve_feature_set(label: str) -> tuple[str, ...]:
@@ -133,21 +154,31 @@ def resolve_feature_set(label: str) -> tuple[str, ...]:
     return group_feature_names(set(label))
 
 
+def mi_subset(corpus: list[Piece], fraction: float, k: int,
+              seed: int) -> tuple[list[Piece], mi_mod.MiTable]:
+    """MI between every feature and target column, pooled over a seeded
+    random subset of the pieces; returns the subset and the table. All
+    pieces must share one feature layout."""
+    names = corpus[0].feature_names
+    for p in corpus:
+        if p.feature_names != names:
+            raise ValidationError(
+                f"piece {p.id!r} has feature columns {p.feature_names}, "
+                f"expected {names}; re-extract the corpus with one --groups setting")
+    subset_ids = set(mi_mod.subsample_pieces([p.id for p in corpus], fraction, seed))
+    subset = [p for p in corpus if p.id in subset_ids]
+    feats = np.vstack([p.features for p in subset])
+    targs = np.vstack([p.targets for p in subset])
+    table = mi_mod.mi_table(feats, names, targs, subset[0].target_names, k=k, seed=seed)
+    return subset, table
+
+
 def fs_select(corpus: list[Piece], target: str, seed: int,
               fraction: float = 0.2, k: int = 3, count: int = 10) -> tuple[str, ...]:
     """Univariate selection: top features by MI with the target, estimated
     on a seeded random subset of pieces."""
-    names = corpus[0].feature_names
-    for p in corpus:
-        if p.feature_names != names:
-            raise ValueError(f"piece {p.id!r} has feature columns {p.feature_names}, "
-                             f"expected {names}")
-    subset_ids = mi_mod.subsample_pieces([p.id for p in corpus], fraction, seed)
-    subset = [p for p in corpus if p.id in set(subset_ids)]
-    feats = np.vstack([p.features for p in subset])
-    targs = np.vstack([p.targets for p in subset])
-    table = mi_mod.mi_table(feats, names, targs, subset[0].target_names, k=k, seed=seed)
-    return tuple(mi_mod.select_features(table, target, min(count, len(names))))
+    _, table = mi_subset(corpus, fraction, k, seed)
+    return tuple(mi_mod.select_features(table, target, min(count, len(table.rows))))
 
 
 def run_cv(corpus: list[Piece], target: str, feature_set: str, cfg: TrainConfig,
@@ -157,9 +188,9 @@ def run_cv(corpus: list[Piece], target: str, feature_set: str, cfg: TrainConfig,
     if target not in TARGET_NAMES:
         raise ValueError(f"unknown target {target!r}")
     if feature_set == "FS":
-        columns = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
+        names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
     else:
-        columns = resolve_feature_set(feature_set)
+        names = resolve_feature_set(feature_set)
     by_id = {p.id: p for p in corpus}
     t_idx = corpus[0].target_names.index(target)
     plan = make_folds([p.id for p in corpus], k=k, seed=seed)
@@ -168,17 +199,11 @@ def run_cv(corpus: list[Piece], target: str, feature_set: str, cfg: TrainConfig,
     for fold_i, test_ids in enumerate(plan.folds):
         test_set = set(test_ids)
         train_pieces = [p for p in corpus if p.id not in test_set]
-        train_X = [_columns(p, columns) for p in train_pieces]
-        mean, std = standardize_stats(
-            np.vstack(train_X) if train_X else np.zeros((0, len(columns))))
-        dataset = [((X - mean) / std, p.targets[:, t_idx])
-                   for X, p in zip(train_X, train_pieces)]
-        fold_cfg = replace(cfg, seed=cfg.seed + fold_i)
-        params, _ = train(dataset, fold_cfg)
+        params, _, mean, std = fit(train_pieces, names, target,
+                                   replace(cfg, seed=cfg.seed + fold_i))
         for pid in test_ids:
             piece = by_id[pid]
-            X = (_columns(piece, columns) - mean) / std
-            pred = forward(params, X)
+            pred = forward(params, (columns(piece, names) - mean) / std)
             try:
                 per_piece[pid] = r2(pred, piece.targets[:, t_idx])
             except ValueError as exc:

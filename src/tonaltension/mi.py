@@ -33,10 +33,6 @@ def _content_rng(values: np.ndarray, seed: int) -> np.random.Generator:
     return np.random.default_rng((seed, content))
 
 
-def _is_discrete(values: np.ndarray) -> bool:
-    return np.unique(values).size <= _DISCRETE_MAX_VALUES
-
-
 def _jittered(values: np.ndarray, seed: int) -> np.ndarray:
     std = float(np.std(values))
     if std == 0.0:

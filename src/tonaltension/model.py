@@ -307,37 +307,7 @@ def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     if xs.ndim != 3 or xs.shape[2] != params.input_dim:
         raise ValueError(
             f"batch shape {xs.shape} does not match input_dim {params.input_dim}")
-    B, T, _ = xs.shape
-    H = params.hidden
-    out = np.full((B, T), params.out_bias)
-    for d, sl, flip in ((params.fwd, slice(0, H), False),
-                        (params.bwd, slice(H, 2 * H), True)):
-        seq = xs[:, ::-1, :] if flip else xs
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        hs = np.empty((B, T, H))
-        for t in range(T):
-            p = seq[:, t, :] @ d.W.T
-            q = h @ d.U.T
-            a = d.alpha * p * q + d.beta1 * q + d.beta2 * p + d.bias
-            ifo = sigmoid(a[:, :3 * H])
-            g = np.tanh(a[:, 3 * H:])
-            c = ifo[:, H:2 * H] * c + ifo[:, :H] * g
-            h = ifo[:, 2 * H:] * np.tanh(c)
-            hs[:, t, :] = h
-        if flip:
-            hs = hs[:, ::-1, :]
-        out += hs @ params.v[sl]
-    return out
-
-
-def predict(params: ModelParams, xs) -> np.ndarray:
-    """forward plus input validation (rejects non-finite rows)."""
-    xs = _check_sequence(params, xs)
-    bad = np.where(~np.isfinite(xs).all(axis=1))[0]
-    if bad.size:
-        raise ValueError(f"non-finite feature values at frame {int(bad[0])}")
-    return forward(params, xs)
+    return np.array([forward(params, x) for x in xs]).reshape(xs.shape[:2])
 
 
 def loss_and_gradient(params: ModelParams, batch) -> tuple[float, np.ndarray]:
@@ -478,35 +448,39 @@ def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
     bad_epochs = 0
     log: list[TrainLogEntry] = []
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_idx))
-        piece_losses = []
-        for j in order:
-            piece = dataset[train_idx[j]]
-            params = unflatten(theta, input_dim, params.hidden)
-            loss, grad = loss_and_gradient(params, [piece])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, piece {train_idx[j]}")
-            piece_losses.append(loss)
-            norm = float(np.linalg.norm(grad))
-            if norm > cfg.gradient_clip_norm > 0:
-                grad = grad * (cfg.gradient_clip_norm / norm)
-            accum = cfg.rmsprop_decay * accum + (1.0 - cfg.rmsprop_decay) * grad * grad
-            theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + cfg.rmsprop_epsilon)
+    # a diverging run overflows on its way to a non-finite loss; the
+    # isfinite check below reports it, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(train_idx))
+            piece_losses = []
+            for j in order:
+                piece = dataset[train_idx[j]]
+                params = unflatten(theta, input_dim, params.hidden)
+                loss, grad = loss_and_gradient(params, [piece])
+                if not np.isfinite(loss):
+                    i = int(train_idx[j])
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, dataset item {i}", epoch, i)
+                piece_losses.append(loss)
+                norm = float(np.linalg.norm(grad))
+                if norm > cfg.gradient_clip_norm > 0:
+                    grad = grad * (cfg.gradient_clip_norm / norm)
+                accum = cfg.rmsprop_decay * accum + (1.0 - cfg.rmsprop_decay) * grad * grad
+                theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + cfg.rmsprop_epsilon)
 
-        params = unflatten(theta, input_dim, params.hidden)
-        val_mse = _pooled_mse(params, val_pieces)
-        train_mse = float(np.mean(piece_losses)) if piece_losses else val_mse
-        log.append(TrainLogEntry(epoch, train_mse, val_mse))
-        if val_mse < best_val:
-            best_val = val_mse
-            best_theta = theta.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.early_stop_patience:
-                break
+            params = unflatten(theta, input_dim, params.hidden)
+            val_mse = _pooled_mse(params, val_pieces)
+            train_mse = float(np.mean(piece_losses)) if piece_losses else val_mse
+            log.append(TrainLogEntry(epoch, train_mse, val_mse))
+            if val_mse < best_val:
+                best_val = val_mse
+                best_theta = theta.copy()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.early_stop_patience:
+                    break
 
     return unflatten(best_theta, input_dim, params.hidden), log
 

@@ -1,6 +1,6 @@
 """Symbolic score and performance I/O.
 
-Two line-oriented TSV formats plus a Standard MIDI File reader:
+Two line-oriented TSV formats:
 
 * ``.score.tsv``: ``#meter <start_beat> <B> <unit> <class>`` header lines
   (repeatable), an optional ``#key <tpc> <major|minor>`` line, then one
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 
@@ -345,164 +345,3 @@ def group_onsets(score: Score) -> list[OnsetFrame]:
             groups.append([n])
     return [OnsetFrame(i, g[0].onset, tuple(g)) for i, g in enumerate(groups)]
 
-
-# ---------------------------------------------------------------------------
-# Standard MIDI Files
-
-
-class _ByteReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def read(self, n: int) -> bytes:
-        if self.remaining() < n:
-            raise ParseError(f"truncated MIDI file at byte {self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u16(self) -> int:
-        b = self.read(2)
-        return (b[0] << 8) | b[1]
-
-    def u32(self) -> int:
-        b = self.read(4)
-        return (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
-
-    def vlq(self) -> int:
-        value = 0
-        for _ in range(4):
-            b = self.u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise ParseError(f"overlong variable-length quantity at byte {self.pos}")
-
-
-def import_midi(data: bytes) -> list[tuple[float, float, int, int]]:
-    """Read a format 0/1 SMF into ``(onset_sec, duration_sec, pitch,
-    velocity)`` tuples, honoring the tempo map; channels are merged.
-
-    Note-on events with velocity 0 close the corresponding note. Note-ons
-    left open at end of track are an error.
-    """
-    r = _ByteReader(data)
-    if r.read(4) != b"MThd":
-        raise ParseError("not a Standard MIDI File (missing MThd)")
-    header_len = r.u32()
-    if header_len < 6:
-        raise ParseError(f"bad MThd length {header_len}")
-    fmt = r.u16()
-    ntrks = r.u16()
-    division = r.u16()
-    r.read(header_len - 6)
-    if fmt not in (0, 1):
-        raise ParseError(f"unsupported SMF format {fmt}")
-    if division & 0x8000:
-        raise ParseError("SMPTE time division is not supported")
-    if division == 0:
-        raise ParseError("zero ticks per quarter note")
-
-    # (tick, track order, event) triples; event is ('tempo', us_per_qn) or
-    # ('on'/'off', channel, pitch, velocity)
-    events: list[tuple[int, int, tuple]] = []
-    order = 0
-    for _ in range(ntrks):
-        if r.read(4) != b"MTrk":
-            raise ParseError("expected MTrk chunk")
-        length = r.u32()
-        end = r.pos + length
-        if end > len(r.data):
-            raise ParseError("truncated track chunk")
-        tick = 0
-        status = None
-        while r.pos < end:
-            tick += r.vlq()
-            b = r.u8()
-            if b == 0xFF:
-                meta = r.u8()
-                mlen = r.vlq()
-                payload = r.read(mlen)
-                if meta == 0x51:
-                    if mlen != 3:
-                        raise ParseError(f"bad tempo meta length {mlen}")
-                    us = (payload[0] << 16) | (payload[1] << 8) | payload[2]
-                    events.append((tick, order, ("tempo", us)))
-                    order += 1
-                status = None  # meta events cancel running status
-                continue
-            if b in (0xF0, 0xF7):
-                r.read(r.vlq())
-                status = None
-                continue
-            if b & 0x80:
-                status = b
-                d0 = r.u8()
-            else:
-                if status is None:
-                    raise ParseError(f"dangling data byte at byte {r.pos - 1}")
-                d0 = b
-            kind = status & 0xF0
-            channel = status & 0x0F
-            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                d1 = r.u8()
-            else:
-                d1 = 0
-            if kind == 0x90 and d1 > 0:
-                events.append((tick, order, ("on", channel, d0, d1)))
-                order += 1
-            elif kind == 0x80 or (kind == 0x90 and d1 == 0):
-                events.append((tick, order, ("off", channel, d0)))
-                order += 1
-        if r.pos != end:
-            raise ParseError("track events overran the declared chunk length")
-
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    # tick -> seconds via the tempo map (default 120 bpm)
-    tempo_changes = [(0, 500000)]
-    for tick, _, ev in events:
-        if ev[0] == "tempo":
-            if tempo_changes and tempo_changes[-1][0] == tick:
-                tempo_changes[-1] = (tick, ev[1])
-            else:
-                tempo_changes.append((tick, ev[1]))
-
-    def tick_to_sec(tick: int) -> float:
-        sec = 0.0
-        for i, (t0, us) in enumerate(tempo_changes):
-            t1 = tempo_changes[i + 1][0] if i + 1 < len(tempo_changes) else None
-            if t1 is None or tick <= t1:
-                return sec + (tick - t0) * us / 1e6 / division
-            sec += (t1 - t0) * us / 1e6 / division
-        return sec
-
-    notes: list[tuple[float, float, int, int]] = []
-    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for tick, _, ev in events:
-        if ev[0] == "on":
-            _, channel, pitch, vel = ev
-            open_notes.setdefault((channel, pitch), []).append((tick, vel))
-        elif ev[0] == "off":
-            _, channel, pitch = ev
-            queue = open_notes.get((channel, pitch))
-            if queue:
-                on_tick, vel = queue.pop(0)
-                onset = tick_to_sec(on_tick)
-                notes.append((onset, tick_to_sec(tick) - onset, pitch, vel))
-            # stray note-off: ignore (common in real files)
-
-    dangling = [(ch, pitch, t) for (ch, pitch), q in open_notes.items() for t, _ in q]
-    if dangling:
-        desc = ", ".join(f"ch{ch} pitch {p} @tick {t}" for ch, p, t in dangling)
-        raise ParseError(f"unresolved note-on events at end of track: {desc}")
-
-    notes.sort(key=lambda n: n[0])
-    return notes

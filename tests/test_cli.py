@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -214,15 +215,6 @@ class TestEval:
         _, _, rows = cli.read_csv(str(out / "results.csv"))
         assert rows[-1][1] == "FS"
 
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        _, feats = make_corpus(tmp_path, pieces=5, length=12)
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        for d, jobs in ((a, 1), (b, 3)):
-            assert run_cli("eval", "--corpus", feats, "--targets", "bpr",
-                           "--seed", 3, "--epochs", 2, "--folds", 5,
-                           "--jobs", jobs, "--out-dir", d) == 0
-        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
-
 
 class TestSensitivity:
     def test_zero_output_model_gives_zero_matrix(self, tmp_path):
@@ -347,6 +339,20 @@ class TestBadInputs:
                        "--corpus", feats, "--out-dir", tmp_path / "s") == 1
         line = single_error_line(capsys)
         assert "piece000" in line and "t_cd" in line
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_divergence_names_the_piece(self, tmp_path, capsys, command):
+        _, feats = make_corpus(tmp_path, pieces=5, length=12)
+        argv = {"train": ["train", "--target", "bpr"],
+                "eval": ["eval", "--targets", "bpr"]}[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--corpus", feats, "--seed", 1, "--epochs", 2,
+                       "--lr", 1e200, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)  # no numpy overflow warnings
+        assert re.fullmatch(r"error: non-finite loss at epoch \d+, piece (\w+)", line)
+        stems = {n[:-len(".features.csv")] for n in os.listdir(feats)
+                 if n.endswith(".features.csv")}
+        assert line.rsplit(" ", 1)[1] in stems
 
 
 def test_run_pipeline_script_smoke(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tonaltension.evaluate import (Piece, cohens_d, fs_select, make_folds,
-                                   paired_t_test, r2, run_cv, sensitivity,
-                                   standardize_stats)
+from tonaltension.errors import TrainingDiverged, ValidationError
+from tonaltension.evaluate import (Piece, cohens_d, columns, fit, fs_select,
+                                   make_folds, mi_subset, paired_t_test, r2,
+                                   run_cv, sensitivity, standardize_stats)
 from tonaltension.features import CANONICAL_ORDER
-from tonaltension.model import TrainConfig, init_model
+from tonaltension.model import TrainConfig, init_model, train
 
 
 class TestMakeFolds:
@@ -123,6 +124,62 @@ def toy_corpus(n_pieces=6, frames=30, seed=0, coupled=True):
 
 
 FAST = TrainConfig(learning_rate=3e-3, epochs=12, early_stop_patience=12, seed=0)
+
+
+class TestCorpusToModel:
+    def test_columns_follow_the_requested_order(self):
+        piece = toy_corpus(n_pieces=1)[0]
+        got = columns(piece, ("t_cd", "pitch_h"))
+        assert np.array_equal(got[:, 0], piece.features[:, CANONICAL_ORDER.index("t_cd")])
+        assert np.array_equal(got[:, 1], piece.features[:, 0])
+        assert columns(piece, ()).shape == (piece.features.shape[0], 0)
+
+    def test_missing_columns_all_named_with_the_piece(self):
+        piece = toy_corpus(n_pieces=1)[0]
+        with pytest.raises(ValidationError, match="piece p0 .* t_xx,t_yy"):
+            columns(piece, ("t_cd", "t_xx", "t_yy"))
+
+    def test_fit_is_train_on_standardized_columns(self):
+        corpus = toy_corpus(n_pieces=3)
+        names = ("t_cd", "vic1")
+        params, log, mean, std = fit(corpus, names, "d_vel", FAST)
+        X = [columns(p, names) for p in corpus]
+        ref_mean, ref_std = standardize_stats(np.vstack(X))
+        assert np.array_equal(mean, ref_mean) and np.array_equal(std, ref_std)
+        ref, ref_log = train([((x - mean) / std, p.targets[:, 3])
+                              for x, p in zip(X, corpus)], FAST)
+        assert np.array_equal(params.flatten(), ref.flatten()) and log == ref_log
+
+    def test_divergence_names_the_piece(self):
+        # a NaN target diverges training on exactly that piece, unless the
+        # piece landed in the validation slice
+        named = []
+        for bad in range(4):
+            corpus = toy_corpus(n_pieces=4, frames=8)
+            targets = corpus[bad].targets.copy()
+            targets[2, 3] = np.nan
+            corpus[bad] = Piece(f"x{bad}", corpus[bad].beats, corpus[bad].features,
+                                corpus[bad].feature_names, targets)
+            try:
+                fit(corpus, ("t_cd",), "d_vel", FAST)
+            except TrainingDiverged as exc:
+                assert exc.index == bad
+                assert str(exc).endswith(f"piece x{bad}")
+                named.append(bad)
+        assert len(named) == 3  # one of four pieces is held out for validation
+
+    def test_mi_subset_rejects_mixed_layouts(self):
+        corpus = toy_corpus(n_pieces=4)
+        p = corpus[3]
+        corpus[3] = Piece(p.id, p.beats, p.features[:, :6], tuple(CANONICAL_ORDER[:6]),
+                          p.targets)
+        with pytest.raises(ValidationError, match="p3"):
+            mi_subset(corpus, 0.25, 3, seed=0)
+
+    def test_mi_subset_pools_the_sampled_pieces(self):
+        subset, table = mi_subset(toy_corpus(n_pieces=8), 0.5, 3, seed=2)
+        assert len(subset) == 4
+        assert table.rows == tuple(CANONICAL_ORDER) and table.values.shape == (13, 4)
 
 
 class TestRunCv:

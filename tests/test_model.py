@@ -6,7 +6,7 @@ from tonaltension.errors import TrainingDiverged
 from tonaltension.model import (HIDDEN, ModelParams, TrainConfig, dumps_model,
                                 forward, forward_batch, init_model,
                                 load_model, loads_model, loss_and_gradient,
-                                predict, save_model, train, unflatten)
+                                save_model, train, unflatten)
 
 
 def randomized(input_dim, seed, scale=0.3):
@@ -88,18 +88,8 @@ class TestForward:
         batch = rng.normal(size=(5, 8, 3))
         stacked = forward_batch(params, batch)
         for i in range(5):
-            assert stacked[i] == pytest.approx(forward(params, batch[i]), abs=1e-12)
+            assert np.array_equal(stacked[i], forward(params, batch[i]))
 
-    def test_predict_rejects_nan_with_frame(self):
-        xs = np.zeros((4, 3))
-        xs[2, 1] = np.nan
-        with pytest.raises(ValueError, match="frame 2"):
-            predict(init_model(3, 0), xs)
-
-    def test_predict_matches_forward(self):
-        params = randomized(2, seed=11)
-        xs = np.random.default_rng(5).normal(size=(9, 2))
-        assert np.array_equal(predict(params, xs), forward(params, xs))
 
 
 class TestGradient:

@@ -1,11 +1,9 @@
-import struct
-
 import pytest
 from hypothesis import given, strategies as st
 
 from tonaltension.errors import ParseError, ValidationError
 from tonaltension.symbolic import (ONSET_TOLERANCE, Score, SpelledPitch,
-                                   derive_tpc, group_onsets, import_midi,
+                                   derive_tpc, group_onsets,
                                    parse_performance, parse_score,
                                    serialize_performance, serialize_score,
                                    spelled_from_tpc)
@@ -197,99 +195,3 @@ class TestParsePerformance:
         perf = parse_performance(text, score)
         assert parse_performance(serialize_performance(perf), score) == perf
 
-
-# --- Standard MIDI files ----------------------------------------------------
-
-
-def vlq(value):
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(out))
-
-
-def track(events):
-    body = b"".join(vlq(delta) + payload for delta, payload in events)
-    return b"MTrk" + struct.pack(">I", len(body)) + body
-
-
-def smf(tracks, fmt=1, division=480):
-    head = b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), division)
-    return head + b"".join(tracks)
-
-
-def tempo_event(us_per_qn):
-    return b"\xff\x51\x03" + struct.pack(">I", us_per_qn)[1:]
-
-
-END = (0, b"\xff\x2f\x00")
-
-
-class TestImportMidi:
-    def test_single_note_at_120_bpm(self):
-        data = smf([track([(0, b"\x90\x3c\x40"), (480, b"\x80\x3c\x00"), END])])
-        notes = import_midi(data)
-        # oracle: 480 ticks at 500000 us per 480-tick quarter = 0.5 s
-        assert notes == [(0.0, 0.5, 60, 64)]
-
-    def test_empty_track(self):
-        assert import_midi(smf([track([END])])) == []
-
-    def test_velocity_zero_ends_note(self):
-        data = smf([track([(0, b"\x90\x3c\x40"), (240, b"\x90\x3c\x00"), END])])
-        notes = import_midi(data)
-        assert notes == [(0.0, 0.25, 60, 64)]
-
-    def test_tempo_change_honored(self):
-        # one quarter at 120 bpm, tempo doubles, one more quarter
-        events = [(0, tempo_event(500000)), (0, b"\x90\x3c\x40"),
-                  (480, b"\x80\x3c\x00"), (0, tempo_event(250000)),
-                  (0, b"\x90\x3e\x50"), (480, b"\x80\x3e\x00"), END]
-        notes = import_midi(smf([track(events)]))
-        assert notes[0] == (0.0, 0.5, 60, 64)
-        assert notes[1][0] == pytest.approx(0.5)
-        assert notes[1][1] == pytest.approx(0.25)  # faster tempo, shorter quarter
-
-    def test_format_one_merges_tracks(self):
-        t0 = track([(0, tempo_event(500000)), END])
-        t1 = track([(0, b"\x90\x3c\x40"), (480, b"\x80\x3c\x00"), END])
-        t2 = track([(240, b"\x91\x40\x30"), (240, b"\x81\x40\x00"), END])
-        notes = import_midi(smf([t0, t1, t2]))
-        assert [n[2] for n in notes] == [60, 64]
-        assert notes[1][0] == pytest.approx(0.25)
-
-    def test_running_status(self):
-        events = [(0, b"\x90\x3c\x40"), (120, b"\x3e\x50"),  # running status note-on
-                  (120, b"\x3c\x00"), (120, b"\x3e\x00"), END]
-        notes = import_midi(smf([track(events)]))
-        assert [n[2] for n in notes] == [60, 62]
-
-    def test_meta_event_cancels_running_status(self):
-        events = [(0, b"\x90\x3c\x40"), (120, tempo_event(400000)),
-                  (0, b"\x3c\x00"), END]  # data bytes after meta are an error
-        with pytest.raises(ParseError, match="dangling"):
-            import_midi(smf([track(events)]))
-
-    def test_truncated_file_rejected(self):
-        data = smf([track([(0, b"\x90\x3c\x40"), (480, b"\x80\x3c\x00"), END])])
-        with pytest.raises(ParseError, match="truncated"):
-            import_midi(data[:20])
-
-    def test_dangling_note_on_listed(self):
-        data = smf([track([(0, b"\x90\x3c\x40"), END])])
-        with pytest.raises(ParseError, match="pitch 60"):
-            import_midi(data)
-
-    def test_output_sorted_by_onset(self):
-        t1 = track([(480, b"\x90\x3c\x40"), (480, b"\x80\x3c\x00"), END])
-        t2 = track([(0, b"\x90\x40\x30"), (240, b"\x80\x40\x00"), END])
-        notes = import_midi(smf([t1, t2]))
-        onsets = [n[0] for n in notes]
-        assert onsets == sorted(onsets)
-
-    def test_smpte_division_rejected(self):
-        data = smf([track([END])], division=0x8000 | (25 << 8))
-        with pytest.raises(ParseError, match="SMPTE"):
-            import_midi(data)
