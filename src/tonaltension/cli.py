@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, evaluate, model as model_mod, synth
-from .errors import ParseError, TrainingDiverged, ValidationError
+from .errors import ParseError, SettingError, TrainingDiverged, ValidationError
 from .features import assemble_features, feature_names
 from .spiral import SpiralParams
 from .symbolic import (group_onsets, parse_performance, parse_score,
@@ -428,10 +428,10 @@ def cmd_eval(args) -> int:
     if args.include_fs:
         labels.append("FS")
 
-    results = {(t, lbl): evaluate.run_cv(pieces, t, lbl, cfg, seed=args.seed,
-                                         k=args.folds, fs_fraction=args.fs_fraction,
-                                         fs_k=args.fs_k, fs_count=args.fs_count)
-               for t in requested for lbl in labels}
+    experiments = [(t, lbl) for t in requested for lbl in labels]
+    results = dict(zip(experiments, evaluate.run_cv(
+        pieces, experiments, cfg, seed=args.seed, k=args.folds,
+        fs_fraction=args.fs_fraction, fs_k=args.fs_k, fs_count=args.fs_count)))
 
     rows = []
     for target in requested:
@@ -470,6 +470,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _standardization(path: str, meta: dict, key: str, count: int,
+                     positive: bool) -> np.ndarray:
+    """The ``count`` finite numbers (all > 0 when ``positive``) of a model
+    file's ``key`` metadata."""
+    if not count:
+        return np.zeros(0)
+    try:
+        values = np.array([float(v) for v in meta[key].split(",")])
+    except ValueError:
+        values = None
+    if (values is None or values.shape != (count,) or not np.isfinite(values).all()
+            or (positive and (values <= 0).any())):
+        raise ValidationError(f"{path}: meta {key} must hold {count} finite numbers"
+                              + (" > 0" if positive else ""))
+    return values
+
+
 def cmd_sensitivity(args) -> int:
     params, meta = model_mod.load_model(args.model)
     names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
@@ -478,10 +495,8 @@ def cmd_sensitivity(args) -> int:
             f"model file lists {len(names)} features but input_dim is {params.input_dim}")
     if names and not ("feature_mean" in meta and "feature_std" in meta):
         raise ValidationError("model file lacks feature standardization metadata")
-    mean = np.array([float(v) for v in meta["feature_mean"].split(",")]) \
-        if names else np.zeros(0)
-    std = np.array([float(v) for v in meta["feature_std"].split(",")]) \
-        if names else np.ones(0)
+    mean, std = (_standardization(args.model, meta, key, len(names), positive)
+                 for key, positive in (("feature_mean", False), ("feature_std", True)))
     pieces = load_corpus(args.corpus)
     sequences = [(evaluate.columns(p, names) - mean) / std for p in pieces]
     result = evaluate.sensitivity(params, sequences, radius=args.radius)
@@ -569,12 +584,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag behind each library setting that a SettingError can name
+_FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "epochs": "--epochs",
+          "learning_rate": "--lr"}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SettingError as exc:
+        print(f"error: {_FLAGS[exc.name]} {exc.problem}", file=sys.stderr)
+        return 1
     except (ParseError, ValidationError, TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

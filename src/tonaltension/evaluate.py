@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc
 
 from . import mi as mi_mod
-from .errors import TrainingDiverged, ValidationError
+from .errors import SettingError, TrainingDiverged, ValidationError
 from .features import feature_names as group_feature_names
-from .model import ModelParams, TrainConfig, forward, input_jacobian_band, train
+from .model import (ModelParams, TrainConfig, forward, input_jacobian_band, train,
+                    train_many)
 from .targets import TARGET_NAMES
 
 log = logging.getLogger(__name__)
@@ -43,6 +45,14 @@ class FoldPlan:
     seed: int
 
 
+class _FoldModel(NamedTuple):
+    """One cross-validation model: its experiment, held-out pieces and
+    training data."""
+    experiment: int
+    test_ids: tuple[str, ...]
+    data: _StandardizedPieces
+
+
 @dataclass(frozen=True)
 class EvalResult:
     target: str
@@ -55,6 +65,8 @@ def make_folds(piece_ids, k: int = 5, seed: int = 0) -> FoldPlan:
     """Seeded shuffle, then contiguous split; earlier folds absorb the
     remainder so sizes differ by at most one."""
     ids = list(piece_ids)
+    if k < 2:
+        raise SettingError("k", f"must be at least 2 folds, got {k}")
     if len(ids) < k:
         raise ValueError(f"need at least {k} pieces for {k} folds, got {len(ids)}")
     rng = np.random.default_rng(seed)
@@ -125,24 +137,40 @@ def columns(piece: Piece, names) -> np.ndarray:
     return piece.features[:, [piece.feature_names.index(n) for n in names]]
 
 
+class _StandardizedPieces:
+    """A training dataset: each piece's ``names`` columns standardized with
+    the statistics of all the pieces, paired with its ``target`` column.
+    Pieces are computed when read, so the many fold models of a lockstep
+    run do not each hold a copy."""
+
+    def __init__(self, pieces: list[Piece], names, target: str):
+        if not pieces:
+            raise ValueError("empty training dataset")
+        self.pieces = pieces
+        self.names = names
+        self.mean, self.std = standardize_stats(np.vstack([columns(p, names)
+                                                           for p in pieces]))
+        self.t_idx = pieces[0].target_names.index(target)
+
+    def __len__(self) -> int:
+        return len(self.pieces)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        p = self.pieces[i]
+        return (columns(p, self.names) - self.mean) / self.std, p.targets[:, self.t_idx]
+
+
 def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
     """Train one model on ``pieces``: select the ``names`` columns,
     standardize them with these pieces' statistics and train on
     ``target``. Returns (params, log, mean, std); a divergence is
     re-raised naming the piece it happened on."""
-    if not pieces:
-        raise ValueError("empty training dataset")
-    X = [columns(p, names) for p in pieces]
-    mean, std = standardize_stats(np.vstack(X))
-    t_idx = pieces[0].target_names.index(target)
-    dataset = [((x - mean) / std, p.targets[:, t_idx]) for x, p in zip(X, pieces)]
+    dataset = _StandardizedPieces(pieces, names, target)
     try:
         params, train_log = train(dataset, cfg)
     except TrainingDiverged as exc:
-        raise TrainingDiverged(
-            f"non-finite loss at epoch {exc.epoch}, piece {pieces[exc.index].id}",
-            exc.epoch, exc.index) from None
-    return params, train_log, mean, std
+        raise exc.located(f"piece {pieces[exc.index].id}") from None
+    return params, train_log, dataset.mean, dataset.std
 
 
 def resolve_feature_set(label: str) -> tuple[str, ...]:
@@ -181,38 +209,59 @@ def fs_select(corpus: list[Piece], target: str, seed: int,
     return tuple(mi_mod.select_features(table, target, min(count, len(table.rows))))
 
 
-def run_cv(corpus: list[Piece], target: str, feature_set: str, cfg: TrainConfig,
-           seed: int, k: int = 5, fs_fraction: float = 0.2, fs_k: int = 3,
-           fs_count: int = 10) -> EvalResult:
-    """One k-fold cross-validation experiment for (target, feature set)."""
-    if target not in TARGET_NAMES:
-        raise ValueError(f"unknown target {target!r}")
-    if feature_set == "FS":
-        names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
-    else:
-        names = resolve_feature_set(feature_set)
-    by_id = {p.id: p for p in corpus}
-    t_idx = corpus[0].target_names.index(target)
+def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int = 5,
+           fs_fraction: float = 0.2, fs_k: int = 3,
+           fs_count: int = 10) -> list[EvalResult]:
+    """k-fold cross-validation for each (target, feature set) experiment.
+
+    All experiments share one seeded fold plan; fold i trains with seed
+    ``cfg.seed + i``. Every (experiment, fold) model trains in one
+    ``train_many`` call, so each is bit-identical to training it alone;
+    of several diverging models, the first in (experiment, fold) order is
+    the one reported.
+    """
     plan = make_folds([p.id for p in corpus], k=k, seed=seed)
+    by_id = {p.id: p for p in corpus}
+    folds: list[_FoldModel] = []
+    cfgs = []
+    for e, (target, feature_set) in enumerate(experiments):
+        if target not in TARGET_NAMES:
+            raise ValueError(f"unknown target {target!r}")
+        if feature_set == "FS":
+            names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
+        else:
+            names = resolve_feature_set(feature_set)
+        for fold_i, test_ids in enumerate(plan.folds):
+            test_set = set(test_ids)
+            data = _StandardizedPieces([p for p in corpus if p.id not in test_set],
+                                      names, target)
+            folds.append(_FoldModel(e, test_ids, data))
+            cfgs.append(replace(cfg, seed=cfg.seed + fold_i))
+    try:
+        fitted = train_many([fold.data for fold in folds], cfgs)
+    except TrainingDiverged as exc:
+        raise exc.located(f"piece {folds[exc.model].data.pieces[exc.index].id}") from None
 
-    per_piece: dict[str, float] = {}
-    for fold_i, test_ids in enumerate(plan.folds):
-        test_set = set(test_ids)
-        train_pieces = [p for p in corpus if p.id not in test_set]
-        params, _, mean, std = fit(train_pieces, names, target,
-                                   replace(cfg, seed=cfg.seed + fold_i))
-        for pid in test_ids:
-            piece = by_id[pid]
-            pred = forward(params, (columns(piece, names) - mean) / std)
-            try:
-                per_piece[pid] = r2(pred, piece.targets[:, t_idx])
-            except ValueError as exc:
-                log.warning("piece %r excluded from R2: %s", pid, exc)
-
-    if not per_piece:
-        raise ValueError("no piece produced a valid R2 score")
-    return EvalResult(target, feature_set or "empty", per_piece,
-                      float(np.mean(list(per_piece.values()))))
+    results = []
+    for e, (target, feature_set) in enumerate(experiments):
+        t_idx = corpus[0].target_names.index(target)
+        per_piece: dict[str, float] = {}
+        for fold, (params, _) in zip(folds, fitted):
+            if fold.experiment != e:
+                continue
+            data = fold.data
+            for pid in fold.test_ids:
+                piece = by_id[pid]
+                pred = forward(params, (columns(piece, data.names) - data.mean) / data.std)
+                try:
+                    per_piece[pid] = r2(pred, piece.targets[:, t_idx])
+                except ValueError as exc:
+                    log.warning("piece %r excluded from R2: %s", pid, exc)
+        if not per_piece:
+            raise ValueError("no piece produced a valid R2 score")
+        results.append(EvalResult(target, feature_set or "empty", per_piece,
+                                  float(np.mean(list(per_piece.values())))))
+    return results
 
 
 # ---------------------------------------------------------------------------

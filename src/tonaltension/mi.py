@@ -23,6 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from .errors import SettingError
+
 JITTER_AMPLITUDE = 1e-10  # times the variable's standard deviation
 _DISCRETE_MAX_VALUES = 2  # binary features (b_d, b_s, b_w)
 
@@ -144,6 +146,8 @@ class MiTable:
 def subsample_pieces(piece_ids, fraction: float, seed: int) -> list:
     """Seeded random subset (at least one piece) for the selection stage."""
     ids = list(piece_ids)
+    if not 0 < fraction <= 1:
+        raise SettingError("fraction", f"must be in (0, 1], got {fraction!r}")
     if not ids:
         raise ValueError("no pieces to sample from")
     count = max(1, round(fraction * len(ids)))

@@ -19,16 +19,33 @@ global-norm gradient clipping, and early stopping on a held-out slice of
 the training pieces. All randomness flows from explicit seeds, so
 identical (seed, data, config) reproduce bit-identical parameters and
 logs.
+
+The scan, its reverse and the training loop run along a model axis: each
+Python time step advances n independent models, each on its own
+sequence. Per-step arrays are stacks of (1, .) row vectors; each model's
+recurrent matrix-vector product is its own gemv inside one stacked
+matmul and everything else is elementwise, so a model's numbers do not
+depend on the other rows, and training M models together
+(``train_many``) is bit-identical to training each alone. One model
+(``forward``, ``loss_and_gradient``, ``train``, ``input_jacobian_band``)
+is the n = 1 case of the same code. Each model's input projection X W^T
+is a GEMM of its own unpadded inputs, so models of different input
+widths share the axis (their W gradients accumulate into zero-padded
+columns). Rows are ordered longest sequence first and the backward
+direction reverses each sequence before padding, so a step only advances
+the leading rows still inside their sequence and every sum over time
+covers a model's own steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from .errors import TrainingDiverged
+from .errors import SettingError, TrainingDiverged
 
 HIDDEN = 5
 GATE_ORDER = ("input", "forget", "output", "candidate")
@@ -142,7 +159,7 @@ def init_model(input_dim: int, seed: int, hidden: int = HIDDEN) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward
+# the stacked scan
 
 
 def _check_sequence(params: ModelParams, xs) -> np.ndarray:
@@ -155,47 +172,89 @@ def _check_sequence(params: ModelParams, xs) -> np.ndarray:
     return xs
 
 
-def _scan(d: DirectionParams, xs: np.ndarray, hidden: int):
-    """Run one direction over (T, D) inputs; returns the per-step cache."""
-    T = xs.shape[0]
-    H = hidden
-    P = xs @ d.W.T  # (T, 4H)
-    Q = np.empty((T, 4 * H))
-    gates = np.empty((T, 4 * H))  # i, f, o, g blocks after nonlinearity
-    C = np.empty((T, H))
-    Hs = np.empty((T, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for t in range(T):
-        q = d.U @ h
-        a = d.alpha * P[t] * q + d.beta1 * q + d.beta2 * P[t] + d.bias
-        ifo = sigmoid(a[:3 * H])
-        g = np.tanh(a[3 * H:])
-        i, f, o = ifo[:H], ifo[H:2 * H], ifo[2 * H:]
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        Q[t] = q
-        gates[t, :3 * H] = ifo
-        gates[t, 3 * H:] = g
-        C[t] = c
-        Hs[t] = h
-    return {"P": P, "Q": Q, "gates": gates, "C": C, "H": Hs, "xs": xs}
+def _unstack(flat: np.ndarray, input_dim: int):
+    """Views of an (n, size) stack of flattened models, one model per row,
+    as (fwd, bwd, v, out_bias) with a leading model axis on every tensor."""
+    n = flat.shape[0]
+    parts = {}
+    pos = 0
+    for name, shape in _shapes(input_dim, HIDDEN):
+        size = int(np.prod(shape))
+        parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
+        pos += size
+
+    def direction(prefix):
+        return DirectionParams(*(parts[f"{prefix}.{f}"] for f in _DIR_FIELDS))
+
+    return direction("fwd"), direction("bwd"), parts["out.v"], parts["out.bias"][:, 0]
 
 
-def _previous(rows: np.ndarray) -> np.ndarray:
-    """Per-step rows shifted one step later: row t holds step t-1, row 0 zeros."""
-    return np.vstack([np.zeros((1, rows.shape[1])), rows[:-1]])
+def _spans(lengths) -> list[tuple[int, int, int]]:
+    """For rows ordered longest sequence first: the (start, stop, m) spans
+    of steps, in time order, over which the first m rows are inside their
+    sequence."""
+    spans = []
+    start = 0
+    for stop in sorted(set(lengths)):
+        if stop > start:
+            spans.append((start, stop, sum(length >= stop for length in lengths)))
+            start = stop
+    return spans
 
 
-def _cell_grad(d: DirectionParams, gates, c, c_prev, p, q, dh, dc):
-    """Reverse one cell step on (H,) rows or (B, H) stacks of rows.
+def _project(d: DirectionParams, seqs, reverse: bool) -> np.ndarray:
+    """The input projections P (T, n, 1, 4H) of n stacked models, row r
+    over its own (T_r, D_r) sequence (reversed when ``reverse``): one GEMM
+    of the row's unpadded inputs and W columns each, zero past its length."""
+    P = np.zeros((max((len(xs) for xs in seqs), default=0), len(seqs), 1, d.U.shape[1]))
+    for r, xs in enumerate(seqs):
+        W = np.ascontiguousarray(d.W[r, :, :xs.shape[1]])
+        P[:len(xs), r, 0] = (xs[::-1] if reverse else xs) @ W.T
+    return P
 
-    ``gates``, ``p`` and ``q`` are the step's cached activations and
-    projections, ``c``/``c_prev`` its cell state and the previous one,
-    ``dh``/``dc`` the gradient arriving at its hidden and cell state.
-    Returns (da, dp, dq, dh_prev, dc_prev): the gradients of the gate
-    pre-activations, of the input and recurrent projections, and those
-    carried to the previous step.
+
+def _scan(d: DirectionParams, seqs, spans, reverse: bool) -> dict:
+    """Run one direction of n stacked models, row r over its own sequence
+    (reversed when ``reverse``), rows ordered longest first; over each span
+    of ``spans`` only its leading rows advance. Per-step arrays are
+    (m, 1, .) row vectors, so ``h @ U^T`` is one gemv per model, the one
+    ``U @ h`` runs for that model alone. Returns the per-step caches
+    (T, n, 1, .), zero past a row's length: the gate activations, and the
+    cell and hidden states "C" and "H" with the zero initial state at
+    index 0 and step t at index t + 1. BPTT recomputes P and U h bit for
+    bit rather than keeping them."""
+    P = _project(d, seqs, reverse)
+    T, n, _, G = P.shape
+    H = G // 4
+    gates = np.zeros((T, n, 1, G))  # i, f, o, g blocks after nonlinearity
+    C = np.zeros((T + 1, n, 1, H))
+    Hs = np.zeros((T + 1, n, 1, H))
+    h = Hs[0]
+    c = C[0]
+    for start, stop, m in spans:
+        U_T = d.U[:m].swapaxes(1, 2)
+        alpha, beta1, beta2, bias = (t[:m, None] for _, t in d.tensors()[2:])
+        h, c = h[:m], c[:m]
+        for t in range(start, stop):
+            p = P[t, :m]
+            q = h @ U_T
+            a = alpha * p * q + beta1 * q + beta2 * p + bias
+            ifo = sigmoid(a[..., :3 * H], out=gates[t, :m, :, :3 * H])
+            g = np.tanh(a[..., 3 * H:], out=gates[t, :m, :, 3 * H:])
+            c = np.add(ifo[..., H:2 * H] * c, ifo[..., :H] * g, out=C[t + 1, :m])
+            h = np.multiply(ifo[..., 2 * H:], np.tanh(c), out=Hs[t + 1, :m])
+    return {"gates": gates, "C": C, "H": Hs}
+
+
+def _cell_grad(gates, c, c_prev, dq_da, dp_da, dh, dc):
+    """Reverse one cell step on stacks of rows.
+
+    ``gates`` are the step's cached activations, ``c``/``c_prev`` its cell
+    state and the previous one, ``dq_da = alpha*p + beta1`` and
+    ``dp_da = alpha*q + beta2`` the derivatives of the gate pre-activations
+    with respect to the recurrent and input projections, ``dh``/``dc`` the
+    gradient arriving at the hidden and cell state. Returns
+    (da, dp, dq, dc_prev); the caller carries dq back through U.
     """
     H = c.shape[-1]
     i = gates[..., :H]
@@ -210,60 +269,136 @@ def _cell_grad(d: DirectionParams, gates, c, c_prev, p, q, dh, dc):
     da[..., H:2 * H] = (dc * c_prev) * f * (1.0 - f)
     da[..., 2 * H:3 * H] = do * o * (1.0 - o)
     da[..., 3 * H:] = (dc * i) * (1.0 - g * g)
-    dp = da * (d.alpha * q + d.beta2)
-    dq = da * (d.alpha * p + d.beta1)
-    return da, dp, dq, dq @ d.U, dc * f
+    return da, da * dp_da, da * dq_da, dc * f
 
 
-def _scan_grad(d: DirectionParams, cache: dict, dH_out: np.ndarray, hidden: int):
-    """BPTT through one direction; dH_out holds the loss gradient injected
-    at each scan step's hidden state."""
-    P, Q, gates, C, Hs, xs = (cache[k] for k in ("P", "Q", "gates", "C", "H", "xs"))
-    T = xs.shape[0]
-    H = hidden
-    g_W = np.zeros_like(d.W)
-    g_U = np.zeros_like(d.U)
-    g_alpha = np.zeros_like(d.alpha)
-    g_beta1 = np.zeros_like(d.beta1)
-    g_beta2 = np.zeros_like(d.beta2)
-    g_bias = np.zeros_like(d.bias)
-    dh_rec = np.zeros(H)
-    dc_rec = np.zeros(H)
-    C_prev = _previous(C)
-    H_prev = _previous(Hs)
-    for t in range(T - 1, -1, -1):
-        da, dp, dq, dh_rec, dc_rec = _cell_grad(
-            d, gates[t], C[t], C_prev[t], P[t], Q[t], dH_out[t] + dh_rec, dc_rec)
-        g_alpha += da * P[t] * Q[t]
-        g_beta1 += da * Q[t]
-        g_beta2 += da * P[t]
-        g_bias += da
-        g_W += dp[:, None] * xs[t]  # np.outer without its call overhead
-        g_U += dq[:, None] * H_prev[t]
-    return DirectionParams(g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias)
+def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
+               reverse: bool, width: int) -> DirectionParams:
+    """BPTT through one direction of n stacked models (as scanned by _scan);
+    dH_out (T, n, 1, H) is the loss gradient injected at each step's
+    hidden state. Every sum over time runs from a row's own last step down
+    to step 0, as for that row alone; W gradients are (n, 4H, width), a
+    narrower row filling only its own columns."""
+    gates, C, Hs = (cache[k] for k in ("gates", "C", "H"))
+    P = _project(d, seqs, reverse)
+    T, n, _, G = P.shape
+    H = G // 4
+    X = np.zeros((T, n, 1, width))  # the scanned inputs, zero-padded
+    for r, xs in enumerate(seqs):
+        X[:len(xs), r, 0, :xs.shape[1]] = xs[::-1] if reverse else xs
+    grads = DirectionParams(np.zeros((n, G, width)), np.zeros((n, G, H)),
+                            *(np.zeros((n, 1, G)) for _ in range(4)))
+    dh = np.zeros((0, 1, H))
+    dc = np.zeros((0, 1, H))
+    for start, stop, m in reversed(spans):
+        # rows joining at their last step start from zero, as a scan's end does
+        dh = np.concatenate([dh, np.zeros((m - len(dh), 1, H))])
+        dc = np.concatenate([dc, np.zeros((m - len(dc), 1, H))])
+        U = d.U[:m]
+        U_T = U.swapaxes(1, 2)
+        alpha, beta1, beta2 = (t[:m, None] for _, t in d.tensors()[2:5])
+        g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias = (t[:m] for _, t in grads.tensors())
+        for t in range(stop - 1, start - 1, -1):
+            p, h_prev = P[t, :m], Hs[t, :m]
+            q = h_prev @ U_T
+            da, dp, dq, dc = _cell_grad(gates[t, :m], C[t + 1, :m], C[t, :m],
+                                        alpha * p + beta1, alpha * q + beta2,
+                                        dH_out[t, :m] + dh, dc)
+            dh = dq @ U
+            g_alpha += da * p * q
+            g_beta1 += da * q
+            g_beta2 += da * p
+            g_bias += da
+            g_W += dp[:, 0, :, None] * X[t, :m]
+            g_U += dq[:, 0, :, None] * h_prev
+    return DirectionParams(grads.W, grads.U, *(g[:, 0] for _, g in grads.tensors()[2:]))
 
 
-def _band_sweep(d: DirectionParams, cache: dict, v: np.ndarray, radius: int) -> np.ndarray:
-    """Exact d y_tau / d x_{tau-k} for k = 0..radius through one scan.
+def _prediction(Hf: np.ndarray, Hb: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
+                r: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row r's hidden states of both directions (from the scans' "H"
+    caches) in time order, and its predictions."""
+    H = v.shape[1] // 2
+    hf = np.ascontiguousarray(Hf[1:steps + 1, r, 0])
+    hb = np.ascontiguousarray(Hb[1:steps + 1, r, 0])[::-1]
+    return hf, hb, hf @ v[r, :H] + hb @ v[r, H:] + out_bias[r]
+
+
+def _predict_rows(flat: np.ndarray, input_dim: int, seqs) -> list[np.ndarray]:
+    """Predictions of n stacked models (rows of ``flat``, flattened at
+    ``input_dim``), row r on seqs[r]; rows ordered longest first."""
+    fwd, bwd, v, out_bias = _unstack(flat, input_dim)
+    spans = _spans([len(xs) for xs in seqs])
+    Hf = _scan(fwd, seqs, spans, False)["H"]
+    Hb = _scan(bwd, seqs, spans, True)["H"]
+    return [_prediction(Hf, Hb, v, out_bias, r, len(xs))[2] for r, xs in enumerate(seqs)]
+
+
+def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
+    """Squared error of each stacked model on its own sequence (rows as in
+    _predict_rows), and per row the exact gradient of sse / steps[r],
+    flattened in canonical order at ``input_dim``; a narrower row's W
+    gradient fills only its own columns."""
+    fwd, bwd, v, out_bias = _unstack(flat, input_dim)
+    spans = _spans([len(xs) for xs in seqs])
+    cf = _scan(fwd, seqs, spans, False)
+    cb = _scan(bwd, seqs, spans, True)
+    Hf = cf["H"]
+    T, n, H = Hf.shape[0] - 1, len(seqs), Hf.shape[-1]
+    dH_f = np.zeros((T, n, 1, H))
+    dH_b = np.zeros((T, n, 1, H))
+    sse = np.zeros(n)
+    g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
+    for r, (xs, ys) in enumerate(zip(seqs, targets)):
+        L = len(xs)
+        hf, hb, pred = _prediction(Hf, cb["H"], v, out_bias, r, L)
+        err = pred - ys
+        sse[r] += err @ err
+        dy = 2.0 * err / steps[r]
+        g_out[r, :H] += hf.T @ dy
+        g_out[r, H:2 * H] += hb.T @ dy
+        g_out[r, 2 * H] += dy.sum()
+        dH_f[:L, r, 0] = np.outer(dy, v[r, :H])
+        dH_b[:L, r, 0] = np.outer(dy[::-1], v[r, H:])
+    g_fwd = _scan_grad(fwd, cf, seqs, dH_f, spans, False, input_dim)
+    g_bwd = _scan_grad(bwd, cb, seqs, dH_b, spans, True, input_dim)
+    flat_grads = [t.reshape(n, -1) for g in (g_fwd, g_bwd) for _, t in g.tensors()]
+    return sse, np.concatenate(flat_grads + [g_out], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# one model
+
+
+def _band_sweep(d: DirectionParams, xs: np.ndarray, reverse: bool, v: np.ndarray,
+                radius: int) -> np.ndarray:
+    """Exact d y_tau / d x_{tau-k} for k = 0..radius through one model's
+    scan of direction ``d`` over xs (reversed when ``reverse``).
 
     Every output step tau starts its own reverse sweep (dh = v) at once;
     sweep k processes scan step tau - k for all tau >= k together, so the
     carried (dh, dc) rows line up with cache rows 0..T-1-k and the row of
     the sweep that just reached step 0 is dropped. Returns (T, radius+1, D)
-    with entry [tau, k] zero where tau - k < 0.
+    in scan order, with entry [tau, k] zero where tau - k < 0.
     """
-    P, Q, gates, C, xs = (cache[k] for k in ("P", "Q", "gates", "C", "xs"))
-    T, D = xs.shape
-    C_prev = _previous(C)
-    band = np.zeros((T, radius + 1, D))
+    stacked = DirectionParams(*(t[None] for _, t in d.tensors()))
+    cache = _scan(stacked, [xs], _spans([len(xs)]), reverse)
+    gates, C, Hs = (cache[k][:, 0, 0] for k in ("gates", "C", "H"))
+    P = _project(stacked, [xs], reverse)[:, 0, 0]
+    T = P.shape[0]
+    Q = (Hs[:-1, None] @ d.U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
+    dq_da = d.alpha * P + d.beta1
+    dp_da = d.alpha * Q + d.beta2
+    C, C_prev = C[1:], C[:-1]
+    band = np.zeros((T, radius + 1, d.W.shape[1]))
     dh = np.tile(v, (T, 1))
-    dc = np.zeros_like(C)
+    dc = np.zeros((T, C.shape[1]))
     for k in range(min(radius + 1, T)):
         n = T - k
-        _, dp, _, dh, dc = _cell_grad(d, gates[:n], C[:n], C_prev[:n],
-                                      P[:n], Q[:n], dh, dc)
+        _, dp, dq, dc = _cell_grad(gates[:n], C[:n], C_prev[:n], dq_da[:n], dp_da[:n],
+                                   dh, dc)
         band[k:, k] = dp @ d.W
-        dh, dc = dh[1:], dc[1:]
+        dh, dc = (dq @ d.U)[1:], dc[1:]
     return band
 
 
@@ -279,26 +414,18 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
         raise ValueError(f"radius must be >= 0, got {radius}")
     xs = _check_sequence(params, xs)
     H = params.hidden
-    fwd = _band_sweep(params.fwd, _scan(params.fwd, xs, H), params.v[:H], radius)
-    bwd = _band_sweep(params.bwd, _scan(params.bwd, xs[::-1], H), params.v[H:], radius)
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
     # the backward scan, flipped into tau order, reaches ahead (0..radius)
-    J[:, radius::-1] += fwd
-    J[:, radius:] += bwd[::-1]
+    J[:, radius::-1] += _band_sweep(params.fwd, xs, False, params.v[:H], radius)
+    J[:, radius:] += _band_sweep(params.bwd, xs, True, params.v[H:], radius)[::-1]
     return J
 
 
 def forward(params: ModelParams, xs) -> np.ndarray:
     """Predictions for one (T, input_dim) sequence."""
     xs = _check_sequence(params, xs)
-    T = xs.shape[0]
-    if T == 0:
-        return np.zeros(0)
-    H = params.hidden
-    hf = _scan(params.fwd, xs, H)["H"]
-    hb = _scan(params.bwd, xs[::-1], H)["H"][::-1]
-    return hf @ params.v[:H] + hb @ params.v[H:] + params.out_bias
+    return _predict_rows(params.flatten()[None], params.input_dim, [xs])[0]
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
@@ -315,7 +442,6 @@ def loss_and_gradient(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     its exact gradient, flattened in canonical parameter order."""
     if not batch:
         raise ValueError("empty batch")
-    H = params.hidden
     sequences = []
     total_steps = 0
     for xs, ys in batch:
@@ -329,47 +455,19 @@ def loss_and_gradient(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     if total_steps == 0:
         raise ValueError("batch contains no time steps")
 
-    g_fwd = _zero_direction(params)
-    g_bwd = _zero_direction(params)
-    g_v = np.zeros_like(params.v)
-    g_out_bias = 0.0
-    sse = 0.0
-    for xs, ys in sequences:
-        T = xs.shape[0]
-        if T == 0:
-            continue
-        cf = _scan(params.fwd, xs, H)
-        cb = _scan(params.bwd, xs[::-1], H)
-        hf = cf["H"]
-        hb = cb["H"][::-1]
-        pred = hf @ params.v[:H] + hb @ params.v[H:] + params.out_bias
-        err = pred - ys
-        sse += float(err @ err)
-        dy = 2.0 * err / total_steps
-        g_v[:H] += hf.T @ dy
-        g_v[H:] += hb.T @ dy
-        g_out_bias += float(dy.sum())
-        df = _scan_grad(params.fwd, cf, np.outer(dy, params.v[:H]), H)
-        db = _scan_grad(params.bwd, cb, np.outer(dy[::-1], params.v[H:]), H)
-        _accumulate(g_fwd, df)
-        _accumulate(g_bwd, db)
-
-    grad = ModelParams(params.input_dim, H, g_fwd, g_bwd, g_v, g_out_bias)
-    return sse / total_steps, grad.flatten()
-
-
-def _zero_direction(params: ModelParams) -> DirectionParams:
-    return DirectionParams(*(np.zeros_like(getattr(params.fwd, f))
-                             for f in _DIR_FIELDS))
-
-
-def _accumulate(into: DirectionParams, delta: DirectionParams) -> None:
-    into.W += delta.W
-    into.U += delta.U
-    into.alpha += delta.alpha
-    into.beta1 += delta.beta1
-    into.beta2 += delta.beta2
-    into.bias += delta.bias
+    # each sequence is a row of its own copy of the model; the rows' sums
+    # are added up in batch order
+    rows = sorted(range(len(sequences)), key=lambda k: -len(sequences[k][0]))
+    sse, grads = _row_gradients(
+        np.repeat(params.flatten()[None], len(rows), axis=0), params.input_dim,
+        [sequences[k][0] for k in rows], [sequences[k][1] for k in rows],
+        [total_steps] * len(rows))
+    total = 0.0
+    grad = np.zeros(params.size)
+    for r in sorted(range(len(rows)), key=rows.__getitem__):
+        total += float(sse[r])
+        grad += grads[r]
+    return total / total_steps, grad
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +484,13 @@ class TrainConfig:
     seed: int = 0
     early_stop_patience: int = 20
     validation_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise SettingError("epochs", f"must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise SettingError("learning_rate",
+                               f"must be a finite number >= 0, got {self.learning_rate!r}")
 
     def header_items(self) -> list[tuple[str, str]]:
         return [
@@ -407,15 +512,69 @@ class TrainLogEntry:
     val_mse: float
 
 
-def _pooled_mse(params: ModelParams, pieces) -> float:
-    sse = 0.0
-    steps = 0
-    for xs, ys in pieces:
-        pred = forward(params, xs)
-        err = pred - np.asarray(ys, dtype=float).ravel()
-        sse += float(err @ err)
-        steps += len(err)
-    return sse / steps if steps else 0.0
+def _check_dims(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"sequences must be 2-D (T, features), got shape {xs.shape}")
+    return xs
+
+
+class _Run:
+    """One model's training: its pieces and their split, its RNG, early
+    stopping state and log. Pieces are read from the dataset when used, so
+    a dataset may compute them on demand."""
+
+    def __init__(self, dataset, cfg: TrainConfig):
+        if not dataset:
+            raise ValueError("empty training dataset")
+        self.dataset = dataset
+        self.lengths = []
+        for i in range(len(dataset)):
+            xs, ys = self.piece(i)
+            if i == 0:
+                self.input_dim = xs.shape[1]
+            if xs.shape[1] != self.input_dim or len(ys) != len(xs):
+                raise ValueError(f"dataset item {i}: sequence shape {xs.shape} with "
+                                 f"{len(ys)} targets, expected input_dim {self.input_dim} "
+                                 f"and one target per step")
+            self.lengths.append(len(xs))
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        n = len(dataset)
+        perm = self.rng.permutation(n)
+        n_val = max(1, round(cfg.validation_fraction * n)) if n >= 2 else 0
+        self.train_idx = [int(i) for i in perm[n_val:]]
+        self.val_idx = [int(i) for i in perm[:n_val]] or self.train_idx
+        empty = [i for i in self.train_idx if self.lengths[i] == 0]
+        if cfg.epochs and empty:
+            raise ValueError(f"dataset item {empty[0]} has no time steps")
+        self.best_val = np.inf
+        self.bad_epochs = 0
+        self.stopped = False
+        self.log: list[TrainLogEntry] = []
+        self.error: TrainingDiverged | None = None
+
+    def piece(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        xs, ys = self.dataset[i]
+        return _check_dims(xs), np.asarray(ys, dtype=float).ravel()
+
+
+def _padded_layout(input_dim: int, width: int, pad: int) -> np.ndarray:
+    """For each entry of a model flattened at ``width``: its position in
+    the same model flattened at its own ``input_dim``; W columns past
+    input_dim map to position ``pad``."""
+    out = []
+    pos = 0
+    for name, shape in _shapes(input_dim, HIDDEN):
+        size = int(np.prod(shape))
+        idx = np.arange(pos, pos + size)
+        if name.endswith(".W"):
+            block = np.full((shape[0], width), pad)
+            block[:, :input_dim] = idx.reshape(shape)
+            idx = block.ravel()
+        out.append(idx)
+        pos += size
+    return np.concatenate(out)
 
 
 def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
@@ -423,73 +582,130 @@ def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
 
     A tenth of the pieces (at least one, when two or more exist) is held
     out for early stopping; the returned parameters are the best seen on
-    that slice.
+    that slice. A non-finite training or validation loss raises
+    TrainingDiverged naming the dataset item. This is train_many on one
+    model.
     """
-    if not dataset:
-        raise ValueError("empty training dataset")
-    dataset = [( _check_dims(xs), np.asarray(ys, dtype=float).ravel())
-               for xs, ys in dataset]
-    input_dim = dataset[0][0].shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    params = init_model(input_dim, seed=cfg.seed)
+    return train_many([dataset], [cfg])[0]
 
-    n = len(dataset)
-    perm = rng.permutation(n)
-    n_val = max(1, round(cfg.validation_fraction * n)) if n >= 2 else 0
-    val_pieces = [dataset[i] for i in perm[:n_val]]
-    train_idx = list(perm[n_val:])
-    if not val_pieces:
-        val_pieces = [dataset[i] for i in train_idx]
 
-    theta = params.flatten()
+def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
+    """Train one model per (dataset, config) pair, all in lockstep.
+
+    Each model keeps its own seed, piece order, validation split, RMSProp
+    state, clipping and early stopping; at every update slot the models
+    that still train and have a piece in it advance together, each on its
+    own piece. Every result is bit-identical to ``train`` on that pair
+    alone. If models diverge, the error of the first of them in list order
+    is raised (its ``model`` is that position), as training them one after
+    another would.
+    """
+    runs = [_Run(dataset, cfg) for dataset, cfg in zip(datasets, cfgs, strict=True)]
+    if not runs:
+        return []
+    # row m of theta holds model m flattened at its own width, then zeros;
+    # column ``pad`` stays 0 and is what padded W entries read
+    inits = [init_model(run.input_dim, seed=run.cfg.seed).flatten() for run in runs]
+    sizes = [init.size for init in inits]
+    pad = max(sizes)
+    theta = np.zeros((len(runs), pad + 1))
+    for m, init in enumerate(inits):
+        theta[m, :sizes[m]] = init
+    width = max(run.input_dim for run in runs)
+    layout = np.array([_padded_layout(run.input_dim, width, pad) for run in runs])
     accum = np.zeros_like(theta)
-    best_val = np.inf
-    best_theta = theta.copy()
-    bad_epochs = 0
-    log: list[TrainLogEntry] = []
+    best = theta.copy()
+    first_error = len(runs)
 
+    def diverged(m, what, epoch, index):
+        nonlocal first_error
+        runs[m].error = TrainingDiverged(what, epoch, index, model=m)
+        first_error = min(first_error, m)
+
+    active = list(range(len(runs)))
+    epoch = 0
     # a diverging run overflows on its way to a non-finite loss; the
-    # isfinite check below reports it, so numpy's warnings are noise
+    # isfinite checks below report it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(train_idx))
-            piece_losses = []
-            for j in order:
-                piece = dataset[train_idx[j]]
-                params = unflatten(theta, input_dim, params.hidden)
-                loss, grad = loss_and_gradient(params, [piece])
-                if not np.isfinite(loss):
-                    i = int(train_idx[j])
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, dataset item {i}", epoch, i)
-                piece_losses.append(loss)
-                norm = float(np.linalg.norm(grad))
-                if norm > cfg.gradient_clip_norm > 0:
-                    grad = grad * (cfg.gradient_clip_norm / norm)
-                accum = cfg.rmsprop_decay * accum + (1.0 - cfg.rmsprop_decay) * grad * grad
-                theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + cfg.rmsprop_epsilon)
-
-            params = unflatten(theta, input_dim, params.hidden)
-            val_mse = _pooled_mse(params, val_pieces)
-            train_mse = float(np.mean(piece_losses)) if piece_losses else val_mse
-            log.append(TrainLogEntry(epoch, train_mse, val_mse))
-            if val_mse < best_val:
-                best_val = val_mse
-                best_theta = theta.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= cfg.early_stop_patience:
+        while active := [m for m in active if epoch < runs[m].cfg.epochs]:
+            orders = {m: runs[m].rng.permutation(len(runs[m].train_idx)) for m in active}
+            losses = {m: [] for m in active}
+            for j in range(max(len(order) for order in orders.values())):
+                slot = [m for m in active if j < len(orders[m])]
+                if not slot:
                     break
+                items = {m: runs[m].train_idx[orders[m][j]] for m in slot}
+                pieces = {m: runs[m].piece(items[m]) for m in slot}
+                slot.sort(key=lambda m: -len(pieces[m][0]))
+                rows = np.array(slot)
+                sse, padded = _row_gradients(
+                    theta[rows[:, None], layout[rows]], width,
+                    [pieces[m][0] for m in slot], [pieces[m][1] for m in slot],
+                    [len(pieces[m][0]) for m in slot])
+                grads = np.zeros((len(slot), pad + 1))
+                grads[np.arange(len(slot))[:, None], layout[rows]] = padded
+                grads[:, pad] = 0.0
+                for r, m in enumerate(slot):
+                    cfg = runs[m].cfg
+                    loss = float(sse[r]) / len(pieces[m][0])
+                    if not np.isfinite(loss):
+                        diverged(m, "loss", epoch, items[m])
+                        continue
+                    losses[m].append(loss)
+                    norm = float(np.linalg.norm(grads[r, :sizes[m]]))
+                    if norm > cfg.gradient_clip_norm > 0:
+                        grads[r] = grads[r] * (cfg.gradient_clip_norm / norm)
+                decay, lr, eps = (np.array([[getattr(runs[m].cfg, k)] for m in slot])
+                                  for k in ("rmsprop_decay", "learning_rate",
+                                            "rmsprop_epsilon"))
+                accum[rows] = decay * accum[rows] + (1.0 - decay) * grads * grads
+                theta[rows] = theta[rows] - lr * grads / (np.sqrt(accum[rows]) + eps)
+                active = [m for m in active if m < first_error]
 
-    return unflatten(best_theta, input_dim, params.hidden), log
+            for m, (val_mse, culprit) in _validation(theta, layout, width, runs,
+                                                     active).items():
+                run = runs[m]
+                if not np.isfinite(val_mse):
+                    diverged(m, "validation loss", epoch, culprit)
+                    continue
+                train_mse = float(np.mean(losses[m])) if losses[m] else val_mse
+                run.log.append(TrainLogEntry(epoch, train_mse, val_mse))
+                if val_mse < run.best_val:
+                    run.best_val = val_mse
+                    best[m] = theta[m]
+                    run.bad_epochs = 0
+                else:
+                    run.bad_epochs += 1
+                    run.stopped = run.bad_epochs >= run.cfg.early_stop_patience
+            active = [m for m in active if m < first_error and not runs[m].stopped]
+            epoch += 1
+
+    if first_error < len(runs):
+        raise runs[first_error].error
+    return [(unflatten(best[m, :sizes[m]], run.input_dim, HIDDEN), run.log)
+            for m, run in enumerate(runs)]
 
 
-def _check_dims(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError(f"sequences must be 2-D (T, features), got shape {xs.shape}")
-    return xs
+def _validation(theta, layout, width, runs, models) -> dict[int, tuple[float, int]]:
+    """Pooled MSE of each model on its validation pieces, all models
+    together; per model (mse, dataset item at which the pooled error
+    became non-finite, or -1)."""
+    sse = {m: 0.0 for m in models}
+    steps = {m: 0 for m in models}
+    culprit = {m: -1 for m in models}
+    for k in range(max((len(runs[m].val_idx) for m in models), default=0)):
+        pieces = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
+        rows = sorted(pieces, key=lambda m: -runs[m].lengths[pieces[m]])
+        seqs = [runs[m].piece(pieces[m]) for m in rows]
+        preds = _predict_rows(theta[np.array(rows)[:, None], layout[rows]], width,
+                              [xs for xs, _ in seqs])
+        for m, (_, ys), pred in zip(rows, seqs, preds):
+            err = pred - ys
+            sse[m] += float(err @ err)
+            steps[m] += len(err)
+            if culprit[m] < 0 and not np.isfinite(sse[m]):
+                culprit[m] = pieces[m]
+    return {m: (sse[m] / steps[m] if steps[m] else 0.0, culprit[m]) for m in models}
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,7 @@ def test_criterion_5_learning_sanity():
     with criterion(5, "5-fold CV: R2 with T >= 0.8, with M <= 0.2", 300.0):
         corpus = oracle_corpus(20, 200, seed=123)
         cfg = TrainConfig(learning_rate=2e-3, epochs=60, early_stop_patience=8, seed=0)
-        with_t = run_cv(corpus, "d_vel", "T", cfg, seed=77)
-        with_m = run_cv(corpus, "d_vel", "M", cfg, seed=77)
+        with_t, with_m = run_cv(corpus, [("d_vel", "T"), ("d_vel", "M")], cfg, seed=77)
         print(f"  [criterion 5] mean R2: T={with_t.mean_r2:.3f} M={with_m.mean_r2:.3f}")
         assert with_t.mean_r2 >= 0.8
         assert with_m.mean_r2 <= 0.2

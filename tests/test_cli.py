@@ -328,6 +328,24 @@ class TestBadInputs:
         line = single_error_line(capsys)
         assert str(csv_path) in line and "frame 2" in line
 
+    @pytest.mark.parametrize("key,value", [
+        ("feature_std", "0.0"), ("feature_std", "-1.0"), ("feature_mean", "nan"),
+        ("feature_mean", "x"), ("feature_std", "1.0,1.0")])
+    def test_bad_standardization_metadata_fails_at_load(self, tmp_path, capsys, key, value):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        path = canonical_model(tmp_path / "m.txt")
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"meta {key} "))
+        cells = lines[k].split(" ", 2)[2].split(",")
+        cells[4:5] = value.split(",")
+        lines[k] = f"meta {key} " + ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("sensitivity", "--model", path, "--corpus", feats,
+                       "--out-dir", tmp_path / "s") == 1
+        line = single_error_line(capsys)
+        assert str(path) in line and f"meta {key}" in line
+
     def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
         feats = tmp_path / "p_only"
@@ -353,6 +371,26 @@ class TestBadInputs:
         stems = {n[:-len(".features.csv")] for n in os.listdir(feats)
                  if n.endswith(".features.csv")}
         assert line.rsplit(" ", 1)[1] in stems
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--folds", "0"], "--folds"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--folds", "1"], "--folds"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
+      "--fs-fraction", "3"], "--fs-fraction"),
+    (["mi", "--fs-seed", "1", "--fs-fraction", "0"], "--fs-fraction"),
+    (["train", "--target", "bpr", "--seed", "1", "--epochs", "-1"], "--epochs"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "-1"], "--epochs"),
+    (["train", "--target", "bpr", "--seed", "1", "--lr", "nan"], "--lr"),
+    (["train", "--target", "bpr", "--seed", "1", "--lr", "-0.1"], "--lr"),
+])
+def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
+    _, feats = make_corpus(tmp_path, pieces=5, length=10)
+    capsys.readouterr()
+    assert run_cli(*argv, "--corpus", feats, "--out-dir", tmp_path / "out") == 1
+    line = single_error_line(capsys)
+    assert line.startswith(f"error: {flag} must")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_pipeline_script_smoke(tmp_path):

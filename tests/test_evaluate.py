@@ -151,22 +151,21 @@ class TestCorpusToModel:
         assert np.array_equal(params.flatten(), ref.flatten()) and log == ref_log
 
     def test_divergence_names_the_piece(self):
-        # a NaN target diverges training on exactly that piece, unless the
-        # piece landed in the validation slice
-        named = []
+        # a NaN target diverges training on exactly that piece; the piece
+        # held out for validation diverges as a non-finite validation loss
+        kinds = []
         for bad in range(4):
             corpus = toy_corpus(n_pieces=4, frames=8)
             targets = corpus[bad].targets.copy()
             targets[2, 3] = np.nan
             corpus[bad] = Piece(f"x{bad}", corpus[bad].beats, corpus[bad].features,
                                 corpus[bad].feature_names, targets)
-            try:
+            with pytest.raises(TrainingDiverged) as info:
                 fit(corpus, ("t_cd",), "d_vel", FAST)
-            except TrainingDiverged as exc:
-                assert exc.index == bad
-                assert str(exc).endswith(f"piece x{bad}")
-                named.append(bad)
-        assert len(named) == 3  # one of four pieces is held out for validation
+            assert info.value.index == bad
+            assert str(info.value).endswith(f"epoch 0, piece x{bad}")
+            kinds.append(info.value.what)
+        assert sorted(kinds) == ["loss"] * 3 + ["validation loss"]
 
     def test_mi_subset_rejects_mixed_layouts(self):
         corpus = toy_corpus(n_pieces=4)
@@ -185,13 +184,13 @@ class TestCorpusToModel:
 class TestRunCv:
     def test_deterministic(self):
         corpus = toy_corpus()
-        a = run_cv(corpus, "d_vel", "T", FAST, seed=5)
-        b = run_cv(corpus, "d_vel", "T", FAST, seed=5)
+        a = run_cv(corpus, [("d_vel", "T")], FAST, seed=5)
+        b = run_cv(corpus, [("d_vel", "T")], FAST, seed=5)
         assert a == b
 
     def test_every_piece_scored_once(self):
         corpus = toy_corpus()
-        res = run_cv(corpus, "d_vel", "PM", FAST, seed=5)
+        [res] = run_cv(corpus, [("d_vel", "PM")], FAST, seed=5)
         assert sorted(res.per_piece_r2) == sorted(p.id for p in corpus)
         assert res.mean_r2 == pytest.approx(np.mean(list(res.per_piece_r2.values())))
 
@@ -203,19 +202,33 @@ class TestRunCv:
             rng.shuffle(shuffled[:, 3])
             corpus.append(Piece(p.id, p.beats, p.features, p.feature_names, shuffled))
         cfg = TrainConfig(learning_rate=3e-3, epochs=40, early_stop_patience=40, seed=0)
-        res = run_cv(corpus, "d_vel", "", cfg, seed=5)
+        [res] = run_cv(corpus, [("d_vel", "")], cfg, seed=5)
         assert abs(res.mean_r2) < 0.1
+
+    def test_first_fold_validation_divergence_wins(self):
+        # the first fold holds the NaN piece out for validation and diverges
+        # at the end of epoch 0; the folds that train on it diverge earlier
+        # in that epoch, but training fold by fold would report fold 0
+        corpus = toy_corpus(n_pieces=5, frames=8)
+        plan = make_folds([p.id for p in corpus], k=5, seed=5)
+        fold0 = [p for p in corpus if p.id not in plan.folds[0]]
+        held_out = fold0[int(np.random.default_rng(FAST.seed).permutation(len(fold0))[0])]
+        held_out.targets[2, 3] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0, "
+                                                   f"piece {held_out.id}$"):
+            run_cv(corpus, [("d_vel", "T")], FAST, seed=5)
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError):
-            run_cv(toy_corpus(), "loudness", "T", FAST, seed=0)
+            run_cv(toy_corpus(), [("loudness", "T")], FAST, seed=0)
 
     def test_fs_uses_top_ranked_columns(self):
         corpus = toy_corpus(n_pieces=8, frames=60)
         cols = fs_select(corpus, "d_vel", seed=2, fraction=0.5, count=3)
         assert len(cols) == 3
         assert "t_cd" in cols  # the target is a function of t_cd
-        res = run_cv(corpus, "d_vel", "FS", FAST, seed=2, fs_count=3, fs_fraction=0.5)
+        [res] = run_cv(corpus, [("d_vel", "FS")], FAST, seed=2, fs_count=3,
+                       fs_fraction=0.5)
         assert set(res.per_piece_r2) == {p.id for p in corpus}
 
 

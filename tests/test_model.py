@@ -174,6 +174,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig())
 
+    def test_non_finite_validation_loss_diverges(self, rng):
+        data = self.dataset(rng)
+        held_out = int(np.random.default_rng(3).permutation(len(data))[0])
+        data[held_out][1][1] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0, "
+                                                   f"dataset item {held_out}$"):
+            train(data, TrainConfig(epochs=5, seed=3))
+
     def test_divergence_reported_with_location(self, rng):
         data = [(rng.normal(size=(4, 2)), np.array([0.0, np.nan, 0.0, 0.0]))]
         with pytest.raises(TrainingDiverged, match="epoch 0"):
