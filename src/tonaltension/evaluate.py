@@ -11,7 +11,7 @@ accuracy is the coefficient of determination per test piece.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -223,7 +223,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     plan = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
     folds: list[_FoldModel] = []
-    cfgs = []
+    seeds = []
     for e, (target, feature_set) in enumerate(experiments):
         if target not in TARGET_NAMES:
             raise ValueError(f"unknown target {target!r}")
@@ -236,9 +236,9 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
             data = _StandardizedPieces([p for p in corpus if p.id not in test_set],
                                       names, target)
             folds.append(_FoldModel(e, test_ids, data))
-            cfgs.append(replace(cfg, seed=cfg.seed + fold_i))
+            seeds.append(cfg.seed + fold_i)
     try:
-        fitted = train_many([fold.data for fold in folds], cfgs)
+        fitted = train_many([fold.data for fold in folds], cfg, seeds)
     except TrainingDiverged as exc:
         raise exc.located(f"piece {folds[exc.model].data.pieces[exc.index].id}") from None
 

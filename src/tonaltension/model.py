@@ -189,6 +189,15 @@ def _unstack(flat: np.ndarray, input_dim: int):
     return direction("fwd"), direction("bwd"), parts["out.v"], parts["out.bias"][:, 0]
 
 
+@dataclass
+class ModelRows:
+    """n models stacked one per row of ``flat``, each flattened at the
+    common ``input_dim`` (a narrower model's extra W columns are zero)."""
+
+    flat: np.ndarray  # (n, size at input_dim)
+    input_dim: int
+
+
 def _spans(lengths) -> list[tuple[int, int, int]]:
     """For rows ordered longest sequence first: the (start, stop, m) spans
     of steps, in time order, over which the first m rows are inside their
@@ -437,9 +446,20 @@ def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     return np.array([forward(params, x) for x in xs]).reshape(xs.shape[:2])
 
 
-def loss_and_gradient(params: ModelParams, batch) -> tuple[float, np.ndarray]:
+def loss_and_gradient(params, batch) -> tuple:
     """Mean squared error pooled over every time step in the batch, and
-    its exact gradient, flattened in canonical parameter order."""
+    its exact gradient, flattened in canonical parameter order.
+
+    ``params`` may instead be a ``ModelRows`` stack of n models, one per
+    batch item, rows ordered longest item first: then each row's MSE on
+    its own item and the exact gradient of it come back as (n,) and
+    (n, size) arrays. ``train_many`` takes its update steps this way.
+    """
+    if isinstance(params, ModelRows):
+        steps = np.array([len(xs) for xs, _ in batch])
+        sse, grads = _row_gradients(params.flat, params.input_dim,
+                                    [xs for xs, _ in batch], [ys for _, ys in batch], steps)
+        return sse / steps, grads
     if not batch:
         raise ValueError("empty batch")
     sequences = []
@@ -455,18 +475,13 @@ def loss_and_gradient(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     if total_steps == 0:
         raise ValueError("batch contains no time steps")
 
-    # each sequence is a row of its own copy of the model; the rows' sums
-    # are added up in batch order
-    rows = sorted(range(len(sequences)), key=lambda k: -len(sequences[k][0]))
-    sse, grads = _row_gradients(
-        np.repeat(params.flatten()[None], len(rows), axis=0), params.input_dim,
-        [sequences[k][0] for k in rows], [sequences[k][1] for k in rows],
-        [total_steps] * len(rows))
+    flat = params.flatten()[None]
     total = 0.0
     grad = np.zeros(params.size)
-    for r in sorted(range(len(rows)), key=rows.__getitem__):
-        total += float(sse[r])
-        grad += grads[r]
+    for xs, ys in sequences:
+        sse, grads = _row_gradients(flat, params.input_dim, [xs], [ys], [total_steps])
+        total += float(sse[0])
+        grad += grads[0]
     return total / total_steps, grad
 
 
@@ -524,7 +539,7 @@ class _Run:
     stopping state and log. Pieces are read from the dataset when used, so
     a dataset may compute them on demand."""
 
-    def __init__(self, dataset, cfg: TrainConfig):
+    def __init__(self, dataset, cfg: TrainConfig, seed: int):
         if not dataset:
             raise ValueError("empty training dataset")
         self.dataset = dataset
@@ -538,8 +553,8 @@ class _Run:
                                  f"{len(ys)} targets, expected input_dim {self.input_dim} "
                                  f"and one target per step")
             self.lengths.append(len(xs))
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        self.seed = seed
+        self.rng = np.random.default_rng(seed)
         n = len(dataset)
         perm = self.rng.permutation(n)
         n_val = max(1, round(cfg.validation_fraction * n)) if n >= 2 else 0
@@ -586,26 +601,29 @@ def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
     TrainingDiverged naming the dataset item. This is train_many on one
     model.
     """
-    return train_many([dataset], [cfg])[0]
+    return train_many([dataset], cfg, [cfg.seed])[0]
 
 
-def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
-    """Train one model per (dataset, config) pair, all in lockstep.
+def train_many(datasets, cfg: TrainConfig,
+               seeds) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
+    """Train one model per dataset under ``cfg``, model m seeded with
+    ``seeds[m]`` (``cfg.seed`` is not read), all in lockstep.
 
-    Each model keeps its own seed, piece order, validation split, RMSProp
+    Each model keeps its own piece order, validation split, RMSProp
     state, clipping and early stopping; at every update slot the models
     that still train and have a piece in it advance together, each on its
-    own piece. Every result is bit-identical to ``train`` on that pair
-    alone. If models diverge, the error of the first of them in list order
-    is raised (its ``model`` is that position), as training them one after
-    another would.
+    own piece, in one ``loss_and_gradient`` call. Every result is
+    bit-identical to ``train`` on that dataset alone with
+    ``replace(cfg, seed=seeds[m])``. If models diverge, the error of the
+    first of them in list order is raised (its ``model`` is that
+    position), as training them one after another would.
     """
-    runs = [_Run(dataset, cfg) for dataset, cfg in zip(datasets, cfgs, strict=True)]
+    runs = [_Run(dataset, cfg, seed) for dataset, seed in zip(datasets, seeds, strict=True)]
     if not runs:
         return []
     # row m of theta holds model m flattened at its own width, then zeros;
     # column ``pad`` stays 0 and is what padded W entries read
-    inits = [init_model(run.input_dim, seed=run.cfg.seed).flatten() for run in runs]
+    inits = [init_model(run.input_dim, seed=run.seed).flatten() for run in runs]
     sizes = [init.size for init in inits]
     pad = max(sizes)
     theta = np.zeros((len(runs), pad + 1))
@@ -623,11 +641,12 @@ def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
         first_error = min(first_error, m)
 
     active = list(range(len(runs)))
-    epoch = 0
     # a diverging run overflows on its way to a non-finite loss; the
     # isfinite checks below report it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        while active := [m for m in active if epoch < runs[m].cfg.epochs]:
+        for epoch in range(cfg.epochs):
+            if not active:
+                break
             orders = {m: runs[m].rng.permutation(len(runs[m].train_idx)) for m in active}
             losses = {m: [] for m in active}
             for j in range(max(len(order) for order in orders.values())):
@@ -638,16 +657,14 @@ def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
                 pieces = {m: runs[m].piece(items[m]) for m in slot}
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
-                sse, padded = _row_gradients(
-                    theta[rows[:, None], layout[rows]], width,
-                    [pieces[m][0] for m in slot], [pieces[m][1] for m in slot],
-                    [len(pieces[m][0]) for m in slot])
+                slot_losses, padded = loss_and_gradient(
+                    ModelRows(theta[rows[:, None], layout[rows]], width),
+                    [pieces[m] for m in slot])
                 grads = np.zeros((len(slot), pad + 1))
                 grads[np.arange(len(slot))[:, None], layout[rows]] = padded
                 grads[:, pad] = 0.0
                 for r, m in enumerate(slot):
-                    cfg = runs[m].cfg
-                    loss = float(sse[r]) / len(pieces[m][0])
+                    loss = float(slot_losses[r])
                     if not np.isfinite(loss):
                         diverged(m, "loss", epoch, items[m])
                         continue
@@ -655,11 +672,10 @@ def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
                     norm = float(np.linalg.norm(grads[r, :sizes[m]]))
                     if norm > cfg.gradient_clip_norm > 0:
                         grads[r] = grads[r] * (cfg.gradient_clip_norm / norm)
-                decay, lr, eps = (np.array([[getattr(runs[m].cfg, k)] for m in slot])
-                                  for k in ("rmsprop_decay", "learning_rate",
-                                            "rmsprop_epsilon"))
+                decay = cfg.rmsprop_decay
                 accum[rows] = decay * accum[rows] + (1.0 - decay) * grads * grads
-                theta[rows] = theta[rows] - lr * grads / (np.sqrt(accum[rows]) + eps)
+                theta[rows] = theta[rows] - cfg.learning_rate * grads / (
+                    np.sqrt(accum[rows]) + cfg.rmsprop_epsilon)
                 active = [m for m in active if m < first_error]
 
             for m, (val_mse, culprit) in _validation(theta, layout, width, runs,
@@ -676,9 +692,8 @@ def train_many(datasets, cfgs) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
                     run.bad_epochs = 0
                 else:
                     run.bad_epochs += 1
-                    run.stopped = run.bad_epochs >= run.cfg.early_stop_patience
+                    run.stopped = run.bad_epochs >= cfg.early_stop_patience
             active = [m for m in active if m < first_error and not runs[m].stopped]
-            epoch += 1
 
     if first_error < len(runs):
         raise runs[first_error].error

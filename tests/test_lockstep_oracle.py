@@ -218,10 +218,11 @@ def train_configs(draw):
 
 @st.composite
 def jobs(draw):
-    """Models of mixed widths on ragged datasets; some carry a NaN target,
-    which diverges wherever that piece is trained or validated on."""
+    """Models of mixed widths and seeds on ragged datasets, under one
+    config; some carry a NaN target, which diverges wherever that piece is
+    trained or validated on."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    datasets, cfgs = [], []
+    datasets, seeds = [], []
     for _ in range(draw(st.integers(1, 6))):
         width = draw(st.sampled_from(WIDTHS))
         lengths = draw(st.lists(st.integers(1, 14), min_size=1, max_size=6))
@@ -229,8 +230,8 @@ def jobs(draw):
         if draw(st.integers(0, 5)) == 0:
             data[draw(st.integers(0, len(data) - 1))][1][0] = np.nan
         datasets.append(data)
-        cfgs.append(train_configs(draw))
-    return datasets, cfgs
+        seeds.append(draw(st.integers(0, 50)))
+    return datasets, train_configs(draw), seeds
 
 
 @st.composite
@@ -270,11 +271,11 @@ def outcome(fn, *args):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 def test_train_many_matches_one_by_one(case):
-    datasets, cfgs = case
-    got, got_error = outcome(train_many, datasets, cfgs)
+    datasets, cfg, seeds = case
+    got, got_error = outcome(train_many, datasets, cfg, seeds)
     expected, expected_error = None, None
-    for m, (data, cfg) in enumerate(zip(datasets, cfgs)):
-        result, error = outcome(o_train, data, cfg)
+    for m, (data, seed) in enumerate(zip(datasets, seeds)):
+        result, error = outcome(o_train, data, replace(cfg, seed=seed))
         if error is not None:
             expected_error = error
             break

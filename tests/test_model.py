@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tonaltension import model as model_mod
 from tonaltension.errors import TrainingDiverged
 from tonaltension.model import (HIDDEN, ModelParams, TrainConfig, dumps_model,
                                 forward, forward_batch, init_model,
                                 load_model, loads_model, loss_and_gradient,
-                                save_model, train, unflatten)
+                                save_model, train, train_many, unflatten)
 
 
 def randomized(input_dim, seed, scale=0.3):
@@ -181,6 +182,21 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0, "
                                                    f"dataset item {held_out}$"):
             train(data, TrainConfig(epochs=5, seed=3))
+
+    def test_lockstep_updates_step_through_loss_and_gradient(self, rng, monkeypatch):
+        # one call per update slot, its batch holding one piece per model
+        # that trains in it; 4 pieces of 12 steps keep 3 for training
+        calls = []
+        inner = model_mod.loss_and_gradient
+
+        def counted(params, batch):
+            calls.append(sum(len(xs) for xs, _ in batch))
+            return inner(params, batch)
+
+        monkeypatch.setattr(model_mod, "loss_and_gradient", counted)
+        cfg = TrainConfig(epochs=2, early_stop_patience=100)
+        train_many([self.dataset(rng), self.dataset(rng, dim=0)], cfg, [1, 2])
+        assert calls == [24] * 6
 
     def test_divergence_reported_with_location(self, rng):
         data = [(rng.normal(size=(4, 2)), np.array([0.0, np.nan, 0.0, 0.0]))]

@@ -60,3 +60,6 @@ def test_reduced_chain_runs_under_the_tracer(tmp_path):
     assert metrics["model.train.calls"] == (1, "count")
     assert metrics["model.epochs_run"] == (1, "count")
     assert metrics["evaluate.run_cv.calls"] == (1, "count")
+    # every update goes through loss_and_gradient, so the BPTT cost is traced
+    assert metrics["model.loss_and_gradient.calls"][0] > 0
+    assert metrics["model.frame_updates"][0] > 0
