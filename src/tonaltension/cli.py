@@ -209,16 +209,17 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
             continue
         _, fcols, frows = read_csv(fpath)
         _, tcols, trows = read_csv(tpath)
-        if fcols[:2] != ["frame", "beat"] or tcols[:2] != ["frame", "beat"]:
-            raise ValidationError(f"{stem}: feature/target CSVs must start with frame,beat")
+        for path, cols in ((fpath, fcols), (tpath, tcols)):
+            if cols[:2] != ["frame", "beat"]:
+                raise ValidationError(f"{path}: header must start with frame,beat")
         fdata = _numeric_rows(fpath, fcols, frows)
         tdata = _numeric_rows(tpath, tcols, trows)
         if not np.array_equal(fdata[:, 0], tdata[:, 0]):
-            raise ValidationError(f"{stem}: feature and target rows are not aligned")
+            raise ValidationError(f"{fpath}, {tpath}: feature and target rows are not aligned")
         names = tuple(fcols[2:])
         target_names = tuple(tcols[2:])
         if target_names != TARGET_NAMES:
-            raise ValidationError(f"{stem}: unexpected target columns {target_names}")
+            raise ValidationError(f"{tpath}: unexpected target columns {target_names}")
         pieces.append(evaluate.Piece(stem, fdata[:, 1].copy(), fdata[:, 2:].copy(),
                                      names, tdata[:, 2:].copy()))
     if not pieces:

@@ -20,21 +20,22 @@ the training pieces. All randomness flows from explicit seeds, so
 identical (seed, data, config) reproduce bit-identical parameters and
 logs.
 
-The scan, its reverse and the training loop run along a model axis: each
-Python time step advances n independent models, each on its own
-sequence. Per-step arrays are stacks of (1, .) row vectors; each model's
-recurrent matrix-vector product is its own gemv inside one stacked
-matmul and everything else is elementwise, so a model's numbers do not
-depend on the other rows, and training M models together
+The scan, its reverse and the training loop run along a row axis that
+holds both directions of n independent models: row 2r is model r's
+forward direction over its sequence, row 2r + 1 its backward direction
+over the same sequence reversed, so each Python time step advances both
+directions of every model. Per-step arrays are stacks of (1, .) row
+vectors; each row's recurrent matrix-vector product is its own gemv
+inside one stacked matmul and everything else is elementwise, so a row's
+numbers do not depend on the other rows, and training M models together
 (``train_many``) is bit-identical to training each alone. One model
-(``forward``, ``loss_and_gradient``, ``train``, ``input_jacobian_band``)
-is the n = 1 case of the same code. Each model's input projection X W^T
-is a GEMM of its own unpadded inputs, so models of different input
-widths share the axis (their W gradients accumulate into zero-padded
-columns). Rows are ordered longest sequence first and the backward
-direction reverses each sequence before padding, so a step only advances
-the leading rows still inside their sequence and every sum over time
-covers a model's own steps.
+(``forward``, ``loss_and_gradient``, ``train``) is the n = 1 case of the
+same code. Each row's input projection X W^T is a GEMM of its own
+unpadded inputs, so models of different input widths share the axis
+(their W gradients accumulate into zero-padded columns). Rows are
+ordered longest sequence first (a model's two rows have one length), so
+a step only advances the leading rows still inside their sequence and
+every sum over time covers a row's own steps.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def _check_sequence(params: ModelParams, xs) -> np.ndarray:
 
 
 def _unstack(flat: np.ndarray, input_dim: int):
-    """Views of an (n, size) stack of flattened models, one model per row,
-    as (fwd, bwd, v, out_bias) with a leading model axis on every tensor."""
+    """An (n, size) stack of flattened models as (dirs, v, out_bias): gate
+    tensors ``dirs`` on the 2n-row axis, model r's forward in row 2r and
+    its backward in row 2r + 1; v and out_bias keep one row per model."""
     n = flat.shape[0]
     parts = {}
     pos = 0
@@ -183,10 +185,11 @@ def _unstack(flat: np.ndarray, input_dim: int):
         parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
         pos += size
 
-    def direction(prefix):
-        return DirectionParams(*(parts[f"{prefix}.{f}"] for f in _DIR_FIELDS))
+    def both(field):
+        fwd, bwd = parts[f"fwd.{field}"], parts[f"bwd.{field}"]
+        return np.stack([fwd, bwd], axis=1).reshape((2 * n,) + fwd.shape[1:])
 
-    return direction("fwd"), direction("bwd"), parts["out.v"], parts["out.bias"][:, 0]
+    return DirectionParams(*map(both, _DIR_FIELDS)), parts["out.v"], parts["out.bias"][:, 0]
 
 
 @dataclass
@@ -211,28 +214,28 @@ def _spans(lengths) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _project(d: DirectionParams, seqs, reverse: bool) -> np.ndarray:
-    """The input projections P (T, n, 1, 4H) of n stacked models, row r
-    over its own (T_r, D_r) sequence (reversed when ``reverse``): one GEMM
-    of the row's unpadded inputs and W columns each, zero past its length."""
+def _project(d: DirectionParams, seqs) -> np.ndarray:
+    """The input projections P (T, n, 1, 4H) of n stacked rows, row r over
+    its own (T_r, D_r) sequence: one GEMM of the row's unpadded inputs and
+    W columns each, zero past its length."""
     P = np.zeros((max((len(xs) for xs in seqs), default=0), len(seqs), 1, d.U.shape[1]))
     for r, xs in enumerate(seqs):
         W = np.ascontiguousarray(d.W[r, :, :xs.shape[1]])
-        P[:len(xs), r, 0] = (xs[::-1] if reverse else xs) @ W.T
+        P[:len(xs), r, 0] = xs @ W.T
     return P
 
 
-def _scan(d: DirectionParams, seqs, spans, reverse: bool) -> dict:
-    """Run one direction of n stacked models, row r over its own sequence
-    (reversed when ``reverse``), rows ordered longest first; over each span
-    of ``spans`` only its leading rows advance. Per-step arrays are
-    (m, 1, .) row vectors, so ``h @ U^T`` is one gemv per model, the one
-    ``U @ h`` runs for that model alone. Returns the per-step caches
-    (T, n, 1, .), zero past a row's length: the gate activations, and the
-    cell and hidden states "C" and "H" with the zero initial state at
-    index 0 and step t at index t + 1. BPTT recomputes P and U h bit for
-    bit rather than keeping them."""
-    P = _project(d, seqs, reverse)
+def _scan(d: DirectionParams, seqs, spans) -> dict:
+    """Scan n stacked rows, row r with its own gate tensors over its own
+    sequence, rows ordered longest first; over each span of ``spans`` only
+    its leading rows advance. Per-step arrays are (m, 1, .) row vectors,
+    so ``h @ U^T`` is one gemv per row, the one ``U @ h`` runs for that
+    row alone. Returns the input projections "P" and the per-step caches,
+    all (T, n, 1, .) and zero past a row's length: the gate activations,
+    and the cell and hidden states "C" and "H" with the zero initial state
+    at index 0 and step t at index t + 1. BPTT recomputes U h bit for bit
+    rather than keeping it."""
+    P = _project(d, seqs)
     T, n, _, G = P.shape
     H = G // 4
     gates = np.zeros((T, n, 1, G))  # i, f, o, g blocks after nonlinearity
@@ -252,7 +255,7 @@ def _scan(d: DirectionParams, seqs, spans, reverse: bool) -> dict:
             g = np.tanh(a[..., 3 * H:], out=gates[t, :m, :, 3 * H:])
             c = np.add(ifo[..., H:2 * H] * c, ifo[..., :H] * g, out=C[t + 1, :m])
             h = np.multiply(ifo[..., 2 * H:], np.tanh(c), out=Hs[t + 1, :m])
-    return {"gates": gates, "C": C, "H": Hs}
+    return {"P": P, "gates": gates, "C": C, "H": Hs}
 
 
 def _cell_grad(gates, c, c_prev, dq_da, dp_da, dh, dc):
@@ -282,19 +285,17 @@ def _cell_grad(gates, c, c_prev, dq_da, dp_da, dh, dc):
 
 
 def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
-               reverse: bool, width: int) -> DirectionParams:
-    """BPTT through one direction of n stacked models (as scanned by _scan);
-    dH_out (T, n, 1, H) is the loss gradient injected at each step's
-    hidden state. Every sum over time runs from a row's own last step down
-    to step 0, as for that row alone; W gradients are (n, 4H, width), a
-    narrower row filling only its own columns."""
-    gates, C, Hs = (cache[k] for k in ("gates", "C", "H"))
-    P = _project(d, seqs, reverse)
+               width: int) -> DirectionParams:
+    """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
+    is the loss gradient injected at each step's hidden state. Every sum over time runs from a
+    row's own last step down to step 0, as for that row alone; W gradients
+    are (n, 4H, width), a narrower row filling only its own columns."""
+    P, gates, C, Hs = (cache[k] for k in ("P", "gates", "C", "H"))
     T, n, _, G = P.shape
     H = G // 4
     X = np.zeros((T, n, 1, width))  # the scanned inputs, zero-padded
     for r, xs in enumerate(seqs):
-        X[:len(xs), r, 0, :xs.shape[1]] = xs[::-1] if reverse else xs
+        X[:len(xs), r, 0, :xs.shape[1]] = xs
     grads = DirectionParams(np.zeros((n, G, width)), np.zeros((n, G, H)),
                             *(np.zeros((n, 1, G)) for _ in range(4)))
     dh = np.zeros((0, 1, H))
@@ -323,24 +324,23 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
     return DirectionParams(grads.W, grads.U, *(g[:, 0] for _, g in grads.tensors()[2:]))
 
 
-def _prediction(Hf: np.ndarray, Hb: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
+def _prediction(Hs: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
                 r: int, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row r's hidden states of both directions (from the scans' "H"
-    caches) in time order, and its predictions."""
+    """Model r's hidden states of both directions (rows 2r and 2r + 1 of
+    the scan's "H" cache) in time order, and its predictions."""
     H = v.shape[1] // 2
-    hf = np.ascontiguousarray(Hf[1:steps + 1, r, 0])
-    hb = np.ascontiguousarray(Hb[1:steps + 1, r, 0])[::-1]
+    hf = np.ascontiguousarray(Hs[1:steps + 1, 2 * r, 0])
+    hb = np.ascontiguousarray(Hs[1:steps + 1, 2 * r + 1, 0])[::-1]
     return hf, hb, hf @ v[r, :H] + hb @ v[r, H:] + out_bias[r]
 
 
 def _predict_rows(flat: np.ndarray, input_dim: int, seqs) -> list[np.ndarray]:
     """Predictions of n stacked models (rows of ``flat``, flattened at
-    ``input_dim``), row r on seqs[r]; rows ordered longest first."""
-    fwd, bwd, v, out_bias = _unstack(flat, input_dim)
-    spans = _spans([len(xs) for xs in seqs])
-    Hf = _scan(fwd, seqs, spans, False)["H"]
-    Hb = _scan(bwd, seqs, spans, True)["H"]
-    return [_prediction(Hf, Hb, v, out_bias, r, len(xs))[2] for r, xs in enumerate(seqs)]
+    ``input_dim``), model r on seqs[r]; models ordered longest first."""
+    dirs, v, out_bias = _unstack(flat, input_dim)
+    rows = [row for xs in seqs for row in (xs, xs[::-1])]
+    Hs = _scan(dirs, rows, _spans([len(xs) for xs in rows]))["H"]
+    return [_prediction(Hs, v, out_bias, r, len(xs))[2] for r, xs in enumerate(seqs)]
 
 
 def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
@@ -348,30 +348,28 @@ def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
     _predict_rows), and per row the exact gradient of sse / steps[r],
     flattened in canonical order at ``input_dim``; a narrower row's W
     gradient fills only its own columns."""
-    fwd, bwd, v, out_bias = _unstack(flat, input_dim)
-    spans = _spans([len(xs) for xs in seqs])
-    cf = _scan(fwd, seqs, spans, False)
-    cb = _scan(bwd, seqs, spans, True)
-    Hf = cf["H"]
-    T, n, H = Hf.shape[0] - 1, len(seqs), Hf.shape[-1]
-    dH_f = np.zeros((T, n, 1, H))
-    dH_b = np.zeros((T, n, 1, H))
+    dirs, v, out_bias = _unstack(flat, input_dim)
+    rows = [row for xs in seqs for row in (xs, xs[::-1])]
+    spans = _spans([len(xs) for xs in rows])
+    cache = _scan(dirs, rows, spans)
+    T, n, H = cache["H"].shape[0] - 1, len(seqs), v.shape[1] // 2
+    dH = np.zeros((T, 2 * n, 1, H))
     sse = np.zeros(n)
     g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
     for r, (xs, ys) in enumerate(zip(seqs, targets)):
         L = len(xs)
-        hf, hb, pred = _prediction(Hf, cb["H"], v, out_bias, r, L)
+        hf, hb, pred = _prediction(cache["H"], v, out_bias, r, L)
         err = pred - ys
         sse[r] += err @ err
         dy = 2.0 * err / steps[r]
         g_out[r, :H] += hf.T @ dy
         g_out[r, H:2 * H] += hb.T @ dy
         g_out[r, 2 * H] += dy.sum()
-        dH_f[:L, r, 0] = np.outer(dy, v[r, :H])
-        dH_b[:L, r, 0] = np.outer(dy[::-1], v[r, H:])
-    g_fwd = _scan_grad(fwd, cf, seqs, dH_f, spans, False, input_dim)
-    g_bwd = _scan_grad(bwd, cb, seqs, dH_b, spans, True, input_dim)
-    flat_grads = [t.reshape(n, -1) for g in (g_fwd, g_bwd) for _, t in g.tensors()]
+        dH[:L, 2 * r, 0] = np.outer(dy, v[r, :H])
+        dH[:L, 2 * r + 1, 0] = np.outer(dy[::-1], v[r, H:])
+    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim).tensors()
+    # rows 2r and 2r + 1 are model r's fwd and bwd tensors
+    flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for _, t in grads]
     return sse, np.concatenate(flat_grads + [g_out], axis=1)
 
 
@@ -379,10 +377,10 @@ def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
 # one model
 
 
-def _band_sweep(d: DirectionParams, xs: np.ndarray, reverse: bool, v: np.ndarray,
+def _band_sweep(d: DirectionParams, xs: np.ndarray, v: np.ndarray,
                 radius: int) -> np.ndarray:
     """Exact d y_tau / d x_{tau-k} for k = 0..radius through one model's
-    scan of direction ``d`` over xs (reversed when ``reverse``).
+    scan of direction ``d`` over xs (the caller reverses xs for ``bwd``).
 
     Every output step tau starts its own reverse sweep (dh = v) at once;
     sweep k processes scan step tau - k for all tau >= k together, so the
@@ -391,9 +389,8 @@ def _band_sweep(d: DirectionParams, xs: np.ndarray, reverse: bool, v: np.ndarray
     in scan order, with entry [tau, k] zero where tau - k < 0.
     """
     stacked = DirectionParams(*(t[None] for _, t in d.tensors()))
-    cache = _scan(stacked, [xs], _spans([len(xs)]), reverse)
-    gates, C, Hs = (cache[k][:, 0, 0] for k in ("gates", "C", "H"))
-    P = _project(stacked, [xs], reverse)[:, 0, 0]
+    cache = _scan(stacked, [xs], _spans([len(xs)]))
+    P, gates, C, Hs = (cache[k][:, 0, 0] for k in ("P", "gates", "C", "H"))
     T = P.shape[0]
     Q = (Hs[:-1, None] @ d.U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
     dq_da = d.alpha * P + d.beta1
@@ -426,8 +423,8 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
     # the backward scan, flipped into tau order, reaches ahead (0..radius)
-    J[:, radius::-1] += _band_sweep(params.fwd, xs, False, params.v[:H], radius)
-    J[:, radius:] += _band_sweep(params.bwd, xs, True, params.v[H:], radius)[::-1]
+    J[:, radius::-1] += _band_sweep(params.fwd, xs, params.v[:H], radius)
+    J[:, radius:] += _band_sweep(params.bwd, xs[::-1], params.v[H:], radius)[::-1]
     return J
 
 

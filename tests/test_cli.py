@@ -107,13 +107,15 @@ class TestExtract:
         assert "window.width_beats" in meta
 
     def test_exit_codes_via_subprocess(self, tmp_path):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
         good = subprocess.run(
             [sys.executable, "-m", "tonaltension.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert good.returncode == 0
         bad = subprocess.run(
             [sys.executable, "-m", "tonaltension.cli", "extract", "nope.score.tsv"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert bad.returncode == 1
         assert "error:" in bad.stderr
         assert bad.stdout == ""
@@ -327,6 +329,24 @@ class TestBadInputs:
                        "--epochs", 1, "--out-dir", tmp_path / "out") == 1
         line = single_error_line(capsys)
         assert str(csv_path) in line and "frame 2" in line
+
+    @pytest.mark.parametrize("kind,old,new", [
+        ("features", "frame,beat,", "frame,bt,"), ("targets", "frame,beat,", "beat,frame,"),
+        ("targets", ",bpr", ",tempo"), ("targets", "\n3,", "\n99,")])
+    def test_bad_pair_names_the_file_at_fault(self, tmp_path, capsys, kind, old, new):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        csv_path = feats / f"piece000.{kind}.csv"
+        text = csv_path.read_text()
+        assert old in text
+        csv_path.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert run_cli("train", "--corpus", feats, "--target", "bpr", "--seed", 1,
+                       "--epochs", 1, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        other = feats / f"piece000.{'features' if kind == 'targets' else 'targets'}.csv"
+        assert str(csv_path) in line
+        # only a row misalignment is the fault of both files
+        assert (str(other) in line) == (old == "\n3,"), line
 
     @pytest.mark.parametrize("key,value", [
         ("feature_std", "0.0"), ("feature_std", "-1.0"), ("feature_mean", "nan"),

@@ -5,7 +5,7 @@ CSV: characters replaced, deleted or inserted (digits, signs, separators,
 letters of nan/inf, newlines), lines deleted or duplicated. Loading the
 result must succeed or raise ValueError (ValidationError is one); a
 command on it must exit 0, or exit 1 printing exactly one ``error:``
-line and no traceback.
+line and no traceback. When the file does not load, that line names it.
 """
 
 import contextlib
@@ -51,12 +51,13 @@ def run_main(argv) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-def assert_clean_exit(rc: int, err: str, must_fail: bool) -> None:
+def assert_clean_exit(rc: int, err: str, must_fail: bool, path) -> None:
     assert "Traceback" not in err
     assert rc in (0, 1) and not (must_fail and rc == 0), (rc, err)
     if rc == 1:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not must_fail or path.name in lines[0], err
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ def test_mutated_model_file(corpus, data):
     path.write_text(text)
     rc, err = run_main(["sensitivity", "--model", path, "--corpus", corpus / "feats",
                         "--radius", 1, "--out-dir", corpus / "sens"])
-    assert_clean_exit(rc, err, must_fail=not loaded)
+    assert_clean_exit(rc, err, must_fail=not loaded, path=path)
 
 
 @MUTATION_SETTINGS
@@ -112,4 +113,4 @@ def test_mutated_corpus_csv(corpus, kind, data):
         loaded = False
     rc, err = run_main(["train", "--corpus", feats, "--target", "bpr", "--seed", 1,
                         "--epochs", 1, "--out-dir", corpus / "trained"])
-    assert_clean_exit(rc, err, must_fail=not loaded)
+    assert_clean_exit(rc, err, must_fail=not loaded, path=target)

@@ -142,6 +142,51 @@ class TestGradient:
             loss_and_gradient(init_model(2, 0), [(np.zeros((3, 2)), np.zeros(4))])
 
 
+class TestFusedDirections:
+    """Both directions of a model are two rows of one scan; only the
+    sensitivity band sweeps each direction on its own."""
+
+    def rows_per_call(self, monkeypatch, name):
+        calls = []
+        inner = getattr(model_mod, name)
+
+        def counted(d, *args):
+            calls.append(len(d.U))
+            return inner(d, *args)
+
+        monkeypatch.setattr(model_mod, name, counted)
+        return calls
+
+    def test_forward_runs_one_scan(self, monkeypatch):
+        scans = self.rows_per_call(monkeypatch, "_scan")
+        forward(randomized(3, seed=1), np.ones((6, 3)))
+        assert scans == [2]
+
+    def test_gradient_runs_one_scan_and_one_reverse(self, monkeypatch):
+        scans = self.rows_per_call(monkeypatch, "_scan")
+        reverses = self.rows_per_call(monkeypatch, "_scan_grad")
+        loss_and_gradient(randomized(3, seed=1), [(np.ones((6, 3)), np.zeros(6))])
+        assert scans == [2] and reverses == [2]
+
+    def test_jacobian_band_sweeps_each_direction(self, monkeypatch):
+        params = randomized(3, seed=1)
+        xs = np.random.default_rng(0).normal(size=(6, 3))
+        sweeps = []
+        inner = model_mod._band_sweep
+
+        def recorded(d, seq, v, radius):
+            sweeps.append((d, seq, v))
+            return inner(d, seq, v, radius)
+
+        monkeypatch.setattr(model_mod, "_band_sweep", recorded)
+        model_mod.input_jacobian_band(params, xs, 2)
+        (d_f, xs_f, v_f), (d_b, xs_b, v_b) = sweeps
+        assert d_f is params.fwd and d_b is params.bwd
+        assert np.array_equal(xs_f, xs) and np.array_equal(xs_b, xs[::-1])
+        assert np.array_equal(v_f, params.v[:HIDDEN])
+        assert np.array_equal(v_b, params.v[HIDDEN:])
+
+
 class TestTrain:
     def dataset(self, rng, pieces=4, steps=12, dim=2):
         return [(rng.normal(size=(steps, dim)), rng.normal(size=steps))
