@@ -421,6 +421,8 @@ _TABLE_ROWS = (("", "T"), ("P", "PT"), ("M", "MT"), ("PM", "PMT"))
 def cmd_eval(args) -> int:
     pieces = load_corpus(args.corpus)
     requested = [t.strip() for t in args.targets.split(",") if t.strip()]
+    if not requested:
+        raise SettingError("targets", f"must name at least one target, got {args.targets!r}")
     for t in requested:
         if t not in TARGET_NAMES:
             raise ValidationError(f"unknown target {t!r}")
@@ -586,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the flag behind each library setting that a SettingError can name
-_FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "epochs": "--epochs",
-          "learning_rate": "--lr"}
+_FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
+          "epochs": "--epochs", "learning_rate": "--lr", "targets": "--targets"}
 
 
 def main(argv=None) -> int:

@@ -102,12 +102,18 @@ def _mi_discrete_discrete(x: np.ndarray, y: np.ndarray) -> float:
     return float(mi)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise SettingError("mi_k", f"must be at least 1 neighbor, got {k}")
+
+
 def estimate_mi(x, y, k: int = 3, seed: int = 0) -> float:
     """Mutual information between two sample vectors, in nats, >= 0."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    _check_k(k)
     if x.size < 2 * k + 2:
         raise ValueError(f"need at least {2 * k + 2} samples for k={k}, got {x.size}")
     ux, uy = np.unique(x).size, np.unique(y).size
@@ -166,6 +172,7 @@ def mi_table(features: np.ndarray, feature_names, targets: np.ndarray,
             f"row mismatch: {features.shape[0]} feature rows vs {targets.shape[0]} target rows")
     if features.shape[0] == 0:
         raise ValueError("mutual information needs at least one row")
+    _check_k(k)
     values = np.zeros((features.shape[1], targets.shape[1]))
     for i in range(features.shape[1]):
         for j in range(targets.shape[1]):

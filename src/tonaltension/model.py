@@ -31,8 +31,12 @@ numbers do not depend on the other rows, and training M models together
 (``train_many``) is bit-identical to training each alone. One model
 (``forward``, ``loss_and_gradient``, ``train``) is the n = 1 case of the
 same code. Each row's input projection X W^T is a GEMM of its own
-unpadded inputs, so models of different input widths share the axis
-(their W gradients accumulate into zero-padded columns). Rows are
+unpadded inputs, so models of different input widths share the axis:
+every in-flight parameter stack (the scan's, and ``train_many``'s
+parameters, RMSProp state and best parameters) holds each model
+flattened at the common input width, with zero W columns past its own
+input_dim; ``ModelParams`` and model files keep a model at its own
+width. Rows are
 ordered longest sequence first (a model's two rows have one length), so
 a step only advances the leading rows still inside their sequence and
 every sum over time covers a row's own steps.
@@ -91,9 +95,6 @@ class ModelParams:
     def flatten(self) -> np.ndarray:
         return np.concatenate([t.ravel() for _, t in self.tensors()])
 
-    def copy(self) -> "ModelParams":
-        return unflatten(self.flatten(), self.input_dim, self.hidden)
-
     @property
     def size(self) -> int:
         return sum(t.size for _, t in self.tensors())
@@ -112,17 +113,30 @@ def _shapes(input_dim: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
 _DIR_FIELDS = ("W", "U", "alpha", "beta1", "beta2", "bias")
 
 
-def unflatten(flat: np.ndarray, input_dim: int, hidden: int) -> ModelParams:
-    """Inverse of ModelParams.flatten (exact round trip)."""
-    flat = np.asarray(flat, dtype=float)
+def _size(input_dim: int) -> int:
+    """Entries of a model flattened at ``input_dim``."""
+    return sum(math.prod(shape) for _, shape in _shapes(input_dim, HIDDEN))
+
+
+def _split(flat: np.ndarray, input_dim: int, hidden: int = HIDDEN) -> dict[str, np.ndarray]:
+    """An (n, size) stack of models, each flattened at ``input_dim`` in
+    canonical order, as {tensor name: (n,) + shape view}."""
+    n = flat.shape[0]
     parts = {}
     pos = 0
     for name, shape in _shapes(input_dim, hidden):
-        size = int(np.prod(shape))
-        parts[name] = flat[pos:pos + size].reshape(shape).copy()
+        size = math.prod(shape)
+        parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
         pos += size
-    if pos != flat.size:
-        raise ValueError(f"flat vector has {flat.size} values, expected {pos}")
+    if pos != flat.shape[1]:
+        raise ValueError(f"flat vector has {flat.shape[1]} values, expected {pos}")
+    return parts
+
+
+def unflatten(flat: np.ndarray, input_dim: int, hidden: int) -> ModelParams:
+    """Inverse of ModelParams.flatten (exact round trip)."""
+    flat = np.asarray(flat, dtype=float).reshape(1, -1)
+    parts = {name: t[0].copy() for name, t in _split(flat, input_dim, hidden).items()}
 
     def direction(prefix):
         return DirectionParams(*(parts[f"{prefix}.{n}"] for n in _DIR_FIELDS))
@@ -178,12 +192,7 @@ def _unstack(flat: np.ndarray, input_dim: int):
     tensors ``dirs`` on the 2n-row axis, model r's forward in row 2r and
     its backward in row 2r + 1; v and out_bias keep one row per model."""
     n = flat.shape[0]
-    parts = {}
-    pos = 0
-    for name, shape in _shapes(input_dim, HIDDEN):
-        size = int(np.prod(shape))
-        parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
-        pos += size
+    parts = _split(flat, input_dim)
 
     def both(field):
         fwd, bwd = parts[f"fwd.{field}"], parts[f"bwd.{field}"]
@@ -377,34 +386,33 @@ def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
 # one model
 
 
-def _band_sweep(d: DirectionParams, xs: np.ndarray, v: np.ndarray,
+def _band_sweep(d: DirectionParams, cache: dict, row: int, v: np.ndarray,
                 radius: int) -> np.ndarray:
-    """Exact d y_tau / d x_{tau-k} for k = 0..radius through one model's
-    scan of direction ``d`` over xs (the caller reverses xs for ``bwd``).
+    """Exact d y_tau / d x_{tau-k} for k = 0..radius through row ``row`` of
+    a scan of one model (``d`` and ``cache`` as in _scan).
 
     Every output step tau starts its own reverse sweep (dh = v) at once;
     sweep k processes scan step tau - k for all tau >= k together, so the
     carried (dh, dc) rows line up with cache rows 0..T-1-k and the row of
     the sweep that just reached step 0 is dropped. Returns (T, radius+1, D)
-    in scan order, with entry [tau, k] zero where tau - k < 0.
+    in the row's scan order, with entry [tau, k] zero where tau - k < 0.
     """
-    stacked = DirectionParams(*(t[None] for _, t in d.tensors()))
-    cache = _scan(stacked, [xs], _spans([len(xs)]))
-    P, gates, C, Hs = (cache[k][:, 0, 0] for k in ("P", "gates", "C", "H"))
+    P, gates, C, Hs = (cache[k][:, row, 0] for k in ("P", "gates", "C", "H"))
+    W, U, alpha, beta1, beta2 = (t[row] for _, t in d.tensors()[:5])
     T = P.shape[0]
-    Q = (Hs[:-1, None] @ d.U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
-    dq_da = d.alpha * P + d.beta1
-    dp_da = d.alpha * Q + d.beta2
+    Q = (Hs[:-1, None] @ U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
+    dq_da = alpha * P + beta1
+    dp_da = alpha * Q + beta2
     C, C_prev = C[1:], C[:-1]
-    band = np.zeros((T, radius + 1, d.W.shape[1]))
+    band = np.zeros((T, radius + 1, W.shape[1]))
     dh = np.tile(v, (T, 1))
     dc = np.zeros((T, C.shape[1]))
     for k in range(min(radius + 1, T)):
         n = T - k
         _, dp, dq, dc = _cell_grad(gates[:n], C[:n], C_prev[:n], dq_da[:n], dp_da[:n],
                                    dh, dc)
-        band[k:, k] = dp @ d.W
-        dh, dc = (dq @ d.U)[1:], dc[1:]
+        band[k:, k] = dp @ W
+        dh, dc = (dq @ U)[1:], dc[1:]
     return band
 
 
@@ -413,18 +421,21 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
 
     Returns J of shape (T, 2*radius + 1, input_dim) with
     J[tau, k, f] = d y_tau / d x_{tau + k - radius, f}; entries whose
-    input step falls off the sequence are exactly 0. Costs one scan per
-    direction plus radius + 1 batched reverse steps, O(T * radius).
+    input step falls off the sequence are exactly 0. Costs one scan of
+    both directions plus radius + 1 batched reverse steps per direction,
+    O(T * radius).
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     xs = _check_sequence(params, xs)
+    dirs, v, _ = _unstack(params.flatten()[None], params.input_dim)
+    cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2))
     H = params.hidden
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
     # the backward scan, flipped into tau order, reaches ahead (0..radius)
-    J[:, radius::-1] += _band_sweep(params.fwd, xs, params.v[:H], radius)
-    J[:, radius:] += _band_sweep(params.bwd, xs[::-1], params.v[H:], radius)[::-1]
+    J[:, radius::-1] += _band_sweep(dirs, cache, 0, v[0, :H], radius)
+    J[:, radius:] += _band_sweep(dirs, cache, 1, v[0, H:], radius)[::-1]
     return J
 
 
@@ -571,22 +582,13 @@ class _Run:
         return _check_dims(xs), np.asarray(ys, dtype=float).ravel()
 
 
-def _padded_layout(input_dim: int, width: int, pad: int) -> np.ndarray:
-    """For each entry of a model flattened at ``width``: its position in
-    the same model flattened at its own ``input_dim``; W columns past
-    input_dim map to position ``pad``."""
-    out = []
-    pos = 0
-    for name, shape in _shapes(input_dim, HIDDEN):
-        size = int(np.prod(shape))
-        idx = np.arange(pos, pos + size)
-        if name.endswith(".W"):
-            block = np.full((shape[0], width), pad)
-            block[:, :input_dim] = idx.reshape(shape)
-            idx = block.ravel()
-        out.append(idx)
-        pos += size
-    return np.concatenate(out)
+def _own_entries(input_dim: int, width: int) -> np.ndarray:
+    """Where a model's entries, flattened at its own ``input_dim``, sit in
+    the same model flattened at ``width`` (W columns past input_dim are
+    not its own), in canonical order."""
+    parts = _split(np.arange(_size(width))[None], width)
+    return np.concatenate([t[0, ..., :input_dim] if name.endswith(".W") else t[0]
+                           for name, t in parts.items()], axis=None)
 
 
 def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
@@ -618,16 +620,14 @@ def train_many(datasets, cfg: TrainConfig,
     runs = [_Run(dataset, cfg, seed) for dataset, seed in zip(datasets, seeds, strict=True)]
     if not runs:
         return []
-    # row m of theta holds model m flattened at its own width, then zeros;
-    # column ``pad`` stays 0 and is what padded W entries read
-    inits = [init_model(run.input_dim, seed=run.seed).flatten() for run in runs]
-    sizes = [init.size for init in inits]
-    pad = max(sizes)
-    theta = np.zeros((len(runs), pad + 1))
-    for m, init in enumerate(inits):
-        theta[m, :sizes[m]] = init
+    # row m of theta, accum and best holds model m flattened at the common
+    # width; no scan reads its W columns past its own input_dim (their
+    # gradients are 0, so they stay 0), and own[m] picks out the rest
     width = max(run.input_dim for run in runs)
-    layout = np.array([_padded_layout(run.input_dim, width, pad) for run in runs])
+    own = [_own_entries(run.input_dim, width) for run in runs]
+    theta = np.zeros((len(runs), _size(width)))
+    for m, run in enumerate(runs):
+        theta[m, own[m]] = init_model(run.input_dim, seed=run.seed).flatten()
     accum = np.zeros_like(theta)
     best = theta.copy()
     first_error = len(runs)
@@ -654,19 +654,15 @@ def train_many(datasets, cfg: TrainConfig,
                 pieces = {m: runs[m].piece(items[m]) for m in slot}
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
-                slot_losses, padded = loss_and_gradient(
-                    ModelRows(theta[rows[:, None], layout[rows]], width),
-                    [pieces[m] for m in slot])
-                grads = np.zeros((len(slot), pad + 1))
-                grads[np.arange(len(slot))[:, None], layout[rows]] = padded
-                grads[:, pad] = 0.0
+                slot_losses, grads = loss_and_gradient(ModelRows(theta[rows], width),
+                                                       [pieces[m] for m in slot])
                 for r, m in enumerate(slot):
                     loss = float(slot_losses[r])
                     if not np.isfinite(loss):
                         diverged(m, "loss", epoch, items[m])
                         continue
                     losses[m].append(loss)
-                    norm = float(np.linalg.norm(grads[r, :sizes[m]]))
+                    norm = float(np.linalg.norm(grads[r, own[m]]))
                     if norm > cfg.gradient_clip_norm > 0:
                         grads[r] = grads[r] * (cfg.gradient_clip_norm / norm)
                 decay = cfg.rmsprop_decay
@@ -675,8 +671,7 @@ def train_many(datasets, cfg: TrainConfig,
                     np.sqrt(accum[rows]) + cfg.rmsprop_epsilon)
                 active = [m for m in active if m < first_error]
 
-            for m, (val_mse, culprit) in _validation(theta, layout, width, runs,
-                                                     active).items():
+            for m, (val_mse, culprit) in _validation(theta, width, runs, active).items():
                 run = runs[m]
                 if not np.isfinite(val_mse):
                     diverged(m, "validation loss", epoch, culprit)
@@ -694,11 +689,11 @@ def train_many(datasets, cfg: TrainConfig,
 
     if first_error < len(runs):
         raise runs[first_error].error
-    return [(unflatten(best[m, :sizes[m]], run.input_dim, HIDDEN), run.log)
+    return [(unflatten(best[m, own[m]], run.input_dim, HIDDEN), run.log)
             for m, run in enumerate(runs)]
 
 
-def _validation(theta, layout, width, runs, models) -> dict[int, tuple[float, int]]:
+def _validation(theta, width, runs, models) -> dict[int, tuple[float, int]]:
     """Pooled MSE of each model on its validation pieces, all models
     together; per model (mse, dataset item at which the pooled error
     became non-finite, or -1)."""
@@ -709,8 +704,7 @@ def _validation(theta, layout, width, runs, models) -> dict[int, tuple[float, in
         pieces = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
         rows = sorted(pieces, key=lambda m: -runs[m].lengths[pieces[m]])
         seqs = [runs[m].piece(pieces[m]) for m in rows]
-        preds = _predict_rows(theta[np.array(rows)[:, None], layout[rows]], width,
-                              [xs for xs, _ in seqs])
+        preds = _predict_rows(theta[rows], width, [xs for xs, _ in seqs])
         for m, (_, ys), pred in zip(rows, seqs, preds):
             err = pred - ys
             sse[m] += float(err @ err)

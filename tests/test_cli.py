@@ -403,6 +403,12 @@ class TestBadInputs:
     (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "-1"], "--epochs"),
     (["train", "--target", "bpr", "--seed", "1", "--lr", "nan"], "--lr"),
     (["train", "--target", "bpr", "--seed", "1", "--lr", "-0.1"], "--lr"),
+    (["mi", "--fs-seed", "1", "--fs-k", "0"], "--fs-k"),
+    (["mi", "--fs-seed", "1", "--fs-k", "-1"], "--fs-k"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
+      "--fs-k", "-1"], "--fs-k"),
+    (["eval", "--targets", ",", "--seed", "1", "--epochs", "1"], "--targets"),
+    (["eval", "--targets", "", "--seed", "1", "--epochs", "1"], "--targets"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)

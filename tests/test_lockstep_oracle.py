@@ -13,7 +13,7 @@ equal logs and R2 tables) and raise the same first divergence.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
 from tonaltension.errors import TrainingDiverged
@@ -268,8 +268,21 @@ def outcome(fn, *args):
 # tests
 
 
+def narrow_beside_wide():
+    """Width-0 and width-3 models on one axis with a width-13 model, with
+    a clip norm that their gradients exceed: the clip norm must be taken
+    over each model's own entries, in its own order."""
+    rng = np.random.default_rng(3)
+    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n)) for n in (9, 12, 7, 11, 10)]
+                for width in (0, 3, 13)]
+    cfg = TrainConfig(learning_rate=0.3, epochs=4, early_stop_patience=3,
+                      gradient_clip_norm=0.5, validation_fraction=0.3)
+    return datasets, cfg, [1, 2, 3]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
+@example(narrow_beside_wide())
 def test_train_many_matches_one_by_one(case):
     datasets, cfg, seeds = case
     got, got_error = outcome(train_many, datasets, cfg, seeds)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tonaltension.errors import SettingError
 from tonaltension.mi import (MiTable, estimate_mi, mi_table, select_features,
                              subsample_pieces)
 
@@ -79,6 +80,12 @@ class TestEstimateMi:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             estimate_mi(np.arange(7.0), np.arange(7.0), k=3)  # needs 2k+2
+
+    def test_zero_neighbors_rejected(self, rng):
+        x = rng.normal(size=50)
+        with pytest.raises(SettingError, match="at least 1 neighbor") as info:
+            estimate_mi(x, x + rng.normal(size=50), k=0)
+        assert info.value.name == "mi_k"
 
 
 class TestMiTable:

@@ -143,8 +143,7 @@ class TestGradient:
 
 
 class TestFusedDirections:
-    """Both directions of a model are two rows of one scan; only the
-    sensitivity band sweeps each direction on its own."""
+    """Both directions of a model are two rows of one scan."""
 
     def rows_per_call(self, monkeypatch, name):
         calls = []
@@ -168,23 +167,10 @@ class TestFusedDirections:
         loss_and_gradient(randomized(3, seed=1), [(np.ones((6, 3)), np.zeros(6))])
         assert scans == [2] and reverses == [2]
 
-    def test_jacobian_band_sweeps_each_direction(self, monkeypatch):
-        params = randomized(3, seed=1)
-        xs = np.random.default_rng(0).normal(size=(6, 3))
-        sweeps = []
-        inner = model_mod._band_sweep
-
-        def recorded(d, seq, v, radius):
-            sweeps.append((d, seq, v))
-            return inner(d, seq, v, radius)
-
-        monkeypatch.setattr(model_mod, "_band_sweep", recorded)
-        model_mod.input_jacobian_band(params, xs, 2)
-        (d_f, xs_f, v_f), (d_b, xs_b, v_b) = sweeps
-        assert d_f is params.fwd and d_b is params.bwd
-        assert np.array_equal(xs_f, xs) and np.array_equal(xs_b, xs[::-1])
-        assert np.array_equal(v_f, params.v[:HIDDEN])
-        assert np.array_equal(v_b, params.v[HIDDEN:])
+    def test_jacobian_band_runs_one_scan(self, monkeypatch):
+        scans = self.rows_per_call(monkeypatch, "_scan")
+        model_mod.input_jacobian_band(randomized(3, seed=1), np.ones((6, 3)), 2)
+        assert scans == [2]
 
 
 class TestTrain:

@@ -11,7 +11,7 @@ positions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
 from tonaltension.evaluate import sensitivity
@@ -108,19 +108,28 @@ def test_band_sensitivity_matches_finite_differences(dim, radius, seed, lengths)
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(0, 5), T=st.integers(0, 30), radius=st.integers(0, 6),
        seed=st.integers(0, 2**31))
+@example(dim=4, T=5, radius=0, seed=2294)  # plain central differences miss by 1.24e-8
 def test_band_entries_match_finite_differences(dim, T, radius, seed):
-    """Every band cell, interior or not, against a perturbed forward pass."""
+    """Every band cell, interior or not, against a perturbed forward pass.
+
+    Central differences at step h carry an O(h^2) truncation error that
+    reaches 1e-8 on some models at h = 1e-4; Richardson extrapolation of
+    steps h and h/2 cancels that term and leaves O(h^4)."""
     params = perturbed(dim, seed)
     xs = np.random.default_rng(seed + 1).normal(size=(T, dim))
     J = input_jacobian_band(params, xs, radius)
     assert J.shape == (T, 2 * radius + 1, dim)
+
+    def central(s, f, step):
+        up, down = xs.copy(), xs.copy()
+        up[s, f] += step
+        down[s, f] -= step
+        return (forward(params, up) - forward(params, down)) / (2 * step)
+
     step = 1e-4
     for s in range(T):
         for f in range(dim):
-            up, down = xs.copy(), xs.copy()
-            up[s, f] += step
-            down[s, f] -= step
-            dy = (forward(params, up) - forward(params, down)) / (2 * step)
+            dy = (4 * central(s, f, step / 2) - central(s, f, step)) / 3
             for tau in range(max(0, s - radius), min(T, s + radius + 1)):
                 assert abs(J[tau, s - tau + radius, f] - dy[tau]) <= 1e-8
 
