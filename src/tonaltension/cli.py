@@ -18,6 +18,7 @@ seeds reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -277,7 +278,6 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
                    help="tension cloud window width in beats")
     p.add_argument("--onset-only", action="store_true",
                    help="exclude notes held into the window from clouds")
-    p.add_argument("--groups", default="P,M,T", help="feature groups, e.g. P,M,T")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -290,16 +290,26 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 # commands
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Put ``path`` in front of a ValueError raised while reading it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_extract(args) -> int:
-    with open(args.score) as fh:
-        score = parse_score(fh.read())
     groups = _parse_groups(args.groups)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
     names = feature_names(groups)
-    frames = group_onsets(score)
-    track = tension_track(score, window, spiral, frames) if "T" in groups else None
-    rows = assemble_features(score, track, groups, frames)
+    with _naming(args.score):
+        with open(args.score) as fh:
+            score = parse_score(fh.read())
+        frames = group_onsets(score)
+        track = tension_track(score, window, spiral, frames) if "T" in groups else None
+        rows = assemble_features(score, track, groups, frames)
 
     stem = os.path.basename(args.score)
     for suffix in (".score.tsv", ".tsv", ".txt"):
@@ -317,9 +327,10 @@ def cmd_extract(args) -> int:
     files = []
     if args.match:
         manifest.add_input(args.match)
-        with open(args.match) as fh:
-            perf = parse_performance(fh.read(), score)
-        target_rows = extract_targets(score, perf, frames)
+        with _naming(args.match):
+            with open(args.match) as fh:
+                perf = parse_performance(fh.read(), score)
+            target_rows = extract_targets(score, perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
         files.append(OutputFile(
@@ -343,9 +354,9 @@ def cmd_synth(args) -> int:
     corpus = synth.generate_corpus(cfg, spiral, window)
     manifest = Manifest("synth", {
         "pieces": cfg.pieces, "frames": cfg.frames, "rule": cfg.rule,
-        "tempo_gain": cfg.tempo_gain, "noise": cfg.noise,
-        "respell_prob": cfg.respell_prob,
-        "base_beat_period": cfg.base_beat_period}, {"seed": cfg.seed})
+        "tempo_gain": synth.TEMPO_GAIN, "noise": synth.NOISE,
+        "respell_prob": synth.RESPELL_PROB,
+        "base_beat_period": synth.BASE_BEAT_PERIOD}, {"seed": cfg.seed})
     header = [("rule", cfg.rule)] + spiral.header_items() + window.header_items()
     files = []
     for piece_id, score, perf in corpus:
@@ -536,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="compute feature (and target) CSVs for one piece")
     p.add_argument("score", help="path to a .score.tsv file")
     p.add_argument("--match", default=None, help="path to the aligned .match.tsv file")
+    p.add_argument("--groups", default="P,M,T", help="feature groups, e.g. P,M,T")
     _add_feature_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_extract)
@@ -589,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the flag behind each library setting that a SettingError can name
 _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
-          "epochs": "--epochs", "learning_rate": "--lr", "targets": "--targets"}
+          "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
+          "targets": "--targets"}
 
 
 def main(argv=None) -> int:

@@ -26,8 +26,6 @@ from .targets import TARGET_NAMES
 
 log = logging.getLogger(__name__)
 
-FEATURE_SET_LABELS = ("", "P", "M", "T", "PM", "PT", "MT", "PMT", "FS")
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -37,12 +35,6 @@ class Piece:
     feature_names: tuple[str, ...]
     targets: np.ndarray  # (T, 4)
     target_names: tuple[str, ...] = TARGET_NAMES
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[str, ...], ...]
-    seed: int
 
 
 class _FoldModel(NamedTuple):
@@ -61,9 +53,9 @@ class EvalResult:
     mean_r2: float
 
 
-def make_folds(piece_ids, k: int = 5, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle, then contiguous split; earlier folds absorb the
-    remainder so sizes differ by at most one."""
+def make_folds(piece_ids, k: int = 5, seed: int = 0) -> tuple[tuple[str, ...], ...]:
+    """The k folds of piece ids: seeded shuffle, then contiguous split;
+    earlier folds absorb the remainder so sizes differ by at most one."""
     ids = list(piece_ids)
     if k < 2:
         raise SettingError("k", f"must be at least 2 folds, got {k}")
@@ -71,8 +63,7 @@ def make_folds(piece_ids, k: int = 5, seed: int = 0) -> FoldPlan:
         raise ValueError(f"need at least {k} pieces for {k} folds, got {len(ids)}")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
-    folds = tuple(tuple(part) for part in np.array_split(np.array(order, dtype=object), k))
-    return FoldPlan(folds, seed)
+    return tuple(tuple(part) for part in np.array_split(np.array(order, dtype=object), k))
 
 
 def r2(predicted, actual) -> float:
@@ -220,7 +211,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     of several diverging models, the first in (experiment, fold) order is
     the one reported.
     """
-    plan = make_folds([p.id for p in corpus], k=k, seed=seed)
+    fold_ids = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
     folds: list[_FoldModel] = []
     seeds = []
@@ -231,7 +222,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
             names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
         else:
             names = resolve_feature_set(feature_set)
-        for fold_i, test_ids in enumerate(plan.folds):
+        for fold_i, test_ids in enumerate(fold_ids):
             test_set = set(test_ids)
             data = _StandardizedPieces([p for p in corpus if p.id not in test_set],
                                       names, target)

@@ -185,6 +185,8 @@ def select_features(table: MiTable, target: str, n: int) -> list[str]:
     earlier canonical name. The result is a prefix of the full ranking."""
     if target not in table.cols:
         raise ValueError(f"unknown target {target!r}; have {table.cols}")
+    if n < 1:
+        raise SettingError("fs_count", f"must select at least 1 feature, got {n}")
     if n > len(table.rows):
         raise ValueError(f"cannot select {n} of {len(table.rows)} features")
     col = table.values[:, table.cols.index(target)]

@@ -53,6 +53,8 @@ from scipy.special import expit as sigmoid
 from .errors import SettingError, TrainingDiverged
 
 HIDDEN = 5
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
 GATE_ORDER = ("input", "forget", "output", "candidate")
 
 _FILE_MAGIC = "tonaltension-model"
@@ -79,7 +81,6 @@ class DirectionParams:
 @dataclass
 class ModelParams:
     input_dim: int
-    hidden: int
     fwd: DirectionParams
     bwd: DirectionParams
     v: np.ndarray  # (2H,)
@@ -100,12 +101,12 @@ class ModelParams:
         return sum(t.size for _, t in self.tensors())
 
 
-def _shapes(input_dim: int, hidden: int) -> list[tuple[str, tuple[int, ...]]]:
-    per_dir = [("W", (4 * hidden, input_dim)), ("U", (4 * hidden, hidden)),
-               ("alpha", (4 * hidden,)), ("beta1", (4 * hidden,)),
-               ("beta2", (4 * hidden,)), ("bias", (4 * hidden,))]
+def _shapes(input_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    G = 4 * HIDDEN
+    per_dir = [("W", (G, input_dim)), ("U", (G, HIDDEN)), ("alpha", (G,)),
+               ("beta1", (G,)), ("beta2", (G,)), ("bias", (G,))]
     named = [(f"{d}.{n}", s) for d in ("fwd", "bwd") for n, s in per_dir]
-    named.append(("out.v", (2 * hidden,)))
+    named.append(("out.v", (2 * HIDDEN,)))
     named.append(("out.bias", (1,)))
     return named
 
@@ -115,16 +116,16 @@ _DIR_FIELDS = ("W", "U", "alpha", "beta1", "beta2", "bias")
 
 def _size(input_dim: int) -> int:
     """Entries of a model flattened at ``input_dim``."""
-    return sum(math.prod(shape) for _, shape in _shapes(input_dim, HIDDEN))
+    return sum(math.prod(shape) for _, shape in _shapes(input_dim))
 
 
-def _split(flat: np.ndarray, input_dim: int, hidden: int = HIDDEN) -> dict[str, np.ndarray]:
+def _split(flat: np.ndarray, input_dim: int) -> dict[str, np.ndarray]:
     """An (n, size) stack of models, each flattened at ``input_dim`` in
     canonical order, as {tensor name: (n,) + shape view}."""
     n = flat.shape[0]
     parts = {}
     pos = 0
-    for name, shape in _shapes(input_dim, hidden):
+    for name, shape in _shapes(input_dim):
         size = math.prod(shape)
         parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
         pos += size
@@ -133,44 +134,42 @@ def _split(flat: np.ndarray, input_dim: int, hidden: int = HIDDEN) -> dict[str, 
     return parts
 
 
-def unflatten(flat: np.ndarray, input_dim: int, hidden: int) -> ModelParams:
+def unflatten(flat: np.ndarray, input_dim: int) -> ModelParams:
     """Inverse of ModelParams.flatten (exact round trip)."""
     flat = np.asarray(flat, dtype=float).reshape(1, -1)
-    parts = {name: t[0].copy() for name, t in _split(flat, input_dim, hidden).items()}
+    parts = {name: t[0].copy() for name, t in _split(flat, input_dim).items()}
 
     def direction(prefix):
         return DirectionParams(*(parts[f"{prefix}.{n}"] for n in _DIR_FIELDS))
 
-    return ModelParams(input_dim, hidden,
-                       direction("fwd"), direction("bwd"),
+    return ModelParams(input_dim, direction("fwd"), direction("bwd"),
                        parts["out.v"], float(parts["out.bias"][0]))
 
 
-def init_model(input_dim: int, seed: int, hidden: int = HIDDEN) -> ModelParams:
+def init_model(input_dim: int, seed: int) -> ModelParams:
     """Glorot-uniform projections; alpha = 1, beta = 0.5, forget bias 1."""
     if input_dim < 0:
         raise ValueError(f"input_dim must be >= 0, got {input_dim}")
     rng = np.random.default_rng(seed)
 
     def direction() -> DirectionParams:
-        sw = np.sqrt(6.0 / (input_dim + hidden))
-        su = np.sqrt(6.0 / (hidden + hidden))
-        bias = np.zeros(4 * hidden)
-        bias[hidden:2 * hidden] = 1.0  # forget gate block
+        sw = np.sqrt(6.0 / (input_dim + HIDDEN))
+        su = np.sqrt(6.0 / (HIDDEN + HIDDEN))
+        bias = np.zeros(4 * HIDDEN)
+        bias[HIDDEN:2 * HIDDEN] = 1.0  # forget gate block
         return DirectionParams(
-            W=rng.uniform(-sw, sw, size=(4 * hidden, input_dim)),
-            U=rng.uniform(-su, su, size=(4 * hidden, hidden)),
-            alpha=np.ones(4 * hidden),
-            beta1=np.full(4 * hidden, 0.5),
-            beta2=np.full(4 * hidden, 0.5),
+            W=rng.uniform(-sw, sw, size=(4 * HIDDEN, input_dim)),
+            U=rng.uniform(-su, su, size=(4 * HIDDEN, HIDDEN)),
+            alpha=np.ones(4 * HIDDEN),
+            beta1=np.full(4 * HIDDEN, 0.5),
+            beta2=np.full(4 * HIDDEN, 0.5),
             bias=bias,
         )
 
     fwd = direction()
     bwd = direction()
-    sv = np.sqrt(6.0 / (2 * hidden + 1))
-    return ModelParams(input_dim, hidden, fwd, bwd,
-                       rng.uniform(-sv, sv, size=2 * hidden), 0.0)
+    sv = np.sqrt(6.0 / (2 * HIDDEN + 1))
+    return ModelParams(input_dim, fwd, bwd, rng.uniform(-sv, sv, size=2 * HIDDEN), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +429,11 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
     xs = _check_sequence(params, xs)
     dirs, v, _ = _unstack(params.flatten()[None], params.input_dim)
     cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2))
-    H = params.hidden
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
     # the backward scan, flipped into tau order, reaches ahead (0..radius)
-    J[:, radius::-1] += _band_sweep(dirs, cache, 0, v[0, :H], radius)
-    J[:, radius:] += _band_sweep(dirs, cache, 1, v[0, H:], radius)[::-1]
+    J[:, radius::-1] += _band_sweep(dirs, cache, 0, v[0, :HIDDEN], radius)
+    J[:, radius:] += _band_sweep(dirs, cache, 1, v[0, HIDDEN:], radius)[::-1]
     return J
 
 
@@ -500,8 +498,6 @@ def loss_and_gradient(params, batch) -> tuple:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
     epochs: int = 200
     gradient_clip_norm: float = 5.0
     seed: int = 0
@@ -518,8 +514,8 @@ class TrainConfig:
     def header_items(self) -> list[tuple[str, str]]:
         return [
             ("train.learning_rate", repr(self.learning_rate)),
-            ("train.rmsprop_decay", repr(self.rmsprop_decay)),
-            ("train.rmsprop_epsilon", repr(self.rmsprop_epsilon)),
+            ("train.rmsprop_decay", repr(RMSPROP_DECAY)),
+            ("train.rmsprop_epsilon", repr(RMSPROP_EPSILON)),
             ("train.epochs", str(self.epochs)),
             ("train.gradient_clip_norm", repr(self.gradient_clip_norm)),
             ("train.seed", str(self.seed)),
@@ -665,10 +661,10 @@ def train_many(datasets, cfg: TrainConfig,
                     norm = float(np.linalg.norm(grads[r, own[m]]))
                     if norm > cfg.gradient_clip_norm > 0:
                         grads[r] = grads[r] * (cfg.gradient_clip_norm / norm)
-                decay = cfg.rmsprop_decay
-                accum[rows] = decay * accum[rows] + (1.0 - decay) * grads * grads
+                accum[rows] = (RMSPROP_DECAY * accum[rows]
+                               + (1.0 - RMSPROP_DECAY) * grads * grads)
                 theta[rows] = theta[rows] - cfg.learning_rate * grads / (
-                    np.sqrt(accum[rows]) + cfg.rmsprop_epsilon)
+                    np.sqrt(accum[rows]) + RMSPROP_EPSILON)
                 active = [m for m in active if m < first_error]
 
             for m, (val_mse, culprit) in _validation(theta, width, runs, active).items():
@@ -689,7 +685,7 @@ def train_many(datasets, cfg: TrainConfig,
 
     if first_error < len(runs):
         raise runs[first_error].error
-    return [(unflatten(best[m, own[m]], run.input_dim, HIDDEN), run.log)
+    return [(unflatten(best[m, own[m]], run.input_dim), run.log)
             for m, run in enumerate(runs)]
 
 
@@ -722,7 +718,7 @@ def dumps_model(params: ModelParams, meta: dict[str, str] | None = None) -> str:
     """Versioned plain-text dump; floats use shortest round-trip repr."""
     lines = [f"{_FILE_MAGIC} v{_FILE_VERSION}",
              f"input_dim {params.input_dim}",
-             f"hidden {params.hidden}",
+             f"hidden {HIDDEN}",
              f"gate_order {','.join(GATE_ORDER)}"]
     for key, value in (meta or {}).items():
         if any(c in key for c in " \t\n") or "\n" in str(value):
@@ -771,11 +767,13 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
             raise ValueError(f"'{key}' header is not an integer: {header[key]!r}") from None
         if dims[key] < 0:
             raise ValueError(f"'{key}' header is negative: {dims[key]}")
-    input_dim, hidden = dims["input_dim"], dims["hidden"]
+    if dims["hidden"] != HIDDEN:
+        raise ValueError(f"'hidden' header is {dims['hidden']}, expected {HIDDEN}")
+    input_dim = dims["input_dim"]
     if header.get("gate_order") != ",".join(GATE_ORDER):
         raise ValueError(f"gate_order header is {header.get('gate_order')!r}, "
                          f"expected {','.join(GATE_ORDER)}")
-    expected = _shapes(input_dim, hidden)
+    expected = _shapes(input_dim)
     unknown = sorted(set(tensors) - {name for name, _ in expected})
     if unknown:
         raise ValueError(f"unknown tensor {unknown[0]}")
@@ -797,7 +795,7 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
         if not np.isfinite(values).all():
             raise ValueError(f"tensor {name} holds a non-finite parameter")
         flat.extend(values)
-    return unflatten(np.array(flat), input_dim, hidden), meta
+    return unflatten(np.array(flat), input_dim), meta
 
 
 def save_model(params: ModelParams, path, meta: dict[str, str] | None = None) -> None:

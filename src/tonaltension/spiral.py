@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 HALF_PI = math.pi / 2.0
 
 # Published spiral-array calibration. The key-weight triple from the
@@ -96,9 +94,6 @@ class SpiralPoint:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"non-finite spiral coordinates: {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)

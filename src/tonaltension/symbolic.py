@@ -302,10 +302,10 @@ def parse_performance(text: str, score: Score) -> Performance:
         onset = _parse_float(fields[1], "onset seconds", lineno)
         duration = _parse_float(fields[2], "duration seconds", lineno)
         velocity = _parse_int(fields[3], "velocity", lineno)
-        if onset < 0:
-            raise ValidationError(f"line {lineno}: negative onset {onset}")
-        if not duration > 0:
-            raise ValidationError(f"line {lineno}: duration must be > 0")
+        if not (math.isfinite(onset) and onset >= 0):
+            raise ValidationError(f"line {lineno}: onset must be finite and >= 0, got {onset}")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValidationError(f"line {lineno}: duration must be finite and > 0")
         if not 1 <= velocity <= 127:
             raise ValidationError(f"line {lineno}: velocity {velocity} outside 1..127")
         matched[sid] = PerformedNote(sid, onset, duration, velocity)

@@ -10,7 +10,8 @@ whose tempo curve optionally follows a tension-to-tempo rule:
 * ``none``: tempo is a smooth random walk unrelated to the features.
 
 Velocities follow a smooth random walk in both cases. Everything is
-driven by one seed.
+driven by one seed; the generator's other settings are the constants
+``TEMPO_GAIN``, ``NOISE``, ``RESPELL_PROB`` and ``BASE_BEAT_PERIOD``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .symbolic import (MeterEntry, Performance, PerformedNote, Score, ScoreNote,
 from .tension import WindowConfig, tension_track
 
 RULES = ("t_cd-slow", "none")
+TEMPO_GAIN = 0.8  # beat-period stretch per unit of cloud diameter
+NOISE = 0.05  # relative sd of the tempo noise
+RESPELL_PROB = 0.35  # chance that a note is respelled enharmonically
+BASE_BEAT_PERIOD = 0.5  # seconds per beat
 
 _METERS = (
     MeterEntry(0.0, 4.0, 4, "duple"),
@@ -41,10 +46,6 @@ class SynthConfig:
     frames: int
     seed: int
     rule: str = "t_cd-slow"
-    tempo_gain: float = 0.8  # beat-period stretch per unit of cloud diameter
-    noise: float = 0.05  # relative sd of the tempo noise
-    respell_prob: float = 0.35
-    base_beat_period: float = 0.5  # seconds per beat
 
     def __post_init__(self):
         if self.pieces <= 0:
@@ -55,16 +56,15 @@ class SynthConfig:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
 
 
-def _respell(tpc: int, rng: np.random.Generator, prob: float) -> int:
-    if rng.random() >= prob:
+def _respell(tpc: int, rng: np.random.Generator) -> int:
+    if rng.random() >= RESPELL_PROB:
         return tpc
     shifted = tpc + int(rng.choice((-12, 12)))
     # keep accidentals readable (|alter| <= 2)
     return shifted if abs((shifted + 1) // 7) <= 2 else tpc
 
 
-def generate_score(rng: np.random.Generator, frames: int,
-                   respell_prob: float = 0.35) -> Score:
+def generate_score(rng: np.random.Generator, frames: int) -> Score:
     """Random score with ``frames`` distinct onsets and a declared key."""
     meter = _METERS[rng.integers(len(_METERS))]
     key_tpc = int(rng.integers(-3, 4))
@@ -85,7 +85,7 @@ def generate_score(rng: np.random.Generator, frames: int,
         top = max(midis)
         for midi in sorted(midis):
             dur = step if rng.random() < 0.8 else 2.0 * step
-            tpc = _respell(derive_tpc(midi, key_tpc), rng, respell_prob)
+            tpc = _respell(derive_tpc(midi, key_tpc), rng)
             notes.append(ScoreNote(
                 id=f"n{len(notes)}", onset=beat, duration=dur, midi_pitch=midi,
                 spelled=spelled_from_tpc(tpc, midi), is_melody=midi == top))
@@ -103,13 +103,13 @@ def generate_performance(rng: np.random.Generator, score: Score,
     beats = np.array([f.beat for f in frames])
     if cfg.rule == "t_cd-slow":
         t_cd = np.array([t.t_cd for t in tension_track(score, window, spiral, frames)])
-        shape = 1.0 + cfg.tempo_gain * (t_cd - t_cd.mean())
+        shape = 1.0 + TEMPO_GAIN * (t_cd - t_cd.mean())
     else:
         walk = np.cumsum(rng.normal(0.0, 0.02, size=len(frames)))
         shape = 1.0 + (walk - walk.mean())
-    bp = cfg.base_beat_period * shape
-    bp += rng.normal(0.0, cfg.noise * cfg.base_beat_period, size=len(frames))
-    bp = np.maximum(bp, 0.1 * cfg.base_beat_period)
+    bp = BASE_BEAT_PERIOD * shape
+    bp += rng.normal(0.0, NOISE * BASE_BEAT_PERIOD, size=len(frames))
+    bp = np.maximum(bp, 0.1 * BASE_BEAT_PERIOD)
 
     onset_sec = np.zeros(len(frames))
     for i in range(1, len(frames)):
@@ -139,7 +139,7 @@ def generate_corpus(cfg: SynthConfig, spiral: SpiralParams | None = None,
     rng = np.random.default_rng(cfg.seed)
     out = []
     for i in range(cfg.pieces):
-        score = generate_score(rng, cfg.frames, cfg.respell_prob)
+        score = generate_score(rng, cfg.frames)
         perf = generate_performance(rng, score, cfg, spiral, window)
         out.append((f"piece{i:03d}", score, perf))
     return out

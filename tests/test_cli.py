@@ -366,6 +366,28 @@ class TestBadInputs:
         line = single_error_line(capsys)
         assert str(path) in line and f"meta {key}" in line
 
+    def test_other_hidden_size_fails_at_load(self, tmp_path, capsys):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        # a self-consistent model file, every tensor shaped for 3 hidden units
+        H, D = 3, 13
+        lines = canonical_model(tmp_path / "m.txt").read_text().splitlines()
+        lines = [ln for ln in lines if not ln.startswith(("hidden ", "tensor "))]
+        shapes = [(f"{d}.{n}", shape) for d in ("fwd", "bwd")
+                  for n, shape in (("W", (4 * H, D)), ("U", (4 * H, H)), ("alpha", (4 * H,)),
+                                   ("beta1", (4 * H,)), ("beta2", (4 * H,)),
+                                   ("bias", (4 * H,)))]
+        shapes += [("out.v", (2 * H,)), ("out.bias", (1,))]
+        lines.insert(2, f"hidden {H}")
+        lines += [f"tensor {name} {'x'.join(map(str, shape))} "
+                  + " ".join(["0.1"] * int(np.prod(shape))) for name, shape in shapes]
+        path = tmp_path / "hidden3.txt"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("sensitivity", "--model", path, "--corpus", feats,
+                       "--out-dir", tmp_path / "s") == 1
+        line = single_error_line(capsys)
+        assert str(path) in line and "'hidden'" in line
+
     def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
         feats = tmp_path / "p_only"
@@ -409,6 +431,10 @@ class TestBadInputs:
       "--fs-k", "-1"], "--fs-k"),
     (["eval", "--targets", ",", "--seed", "1", "--epochs", "1"], "--targets"),
     (["eval", "--targets", "", "--seed", "1", "--epochs", "1"], "--targets"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
+      "--fs-count", "-2"], "--fs-count"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
+      "--fs-count", "0"], "--fs-count"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)

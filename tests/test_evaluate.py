@@ -12,18 +12,17 @@ from tonaltension.model import TrainConfig, init_model, train
 
 class TestMakeFolds:
     def test_ten_pieces_five_even_folds(self):
-        plan = make_folds([f"p{i}" for i in range(10)], k=5, seed=0)
-        assert [len(f) for f in plan.folds] == [2, 2, 2, 2, 2]
+        folds = make_folds([f"p{i}" for i in range(10)], k=5, seed=0)
+        assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
 
     def test_remainder_spread_one_each(self):
-        plan = make_folds([f"p{i}" for i in range(11)], k=5, seed=0)
-        assert sorted(len(f) for f in plan.folds) == [2, 2, 2, 2, 3]
+        folds = make_folds([f"p{i}" for i in range(11)], k=5, seed=0)
+        assert sorted(len(f) for f in folds) == [2, 2, 2, 2, 3]
 
     @given(st.integers(min_value=5, max_value=40), st.integers(min_value=0, max_value=99))
     def test_folds_partition_the_corpus(self, n, seed):
         ids = [f"p{i}" for i in range(n)]
-        plan = make_folds(ids, k=5, seed=seed)
-        seen = [pid for fold in plan.folds for pid in fold]
+        seen = [pid for fold in make_folds(ids, k=5, seed=seed) for pid in fold]
         assert sorted(seen) == sorted(ids)
 
     def test_too_few_pieces_rejected(self):
@@ -210,8 +209,8 @@ class TestRunCv:
         # at the end of epoch 0; the folds that train on it diverge earlier
         # in that epoch, but training fold by fold would report fold 0
         corpus = toy_corpus(n_pieces=5, frames=8)
-        plan = make_folds([p.id for p in corpus], k=5, seed=5)
-        fold0 = [p for p in corpus if p.id not in plan.folds[0]]
+        test_ids = make_folds([p.id for p in corpus], k=5, seed=5)[0]
+        fold0 = [p for p in corpus if p.id not in test_ids]
         held_out = fold0[int(np.random.default_rng(FAST.seed).permutation(len(fold0))[0])]
         held_out.targets[2, 3] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite validation loss at epoch 0, "
@@ -256,8 +255,8 @@ class TestSensitivity:
         rng = np.random.default_rng(7)
         params = init_model(2, seed=3)
         flat = params.flatten() + rng.normal(scale=0.3, size=params.size)
-        from tonaltension.model import HIDDEN, forward, unflatten
-        params = unflatten(flat, 2, HIDDEN)
+        from tonaltension.model import forward, unflatten
+        params = unflatten(flat, 2)
         xs = rng.normal(size=(9, 2))
         res = sensitivity(params, [xs], radius=1)
         # independent oracle: perturb one input cell by hand

@@ -1,7 +1,7 @@
 """Mutated input files either load or fail with one clean error.
 
-Hypothesis edits the text of a model file and of a features or targets
-CSV: characters replaced, deleted or inserted (digits, signs, separators,
+Hypothesis edits the text of a model file, of a features or targets CSV,
+and of a score or match file: characters replaced, deleted or inserted (digits, signs, separators,
 letters of nan/inf, newlines), lines deleted or duplicated. Loading the
 result must succeed or raise ValueError (ValidationError is one); a
 command on it must exit 0, or exit 1 printing exactly one ``error:``
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tonaltension import cli
 from tonaltension.features import CANONICAL_ORDER
 from tonaltension.model import init_model, loads_model, save_model
+from tonaltension.symbolic import parse_performance, parse_score
 
 ALPHABET = "0123456789.-+eE, naif#x\n"
 
@@ -114,3 +115,24 @@ def test_mutated_corpus_csv(corpus, kind, data):
     rc, err = run_main(["train", "--corpus", feats, "--target", "bpr", "--seed", 1,
                         "--epochs", 1, "--out-dir", corpus / "trained"])
     assert_clean_exit(rc, err, must_fail=not loaded, path=target)
+
+
+@MUTATION_SETTINGS
+@given(kind=st.sampled_from(["score", "match"]), data=st.data())
+def test_mutated_score_or_match(corpus, kind, data):
+    paths = {k: corpus / "corpus" / f"piece000.{k}.tsv" for k in ("score", "match")}
+    target = corpus / f"mutated.{kind}.tsv"
+    target.write_text(data.draw(mutated(paths[kind].read_text())))
+    paths[kind] = target
+    # the file that fails to load: the score, or the match file read against it
+    try:
+        failed = paths["score"]
+        score = parse_score(failed.read_text())
+        failed = paths["match"]
+        parse_performance(failed.read_text(), score)
+        failed = None
+    except ValueError:
+        pass
+    rc, err = run_main(["extract", paths["score"], "--match", paths["match"],
+                        "--out-dir", corpus / "extracted"])
+    assert_clean_exit(rc, err, must_fail=failed is not None, path=failed)

@@ -20,9 +20,9 @@ from tonaltension.errors import TrainingDiverged
 from tonaltension.evaluate import (Piece, columns, make_folds, r2, resolve_feature_set,
                                    run_cv, standardize_stats)
 from tonaltension.features import CANONICAL_ORDER
-from tonaltension.model import (HIDDEN, TrainConfig, TrainLogEntry, forward, init_model,
-                                input_jacobian_band, loss_and_gradient, train_many,
-                                unflatten)
+from tonaltension.model import (HIDDEN, RMSPROP_DECAY, RMSPROP_EPSILON, TrainConfig,
+                                TrainLogEntry, forward, init_model, input_jacobian_band,
+                                loss_and_gradient, train_many, unflatten)
 from tonaltension.targets import TARGET_NAMES
 
 # ---------------------------------------------------------------------------
@@ -89,14 +89,14 @@ def o_scan_grad(d, cache, dH_out, H):
 
 
 def o_forward(params, xs):
-    H = params.hidden
+    H = HIDDEN
     hf = o_scan(params.fwd, xs, H)["H"]
     hb = o_scan(params.bwd, xs[::-1], H)["H"][::-1]
     return hf @ params.v[:H] + hb @ params.v[H:] + params.out_bias
 
 
 def o_loss_and_gradient(params, xs, ys):
-    H = params.hidden
+    H = HIDDEN
     T = xs.shape[0]
     cf = o_scan(params.fwd, xs, H)
     cb = o_scan(params.bwd, xs[::-1], H)
@@ -139,16 +139,16 @@ def o_train(dataset, cfg):
             piece_losses = []
             for j in order:
                 xs, ys = dataset[train_idx[j]]
-                loss, grad = o_loss_and_gradient(unflatten(theta, input_dim, HIDDEN), xs, ys)
+                loss, grad = o_loss_and_gradient(unflatten(theta, input_dim), xs, ys)
                 if not np.isfinite(loss):
                     raise TrainingDiverged("loss", epoch, int(train_idx[j]))
                 piece_losses.append(loss)
                 norm = float(np.linalg.norm(grad))
                 if norm > cfg.gradient_clip_norm > 0:
                     grad = grad * (cfg.gradient_clip_norm / norm)
-                accum = cfg.rmsprop_decay * accum + (1.0 - cfg.rmsprop_decay) * grad * grad
-                theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + cfg.rmsprop_epsilon)
-            params = unflatten(theta, input_dim, HIDDEN)
+                accum = RMSPROP_DECAY * accum + (1.0 - RMSPROP_DECAY) * grad * grad
+                theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + RMSPROP_EPSILON)
+            params = unflatten(theta, input_dim)
             sse, steps = 0.0, 0
             for i in val_idx:
                 xs, ys = dataset[i]
@@ -168,18 +168,18 @@ def o_train(dataset, cfg):
                 bad_epochs += 1
                 if bad_epochs >= cfg.early_stop_patience:
                     break
-    return unflatten(best_theta, input_dim, HIDDEN), log
+    return unflatten(best_theta, input_dim), log
 
 
 def o_run_cv(corpus, experiments, cfg, seed, k):
-    plan = make_folds([p.id for p in corpus], k=k, seed=seed)
+    fold_ids = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
     results = []
     for target, feature_set in experiments:
         names = resolve_feature_set(feature_set)
         t_idx = TARGET_NAMES.index(target)
         per_piece = {}
-        for fold_i, test_ids in enumerate(plan.folds):
+        for fold_i, test_ids in enumerate(fold_ids):
             pieces = [p for p in corpus if p.id not in set(test_ids)]
             X = [columns(p, names) for p in pieces]
             mean, std = standardize_stats(np.vstack(X))
@@ -321,8 +321,7 @@ def test_run_cv_matches_fold_by_fold(case):
 def test_one_model_paths_match(width, lengths, radius, seed):
     rng = np.random.default_rng(seed)
     params = init_model(width, seed=seed % 100)
-    params = unflatten(params.flatten() + rng.normal(scale=0.3, size=params.size),
-                       width, HIDDEN)
+    params = unflatten(params.flatten() + rng.normal(scale=0.3, size=params.size), width)
     batch = [(rng.normal(size=(n, width)), rng.normal(size=n)) for n in lengths]
     for xs, ys in batch:
         assert np.array_equal(forward(params, xs), o_forward(params, xs))

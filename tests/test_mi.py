@@ -153,6 +153,11 @@ class TestSelectFeatures:
         with pytest.raises(ValueError):
             select_features(self.table([0.1]), "z", 1)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_rejected(self, n):
+        with pytest.raises(SettingError, match="fs_count"):
+            select_features(self.table([0.1, 0.2, 0.3]), "y", n)
+
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             select_features(self.table([0.1]), "y", 2)

@@ -15,7 +15,7 @@ def randomized(input_dim, seed, scale=0.3):
     rng = np.random.default_rng(seed)
     params = init_model(input_dim, seed=seed)
     flat = params.flatten() + rng.normal(scale=scale, size=params.size)
-    return unflatten(flat, input_dim, HIDDEN)
+    return unflatten(flat, input_dim)
 
 
 class TestInit:
@@ -41,7 +41,7 @@ class TestInit:
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=50))
     def test_flatten_unflatten_round_trip(self, dim, seed):
         params = init_model(dim, seed=seed)
-        again = unflatten(params.flatten(), dim, HIDDEN)
+        again = unflatten(params.flatten(), dim)
         assert np.array_equal(params.flatten(), again.flatten())
         for (na, ta), (nb, tb) in zip(params.tensors(), again.tensors()):
             assert na == nb and np.array_equal(ta, tb)
@@ -49,7 +49,7 @@ class TestInit:
 
 class TestForward:
     def test_all_zero_parameters_predict_zero(self):
-        params = unflatten(np.zeros(init_model(3, 0).size), 3, HIDDEN)
+        params = unflatten(np.zeros(init_model(3, 0).size), 3)
         out = forward(params, np.ones((5, 3)))
         assert np.all(out == 0.0)
 
@@ -63,7 +63,7 @@ class TestForward:
     def test_reversal_with_swapped_directions(self):
         params = randomized(4, seed=3)
         swapped = ModelParams(
-            params.input_dim, params.hidden, params.bwd, params.fwd,
+            params.input_dim, params.bwd, params.fwd,
             np.concatenate([params.v[HIDDEN:], params.v[:HIDDEN]]), params.out_bias)
         xs = np.random.default_rng(1).normal(size=(7, 4))
         assert forward(swapped, xs[::-1]) == pytest.approx(forward(params, xs)[::-1])
@@ -106,8 +106,8 @@ class TestGradient:
             up, down = theta.copy(), theta.copy()
             up[i] += eps
             down[i] -= eps
-            lu, _ = loss_and_gradient(unflatten(up, input_dim, HIDDEN), batch)
-            ld, _ = loss_and_gradient(unflatten(down, input_dim, HIDDEN), batch)
+            lu, _ = loss_and_gradient(unflatten(up, input_dim), batch)
+            ld, _ = loss_and_gradient(unflatten(down, input_dim), batch)
             fd[i] = (lu - ld) / (2 * eps)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
         return np.abs(grad - fd) / denom

@@ -25,7 +25,7 @@ from tonaltension.model import (HIDDEN, forward, init_model, input_jacobian_band
 
 def oracle_forward_batch(params, xs):
     B, T, _ = xs.shape
-    H = params.hidden
+    H = HIDDEN
     out = np.full((B, T), params.out_bias)
     for d, sl, flip in ((params.fwd, slice(0, H), False),
                         (params.bwd, slice(H, 2 * H), True)):
@@ -82,7 +82,7 @@ def perturbed(input_dim, seed):
     rng = np.random.default_rng(seed)
     params = init_model(input_dim, seed=seed)
     flat = params.flatten() + rng.normal(scale=0.3, size=params.size)
-    return unflatten(flat, input_dim, HIDDEN)
+    return unflatten(flat, input_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,13 @@ class TestParsePerformance:
         with pytest.raises(ValidationError, match="velocity"):
             parse_performance("n1\t0\t0.5\t128\n", score)
 
+    @pytest.mark.parametrize("onset,duration", [
+        ("nan", "0.5"), ("inf", "0.5"), ("-0.1", "0.5"), ("0", "nan"), ("0", "inf"), ("0", "0")])
+    def test_non_finite_or_negative_times_rejected(self, onset, duration):
+        score = parse_score(TRIAD)
+        with pytest.raises(ValidationError, match="line 1"):
+            parse_performance(f"n1\t{onset}\t{duration}\t64\n", score)
+
     def test_double_match_rejected(self):
         score = parse_score(TRIAD)
         with pytest.raises(ValidationError, match="twice"):
