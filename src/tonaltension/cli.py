@@ -87,7 +87,6 @@ class Manifest:
     seeds: dict
     inputs: dict = field(default_factory=dict)
     input_paths: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
 
     def add_input(self, path: str) -> None:
         self.inputs[os.path.basename(path)] = _sha256_file(path)
@@ -602,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 # the flag behind each library setting that a SettingError can name
 _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
-          "targets": "--targets"}
+          "targets": "--targets", "early_stop_patience": "--patience"}
 
 
 def main(argv=None) -> int:

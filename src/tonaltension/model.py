@@ -28,18 +28,17 @@ directions of every model. Per-step arrays are stacks of (1, .) row
 vectors; each row's recurrent matrix-vector product is its own gemv
 inside one stacked matmul and everything else is elementwise, so a row's
 numbers do not depend on the other rows, and training M models together
-(``train_many``) is bit-identical to training each alone. One model
-(``forward``, ``loss_and_gradient``, ``train``) is the n = 1 case of the
-same code. Each row's input projection X W^T is a GEMM of its own
+(``train_many``) is bit-identical to training each alone. ``forward``,
+``input_jacobian_band`` and ``train`` run one model, as the n = 1 case
+of the same code. Each row's input projection X W^T is a GEMM of its own
 unpadded inputs, so models of different input widths share the axis:
-every in-flight parameter stack (the scan's, and ``train_many``'s
-parameters, RMSProp state and best parameters) holds each model
-flattened at the common input width, with zero W columns past its own
-input_dim; ``ModelParams`` and model files keep a model at its own
-width. Rows are
-ordered longest sequence first (a model's two rows have one length), so
-a step only advances the leading rows still inside their sequence and
-every sum over time covers a row's own steps.
+every parameter stack (``loss_and_gradient``'s input and gradient, and
+``train_many``'s parameters, RMSProp state and best parameters) holds
+each model flattened at the common input width, with zero W columns
+past its own input_dim; ``ModelParams`` and model files keep a model at
+its own width. Rows are ordered longest sequence first (a model's two
+rows have one length), so a step only advances the leading rows still
+inside their sequence and every sum over time covers a row's own steps.
 """
 
 from __future__ import annotations
@@ -200,15 +199,6 @@ def _unstack(flat: np.ndarray, input_dim: int):
     return DirectionParams(*map(both, _DIR_FIELDS)), parts["out.v"], parts["out.bias"][:, 0]
 
 
-@dataclass
-class ModelRows:
-    """n models stacked one per row of ``flat``, each flattened at the
-    common ``input_dim`` (a narrower model's extra W columns are zero)."""
-
-    flat: np.ndarray  # (n, size at input_dim)
-    input_dim: int
-
-
 def _spans(lengths) -> list[tuple[int, int, int]]:
     """For rows ordered longest sequence first: the (start, stop, m) spans
     of steps, in time order, over which the first m rows are inside their
@@ -351,25 +341,30 @@ def _predict_rows(flat: np.ndarray, input_dim: int, seqs) -> list[np.ndarray]:
     return [_prediction(Hs, v, out_bias, r, len(xs))[2] for r, xs in enumerate(seqs)]
 
 
-def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
-    """Squared error of each stacked model on its own sequence (rows as in
-    _predict_rows), and per row the exact gradient of sse / steps[r],
-    flattened in canonical order at ``input_dim``; a narrower row's W
-    gradient fills only its own columns."""
+def loss_and_gradient(flat: np.ndarray, input_dim: int,
+                      batch) -> tuple[np.ndarray, np.ndarray]:
+    """Each stacked model's MSE on its own batch item, and its exact gradient.
+
+    Row r of ``flat`` (n, size) is model r flattened at ``input_dim``,
+    trained on batch[r] = (xs, ys); items are ordered longest first, as
+    rows are in _predict_rows. Returns the (n,) MSEs and the (n, size)
+    gradients in canonical order; a narrower row's W gradient fills only
+    its own columns. ``train_many`` takes every update step this way.
+    """
     dirs, v, out_bias = _unstack(flat, input_dim)
-    rows = [row for xs in seqs for row in (xs, xs[::-1])]
+    rows = [row for xs, _ in batch for row in (xs, xs[::-1])]
     spans = _spans([len(xs) for xs in rows])
     cache = _scan(dirs, rows, spans)
-    T, n, H = cache["H"].shape[0] - 1, len(seqs), v.shape[1] // 2
+    T, n, H = cache["H"].shape[0] - 1, len(batch), v.shape[1] // 2
     dH = np.zeros((T, 2 * n, 1, H))
-    sse = np.zeros(n)
+    mse = np.zeros(n)
     g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
-    for r, (xs, ys) in enumerate(zip(seqs, targets)):
+    for r, (xs, ys) in enumerate(batch):
         L = len(xs)
         hf, hb, pred = _prediction(cache["H"], v, out_bias, r, L)
         err = pred - ys
-        sse[r] += err @ err
-        dy = 2.0 * err / steps[r]
+        mse[r] = err @ err / L
+        dy = 2.0 * err / L
         g_out[r, :H] += hf.T @ dy
         g_out[r, H:2 * H] += hb.T @ dy
         g_out[r, 2 * H] += dy.sum()
@@ -378,7 +373,7 @@ def _row_gradients(flat: np.ndarray, input_dim: int, seqs, targets, steps):
     grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim).tensors()
     # rows 2r and 2r + 1 are model r's fwd and bwd tensors
     flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for _, t in grads]
-    return sse, np.concatenate(flat_grads + [g_out], axis=1)
+    return mse, np.concatenate(flat_grads + [g_out], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,45 +447,6 @@ def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     return np.array([forward(params, x) for x in xs]).reshape(xs.shape[:2])
 
 
-def loss_and_gradient(params, batch) -> tuple:
-    """Mean squared error pooled over every time step in the batch, and
-    its exact gradient, flattened in canonical parameter order.
-
-    ``params`` may instead be a ``ModelRows`` stack of n models, one per
-    batch item, rows ordered longest item first: then each row's MSE on
-    its own item and the exact gradient of it come back as (n,) and
-    (n, size) arrays. ``train_many`` takes its update steps this way.
-    """
-    if isinstance(params, ModelRows):
-        steps = np.array([len(xs) for xs, _ in batch])
-        sse, grads = _row_gradients(params.flat, params.input_dim,
-                                    [xs for xs, _ in batch], [ys for _, ys in batch], steps)
-        return sse / steps, grads
-    if not batch:
-        raise ValueError("empty batch")
-    sequences = []
-    total_steps = 0
-    for xs, ys in batch:
-        xs = _check_sequence(params, xs)
-        ys = np.asarray(ys, dtype=float).ravel()
-        if xs.shape[0] != ys.shape[0]:
-            raise ValueError(
-                f"sequence length {xs.shape[0]} != target length {ys.shape[0]}")
-        sequences.append((xs, ys))
-        total_steps += xs.shape[0]
-    if total_steps == 0:
-        raise ValueError("batch contains no time steps")
-
-    flat = params.flatten()[None]
-    total = 0.0
-    grad = np.zeros(params.size)
-    for xs, ys in sequences:
-        sse, grads = _row_gradients(flat, params.input_dim, [xs], [ys], [total_steps])
-        total += float(sse[0])
-        grad += grads[0]
-    return total / total_steps, grad
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -510,6 +466,9 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise SettingError("learning_rate",
                                f"must be a finite number >= 0, got {self.learning_rate!r}")
+        if self.early_stop_patience < 1:
+            raise SettingError("early_stop_patience",
+                               f"must be >= 1, got {self.early_stop_patience}")
 
     def header_items(self) -> list[tuple[str, str]]:
         return [
@@ -650,7 +609,7 @@ def train_many(datasets, cfg: TrainConfig,
                 pieces = {m: runs[m].piece(items[m]) for m in slot}
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
-                slot_losses, grads = loss_and_gradient(ModelRows(theta[rows], width),
+                slot_losses, grads = loss_and_gradient(theta[rows], width,
                                                        [pieces[m] for m in slot])
                 for r, m in enumerate(slot):
                     loss = float(slot_losses[r])

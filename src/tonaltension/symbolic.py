@@ -233,6 +233,8 @@ def parse_score(text: str) -> Score:
 
     if not meter_map:
         raise ValidationError("score file has no #meter line")
+    if not raw_notes:
+        raise ValidationError("score file has no notes")
 
     key_tpc = key[0] if key else 0
     notes = []

@@ -16,7 +16,7 @@ from tonaltension.evaluate import (Piece, cohens_d, paired_t_test, r2, run_cv,
 from tonaltension.features import (CANONICAL_ORDER, assemble_features,
                                    vertical_intervals, pitch_features)
 from tonaltension.mi import estimate_mi, mi_table, select_features
-from tonaltension.model import TrainConfig, init_model, loss_and_gradient, train, unflatten
+from tonaltension.model import TrainConfig, init_model, loss_and_gradient, train
 from tonaltension.spiral import SpiralParams, enharmonic_unit, make_cloud
 from tonaltension.symbolic import group_onsets
 from tonaltension.synth import SynthConfig, generate_corpus
@@ -138,16 +138,15 @@ def test_criterion_4_gradient_check():
             rng = np.random.default_rng(seed)
             params = init_model(input_dim, seed=seed)
             theta = params.flatten() + rng.normal(scale=0.3, size=params.size)
-            params = unflatten(theta, input_dim)
             batch = [(rng.normal(size=(3, input_dim)), rng.normal(size=3))]
-            _, grad = loss_and_gradient(params, batch)
+            _, (grad,) = loss_and_gradient(theta[None], input_dim, batch)
             fd = np.zeros_like(grad)
             for i in range(theta.size):
                 up, down = theta.copy(), theta.copy()
                 up[i] += eps
                 down[i] -= eps
-                lu, _ = loss_and_gradient(unflatten(up, input_dim), batch)
-                ld, _ = loss_and_gradient(unflatten(down, input_dim), batch)
+                (lu,), _ = loss_and_gradient(up[None], input_dim, batch)
+                (ld,), _ = loss_and_gradient(down[None], input_dim, batch)
                 fd[i] = (lu - ld) / (2 * eps)
             denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
             worst = max(worst, float((np.abs(grad - fd) / denom).max()))

@@ -388,6 +388,15 @@ class TestBadInputs:
         line = single_error_line(capsys)
         assert str(path) in line and "'hidden'" in line
 
+    @pytest.mark.parametrize("key", ["", "#key 0 major\n"], ids=["meter", "meter-key"])
+    def test_score_without_notes_fails_at_load(self, tmp_path, capsys, key):
+        score = tmp_path / "empty.score.tsv"
+        score.write_text("#meter 0 4 4 duple\n" + key)
+        assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert str(score) in line and "no notes" in line
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
         feats = tmp_path / "p_only"
@@ -435,6 +444,9 @@ class TestBadInputs:
       "--fs-count", "-2"], "--fs-count"),
     (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
       "--fs-count", "0"], "--fs-count"),
+    (["train", "--target", "bpr", "--seed", "1", "--patience", "0"], "--patience"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--patience", "-3"],
+     "--patience"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)

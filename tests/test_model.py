@@ -94,52 +94,59 @@ class TestForward:
 
 
 class TestGradient:
-    def relative_errors(self, seed, input_dim=4, steps=3):
+    def relative_errors(self, seed, widths=(4,), lengths=(3,)):
+        """Relative error of each stacked model's gradient (models flattened
+        at the widest of ``widths``, model r of own width widths[r] on a
+        sequence of lengths[r]) against central differences of its own MSE;
+        the gradients in a narrower model's padded W columns must be 0."""
         rng = np.random.default_rng(seed)
-        params = randomized(input_dim, seed)
-        theta = params.flatten()
-        batch = [(rng.normal(size=(steps, input_dim)), rng.normal(size=steps))]
-        _, grad = loss_and_gradient(params, batch)
+        width = max(widths)
+        own = [model_mod._own_entries(dim, width) for dim in widths]
+        flat = np.zeros((len(widths), model_mod._size(width)))
+        for r, dim in enumerate(widths):
+            flat[r, own[r]] = randomized(dim, seed + r).flatten()
+        batch = [(rng.normal(size=(steps, dim)), rng.normal(size=steps))
+                 for dim, steps in zip(widths, lengths)]
+        _, grad = loss_and_gradient(flat, width, batch)
         eps = 1e-5
-        fd = np.zeros_like(grad)
-        for i in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[i] += eps
-            down[i] -= eps
-            lu, _ = loss_and_gradient(unflatten(up, input_dim), batch)
-            ld, _ = loss_and_gradient(unflatten(down, input_dim), batch)
-            fd[i] = (lu - ld) / (2 * eps)
-        denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
-        return np.abs(grad - fd) / denom
+        errors = []
+        for r in range(len(widths)):
+            padded = np.ones(flat.shape[1], dtype=bool)
+            padded[own[r]] = False
+            assert np.all(grad[r, padded] == 0.0)
+            fd = np.zeros(len(own[r]))
+            for k, i in enumerate(own[r]):
+                up, down = flat.copy(), flat.copy()
+                up[r, i] += eps
+                down[r, i] -= eps
+                lu, _ = loss_and_gradient(up, width, batch)
+                ld, _ = loss_and_gradient(down, width, batch)
+                fd[k] = (lu[r] - ld[r]) / (2 * eps)
+            g = grad[r, own[r]]
+            denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-6)
+            errors.append(np.abs(g - fd) / denom)
+        return np.concatenate(errors)
 
     def test_bptt_matches_finite_differences(self):
         assert self.relative_errors(seed=0).max() < 1e-4
+
+    def test_stack_matches_finite_differences(self):
+        errors = self.relative_errors(seed=0, widths=(5, 3, 0), lengths=(6, 4, 2))
+        assert errors.max() < 1e-4
 
     def test_gradient_zero_at_perfect_fit(self):
         params = init_model(2, seed=0)
         params.v[:] = 0.0
         params.out_bias = 0.25
         xs = np.random.default_rng(0).normal(size=(5, 2))
-        mse, grad = loss_and_gradient(params, [(xs, np.full(5, 0.25))])
-        assert mse == 0.0
+        mse, grad = loss_and_gradient(params.flatten()[None], 2, [(xs, np.full(5, 0.25))])
+        assert mse[0] == 0.0
         bias_index = params.size - 1
-        assert grad[bias_index] == 0.0
-
-    def test_duplicating_sequence_keeps_mse(self):
-        params = randomized(3, seed=2)
-        rng = np.random.default_rng(3)
-        piece = (rng.normal(size=(6, 3)), rng.normal(size=6))
-        m1, _ = loss_and_gradient(params, [piece])
-        m2, _ = loss_and_gradient(params, [piece, piece])
-        assert m2 == pytest.approx(m1, abs=1e-15)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            loss_and_gradient(init_model(2, 0), [])
+        assert grad[0, bias_index] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss_and_gradient(init_model(2, 0), [(np.zeros((3, 2)), np.zeros(4))])
+            train([(np.zeros((3, 2)), np.zeros(4))], TrainConfig())
 
 
 class TestFusedDirections:
@@ -164,7 +171,8 @@ class TestFusedDirections:
     def test_gradient_runs_one_scan_and_one_reverse(self, monkeypatch):
         scans = self.rows_per_call(monkeypatch, "_scan")
         reverses = self.rows_per_call(monkeypatch, "_scan_grad")
-        loss_and_gradient(randomized(3, seed=1), [(np.ones((6, 3)), np.zeros(6))])
+        loss_and_gradient(randomized(3, seed=1).flatten()[None], 3,
+                          [(np.ones((6, 3)), np.zeros(6))])
         assert scans == [2] and reverses == [2]
 
     def test_jacobian_band_runs_one_scan(self, monkeypatch):
@@ -220,9 +228,9 @@ class TestTrain:
         calls = []
         inner = model_mod.loss_and_gradient
 
-        def counted(params, batch):
+        def counted(flat, input_dim, batch):
             calls.append(sum(len(xs) for xs, _ in batch))
-            return inner(params, batch)
+            return inner(flat, input_dim, batch)
 
         monkeypatch.setattr(model_mod, "loss_and_gradient", counted)
         cfg = TrainConfig(epochs=2, early_stop_patience=100)
