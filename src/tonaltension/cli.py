@@ -513,6 +513,11 @@ def cmd_sensitivity(args) -> int:
     pieces = load_corpus(args.corpus)
     sequences = [(evaluate.columns(p, names) - mean) / std for p in pieces]
     result = evaluate.sensitivity(params, sequences, radius=args.radius)
+    if not result.used_positions:
+        # the matrix is a mean over no positions: undefined, not zero
+        longest = max(len(xs) for xs in sequences)
+        raise SettingError("radius", f"must be below half the longest piece's {longest} "
+                                     f"frames to leave an interior frame, got {args.radius}")
 
     manifest = Manifest("sensitivity", {
         "radius": args.radius, "target": meta.get("target", ""),
@@ -601,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
 # the flag behind each library setting that a SettingError can name
 _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
-          "targets": "--targets", "early_stop_patience": "--patience"}
+          "targets": "--targets", "early_stop_patience": "--patience",
+          "radius": "--radius", "width_beats": "--window", "pieces": "--pieces",
+          "frames": "--length"}
 
 
 def main(argv=None) -> int:

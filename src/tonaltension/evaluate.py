@@ -20,7 +20,7 @@ from scipy.special import betainc
 from . import mi as mi_mod
 from .errors import SettingError, TrainingDiverged, ValidationError
 from .features import feature_names as group_feature_names
-from .model import (ModelParams, TrainConfig, forward, input_jacobian_band, train,
+from .model import (ModelParams, TrainConfig, forward_many, input_jacobian_band, train,
                     train_many)
 from .targets import TARGET_NAMES
 
@@ -209,7 +209,8 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     ``cfg.seed + i``. Every (experiment, fold) model trains in one
     ``train_many`` call, so each is bit-identical to training it alone;
     of several diverging models, the first in (experiment, fold) order is
-    the one reported.
+    the one reported. Each experiment's test pieces are predicted by
+    their fold models in one ``forward_many`` call.
     """
     fold_ids = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
@@ -236,18 +237,18 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     results = []
     for e, (target, feature_set) in enumerate(experiments):
         t_idx = corpus[0].target_names.index(target)
+        tests = [(params, fold.data, by_id[pid])
+                 for fold, (params, _) in zip(folds, fitted) if fold.experiment == e
+                 for pid in fold.test_ids]
+        preds = forward_many([params for params, _, _ in tests],
+                             [(columns(piece, data.names) - data.mean) / data.std
+                              for _, data, piece in tests])
         per_piece: dict[str, float] = {}
-        for fold, (params, _) in zip(folds, fitted):
-            if fold.experiment != e:
-                continue
-            data = fold.data
-            for pid in fold.test_ids:
-                piece = by_id[pid]
-                pred = forward(params, (columns(piece, data.names) - data.mean) / data.std)
-                try:
-                    per_piece[pid] = r2(pred, piece.targets[:, t_idx])
-                except ValueError as exc:
-                    log.warning("piece %r excluded from R2: %s", pid, exc)
+        for (_, _, piece), pred in zip(tests, preds):
+            try:
+                per_piece[piece.id] = r2(pred, piece.targets[:, t_idx])
+            except ValueError as exc:
+                log.warning("piece %r excluded from R2: %s", piece.id, exc)
         if not per_piece:
             raise ValueError("no piece produced a valid R2 score")
         results.append(EvalResult(target, feature_set or "empty", per_piece,
@@ -279,7 +280,7 @@ def sensitivity(params: ModelParams, sequences, radius: int = 5) -> SensitivityR
     ``radius`` to either end are skipped and counted.
     """
     if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+        raise SettingError("radius", f"must be >= 0, got {radius}")
     n_features = params.input_dim
     offsets = tuple(range(-radius, radius + 1))
     acc = np.zeros((n_features, len(offsets)))

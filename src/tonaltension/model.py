@@ -39,12 +39,27 @@ past its own input_dim; ``ModelParams`` and model files keep a model at
 its own width. Rows are ordered longest sequence first (a model's two
 rows have one length), so a step only advances the leading rows still
 inside their sequence and every sum over time covers a row's own steps.
+
+The reverse scan does per step only the work that depends on the
+carried gradient (dh, dc). Everything else is a function of the forward
+cache and the parameters alone: the recurrent projections U h, the
+derivatives alpha p + beta1 and alpha q + beta2, tanh(c) and
+1 - tanh(c)^2, and the gate-derivative factors [g, c_prev, o, i] and
+[1 - i, 1 - f, 1 - o, 1 - g^2] (``_factors``). These are computed with
+whole-array operations over blocks of BPTT_BLOCK steps before the steps
+of a block run, which bounds the extra memory. Each entry still gets the
+same floating-point operations in the same order as in a step-by-step
+reverse, and the parameter-gradient sums still run step by step from a
+row's last step, so the gradients (and the sensitivity band, which
+reverses with the same factors) are bit-identical to it; this is what
+keeps trained models, and so every output, byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -54,6 +69,7 @@ from .errors import SettingError, TrainingDiverged
 HIDDEN = 5
 RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
+BPTT_BLOCK = 8  # reverse steps whose recurrence-free factors are computed together
 GATE_ORDER = ("input", "forget", "output", "candidate")
 
 _FILE_MAGIC = "tonaltension-model"
@@ -256,30 +272,53 @@ def _scan(d: DirectionParams, seqs, spans) -> dict:
     return {"P": P, "gates": gates, "C": C, "H": Hs}
 
 
-def _cell_grad(gates, c, c_prev, dq_da, dp_da, dh, dc):
-    """Reverse one cell step on stacks of rows.
+class _Factors(NamedTuple):
+    """The recurrence-free factors of reverse cell steps: functions of the
+    forward cache and the parameters only, for a stack of steps with any
+    leading axes. ``_cell_grad`` indexes them along the leading axis."""
 
-    ``gates`` are the step's cached activations, ``c``/``c_prev`` its cell
-    state and the previous one, ``dq_da = alpha*p + beta1`` and
-    ``dp_da = alpha*q + beta2`` the derivatives of the gate pre-activations
-    with respect to the recurrent and input projections, ``dh``/``dc`` the
-    gradient arriving at the hidden and cell state. Returns
-    (da, dp, dq, dc_prev); the caller carries dq back through U.
-    """
+    tc: np.ndarray  # tanh(c)
+    dtc: np.ndarray  # 1 - tanh(c)^2
+    o: np.ndarray  # output gate
+    f: np.ndarray  # forget gate
+    M: np.ndarray  # [g, c_prev, o, i]
+    N: np.ndarray  # [i, f, 1, 1]
+    K: np.ndarray  # [1 - i, 1 - f, 1 - o, 1 - g^2]
+    dq_da: np.ndarray  # alpha * p + beta1
+    dp_da: np.ndarray  # alpha * q + beta2
+
+
+def _factors(gates, c, c_prev, p, q, alpha, beta1, beta2) -> _Factors:
+    """Factors of the steps with cached activations ``gates``, cell state
+    ``c`` (and ``c_prev`` before it), input projection ``p`` and recurrent
+    projection ``q``; the gate parameters broadcast against them."""
     H = c.shape[-1]
-    i = gates[..., :H]
-    f = gates[..., H:2 * H]
-    o = gates[..., 2 * H:3 * H]
-    g = gates[..., 3 * H:]
+    i, f, o, g = (gates[..., k * H:(k + 1) * H] for k in range(4))
     tc = np.tanh(c)
-    do = dh * tc
-    dc = dc + dh * o * (1.0 - tc * tc)
-    da = np.empty(gates.shape)
-    da[..., :H] = (dc * g) * i * (1.0 - i)
-    da[..., H:2 * H] = (dc * c_prev) * f * (1.0 - f)
-    da[..., 2 * H:3 * H] = do * o * (1.0 - o)
-    da[..., 3 * H:] = (dc * i) * (1.0 - g * g)
-    return da, da * dp_da, da * dq_da, dc * f
+    ones = np.ones_like(c)
+    return _Factors(tc, 1.0 - tc * tc, o, f, np.concatenate([g, c_prev, o, i], axis=-1),
+                    np.concatenate([i, f, ones, ones], axis=-1),  # x * 1.0 is x exactly
+                    1.0 - np.concatenate([gates[..., :3 * H], g * g], axis=-1),
+                    alpha * p + beta1, alpha * q + beta2)
+
+
+def _cell_grad(fac: _Factors, j, dh, dc):
+    """Reverse the cell steps at index ``j`` of ``fac`` on stacks of rows.
+
+    ``dh``/``dc`` are the gradient arriving at the hidden and cell state.
+    Returns (da, dp, dq, dc_prev), da the gradient of the gate
+    pre-activations and dp/dq of the input and recurrent projections; the
+    caller carries dq back through U. Each entry of da is
+    ((dc * g) * i) * (1 - i), ((dc * c_prev) * f) * (1 - f),
+    (do * o) * (1 - o) or (dc * i) * (1 - g^2), by block.
+    """
+    do = dh * fac.tc[j]
+    dc = dc + dh * fac.o[j] * fac.dtc[j]
+    da = np.concatenate([dc, dc, do, dc], axis=-1)
+    da *= fac.M[j]
+    da *= fac.N[j]
+    da *= fac.K[j]
+    return da, da * fac.dp_da[j], da * fac.dq_da[j], dc * fac.f[j]
 
 
 def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
@@ -287,7 +326,9 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
     """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
     is the loss gradient injected at each step's hidden state. Every sum over time runs from a
     row's own last step down to step 0, as for that row alone; W gradients
-    are (n, 4H, width), a narrower row filling only its own columns."""
+    are (n, 4H, width), a narrower row filling only its own columns. The
+    steps of a span are reversed in blocks of BPTT_BLOCK, each block's
+    factors computed before its steps run."""
     P, gates, C, Hs = (cache[k] for k in ("P", "gates", "C", "H"))
     T, n, _, G = P.shape
     H = G // 4
@@ -306,19 +347,22 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
         U_T = U.swapaxes(1, 2)
         alpha, beta1, beta2 = (t[:m, None] for _, t in d.tensors()[2:5])
         g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias = (t[:m] for _, t in grads.tensors())
-        for t in range(stop - 1, start - 1, -1):
-            p, h_prev = P[t, :m], Hs[t, :m]
-            q = h_prev @ U_T
-            da, dp, dq, dc = _cell_grad(gates[t, :m], C[t + 1, :m], C[t, :m],
-                                        alpha * p + beta1, alpha * q + beta2,
-                                        dH_out[t, :m] + dh, dc)
-            dh = dq @ U
-            g_alpha += da * p * q
-            g_beta1 += da * q
-            g_beta2 += da * p
-            g_bias += da
-            g_W += dp[:, 0, :, None] * X[t, :m]
-            g_U += dq[:, 0, :, None] * h_prev
+        for end in range(stop, start, -BPTT_BLOCK):
+            block = slice(max(start, end - BPTT_BLOCK), end)
+            p, h_prev, x, dH = P[block, :m], Hs[block, :m], X[block, :m], dH_out[block, :m]
+            q = h_prev @ U_T  # one gemv per row and step, as in the scan
+            fac = _factors(gates[block, :m], C[block.start + 1:end + 1, :m], C[block, :m],
+                           p, q, alpha, beta1, beta2)
+            for j in range(end - block.start - 1, -1, -1):
+                da, dp, dq, dc = _cell_grad(fac, j, dH[j] + dh, dc)
+                dh = dq @ U
+                dap = da * p[j]
+                g_alpha += dap * q[j]
+                g_beta1 += da * q[j]
+                g_beta2 += dap
+                g_bias += da
+                g_W += dp[:, 0, :, None] * x[j]
+                g_U += dq[:, 0, :, None] * h_prev[j]
     return DirectionParams(grads.W, grads.U, *(g[:, 0] for _, g in grads.tensors()[2:]))
 
 
@@ -395,16 +439,13 @@ def _band_sweep(d: DirectionParams, cache: dict, row: int, v: np.ndarray,
     W, U, alpha, beta1, beta2 = (t[row] for _, t in d.tensors()[:5])
     T = P.shape[0]
     Q = (Hs[:-1, None] @ U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
-    dq_da = alpha * P + beta1
-    dp_da = alpha * Q + beta2
-    C, C_prev = C[1:], C[:-1]
+    fac = _factors(gates, C[1:], C[:-1], P, Q, alpha, beta1, beta2)
     band = np.zeros((T, radius + 1, W.shape[1]))
     dh = np.tile(v, (T, 1))
     dc = np.zeros((T, C.shape[1]))
     for k in range(min(radius + 1, T)):
         n = T - k
-        _, dp, dq, dc = _cell_grad(gates[:n], C[:n], C_prev[:n], dq_da[:n], dp_da[:n],
-                                   dh, dc)
+        _, dp, dq, dc = _cell_grad(fac, slice(n), dh, dc)
         band[k:, k] = dp @ W
         dh, dc = (dq @ U)[1:], dc[1:]
     return band
@@ -434,8 +475,21 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
 
 def forward(params: ModelParams, xs) -> np.ndarray:
     """Predictions for one (T, input_dim) sequence."""
-    xs = _check_sequence(params, xs)
-    return _predict_rows(params.flatten()[None], params.input_dim, [xs])[0]
+    return forward_many([params], [xs])[0]
+
+
+def forward_many(models, seqs) -> list[np.ndarray]:
+    """Predictions of models[r] on seqs[r], all from one stacked scan:
+    each model flattened at the common width, rows ordered longest first,
+    results in the caller's order."""
+    seqs = [_check_sequence(params, xs) for params, xs in zip(models, seqs, strict=True)]
+    width = max((params.input_dim for params in models), default=0)
+    order = sorted(range(len(seqs)), key=lambda r: -len(seqs[r]))
+    flat = np.zeros((len(order), _size(width)))
+    for row, r in enumerate(order):
+        flat[row, _own_entries(models[r].input_dim, width)] = models[r].flatten()
+    preds = _predict_rows(flat, width, [seqs[r] for r in order])
+    return [preds[row] for row in np.argsort(order)]
 
 
 def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SettingError
 from .spiral import SpiralParams
 from .symbolic import (MeterEntry, Performance, PerformedNote, Score, ScoreNote,
                        derive_tpc, group_onsets, spelled_from_tpc)
@@ -49,9 +50,9 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.pieces <= 0:
-            raise ValueError(f"pieces must be positive, got {self.pieces}")
+            raise SettingError("pieces", f"must be positive, got {self.pieces}")
         if self.frames < 2:
-            raise ValueError(f"need at least 2 frames per piece, got {self.frames}")
+            raise SettingError("frames", f"must be at least 2 per piece, got {self.frames}")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
 

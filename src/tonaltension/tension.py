@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SettingError
 from .spiral import Cloud, SpiralParams, SpiralPoint
 from .spiral import distance, enharmonic_unit, key_coe, make_cloud as _merge_cloud
 from .spiral import pitch_position
@@ -36,7 +37,7 @@ class WindowConfig:
 
     def __post_init__(self):
         if not self.width_beats > 0:
-            raise ValueError(f"window width must be positive, got {self.width_beats}")
+            raise SettingError("width_beats", f"must be positive, got {self.width_beats}")
 
     def header_items(self) -> list[tuple[str, str]]:
         return [

@@ -250,6 +250,24 @@ class TestSensitivity:
         offsets = sorted({int(r[1]) for r in rows})
         assert offsets == [-2, -1, 0, 1, 2]
 
+    def test_radius_leaving_no_interior_frame_fails(self, tmp_path, capsys):
+        # a mean over zero positions is undefined, so no matrix is written
+        _, feats = make_corpus(tmp_path, pieces=3, length=10)
+        longest = max(len(cli.read_csv(str(feats / name))[2])
+                      for name in os.listdir(feats) if name.endswith(".features.csv"))
+        capsys.readouterr()
+        out = tmp_path / "sens"
+        assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
+                       "--corpus", feats, "--radius", (longest + 1) // 2,
+                       "--out-dir", out) == 1
+        line = single_error_line(capsys)
+        assert line.startswith("error: --radius must")
+        assert f" {longest} frames" in line
+        assert not out.exists()
+        assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
+                       "--corpus", feats, "--radius", (longest - 1) // 2,
+                       "--out-dir", out) == 0
+
 
 def canonical_model(path, seed=0):
     from tonaltension.features import CANONICAL_ORDER
@@ -452,6 +470,30 @@ def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)
     capsys.readouterr()
     assert run_cli(*argv, "--corpus", feats, "--out-dir", tmp_path / "out") == 1
+    line = single_error_line(capsys)
+    assert line.startswith(f"error: {flag} must")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sensitivity", "--radius", "-1"], "--radius"),
+    (["extract", "--window", "0"], "--window"),
+    (["extract", "--window", "nan"], "--window"),
+    (["synth", "--window", "0", "--pieces", "2", "--length", "5", "--seed", "1"], "--window"),
+    (["synth", "--window", "nan", "--pieces", "2", "--length", "5", "--seed", "1"],
+     "--window"),
+    (["synth", "--pieces", "0", "--length", "5", "--seed", "1"], "--pieces"),
+    (["synth", "--pieces", "2", "--length", "1", "--seed", "1"], "--length"),
+])
+def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag):
+    corpus, feats = make_corpus(tmp_path, pieces=1, length=12)
+    inputs = {"sensitivity": ["--model", canonical_model(tmp_path / "m.txt"),
+                              "--corpus", feats],
+              "extract": [corpus / "piece000.score.tsv",
+                          "--match", corpus / "piece000.match.tsv"],
+              "synth": []}[argv[0]]
+    capsys.readouterr()
+    assert run_cli(*argv, *inputs, "--out-dir", tmp_path / "out") == 1
     line = single_error_line(capsys)
     assert line.startswith(f"error: {flag} must")
     assert not (tmp_path / "out").exists()

@@ -21,8 +21,8 @@ from tonaltension.evaluate import (Piece, columns, make_folds, r2, resolve_featu
                                    run_cv, standardize_stats)
 from tonaltension.features import CANONICAL_ORDER
 from tonaltension.model import (HIDDEN, RMSPROP_DECAY, RMSPROP_EPSILON, TrainConfig,
-                                TrainLogEntry, forward, init_model, input_jacobian_band,
-                                loss_and_gradient, train_many, unflatten)
+                                TrainLogEntry, forward, forward_many, init_model,
+                                input_jacobian_band, loss_and_gradient, train_many, unflatten)
 from tonaltension.targets import TARGET_NAMES
 
 # ---------------------------------------------------------------------------
@@ -280,9 +280,23 @@ def narrow_beside_wide():
     return datasets, cfg, [1, 2, 3]
 
 
+def across_time_blocks():
+    """Pieces 33-47 frames long: each reverse scan runs through several
+    time blocks of BPTT_BLOCK steps, and rows of different lengths cross
+    block edges at different steps."""
+    rng = np.random.default_rng(5)
+    lengths = ((33, 41, 47, 38), (47, 35, 40), (36, 44, 33, 45))
+    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n)) for n in ns]
+                for width, ns in zip((0, 3, 13), lengths)]
+    cfg = TrainConfig(learning_rate=3e-2, epochs=3, early_stop_patience=2,
+                      gradient_clip_norm=5.0, validation_fraction=0.3)
+    return datasets, cfg, [4, 5, 6]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 @example(narrow_beside_wide())
+@example(across_time_blocks())
 def test_train_many_matches_one_by_one(case):
     datasets, cfg, seeds = case
     got, got_error = outcome(train_many, datasets, cfg, seeds)
@@ -316,7 +330,7 @@ def test_run_cv_matches_fold_by_fold(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(WIDTHS), st.lists(st.integers(0, 20), min_size=1, max_size=3),
+@given(st.sampled_from(WIDTHS), st.lists(st.integers(0, 40), min_size=1, max_size=3),
        st.integers(0, 6), st.integers(0, 2 ** 16))
 def test_one_model_paths_match(width, lengths, radius, seed):
     rng = np.random.default_rng(seed)
@@ -331,3 +345,21 @@ def test_one_model_paths_match(width, lengths, radius, seed):
             assert loss == o_loss and np.array_equal(grad, o_grad)
         band = input_jacobian_band(params, xs, radius)
         assert band.shape == (len(xs), 2 * radius + 1, width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(WIDTHS), st.integers(0, 40)),
+                min_size=1, max_size=6), st.integers(0, 2 ** 16))
+@example([(4, 5), (0, 9), (13, 0), (3, 35), (0, 0), (13, 12)], 7)
+def test_forward_many_matches_forward(pairs, seed):
+    rng = np.random.default_rng(seed)
+    models, seqs = [], []
+    for r, (width, length) in enumerate(pairs):
+        params = init_model(width, seed=r)
+        models.append(unflatten(params.flatten() + rng.normal(scale=0.3, size=params.size),
+                                width))
+        seqs.append(rng.normal(size=(length, width)))
+    got = forward_many(models, seqs)
+    assert len(got) == len(pairs)
+    for params, xs, pred in zip(models, seqs, got):
+        assert pred.tobytes() == forward(params, xs).tobytes()
