@@ -232,16 +232,14 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
 
 
 def _parse_groups(text: str) -> set[str]:
-    groups = {g.strip().upper() for g in text.split(",") if g.strip()}
-    unknown = groups - {"P", "M", "T"}
-    if unknown:
-        raise ValidationError(f"unknown feature groups: {sorted(unknown)}")
-    return groups
+    return {g.strip().upper() for g in text.split(",") if g.strip()}
 
 
 def _spiral_from_args(args) -> SpiralParams:
-    if getattr(args, "spiral_config", None):
-        items = {}
+    if not args.spiral_config:
+        return SpiralParams()
+    items = {}
+    with _naming(args.spiral_config):
         with open(args.spiral_config) as fh:
             for line in fh:
                 line = line.strip()
@@ -249,7 +247,6 @@ def _spiral_from_args(args) -> SpiralParams:
                     key, value = line.split("=", 1)
                     items[key.strip()] = value.strip()
         return SpiralParams.from_header_items(items)
-    return SpiralParams()
 
 
 def _window_from_args(args) -> WindowConfig:
@@ -504,10 +501,11 @@ def cmd_sensitivity(args) -> int:
     params, meta = model_mod.load_model(args.model)
     names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
     if len(names) != params.input_dim:
-        raise ValidationError(
-            f"model file lists {len(names)} features but input_dim is {params.input_dim}")
+        raise ValidationError(f"{args.model}: model file lists {len(names)} features "
+                              f"but input_dim is {params.input_dim}")
     if names and not ("feature_mean" in meta and "feature_std" in meta):
-        raise ValidationError("model file lacks feature standardization metadata")
+        raise ValidationError(
+            f"{args.model}: model file lacks feature standardization metadata")
     mean, std = (_standardization(args.model, meta, key, len(names), positive)
                  for key, positive in (("feature_mean", False), ("feature_std", True)))
     pieces = load_corpus(args.corpus)
@@ -608,7 +606,7 @@ _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
           "targets": "--targets", "early_stop_patience": "--patience",
           "radius": "--radius", "width_beats": "--window", "pieces": "--pieces",
-          "frames": "--length"}
+          "frames": "--length", "groups": "--groups"}
 
 
 def main(argv=None) -> int:

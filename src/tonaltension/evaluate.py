@@ -60,7 +60,7 @@ def make_folds(piece_ids, k: int = 5, seed: int = 0) -> tuple[tuple[str, ...], .
     if k < 2:
         raise SettingError("k", f"must be at least 2 folds, got {k}")
     if len(ids) < k:
-        raise ValueError(f"need at least {k} pieces for {k} folds, got {len(ids)}")
+        raise SettingError("k", f"must not exceed the corpus's {len(ids)} pieces, got {k}")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     return tuple(tuple(part) for part in np.array_split(np.array(order, dtype=object), k))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import SettingError, ValidationError
 from .symbolic import ONSET_TOLERANCE, OnsetFrame, Score, group_onsets
 from .tension import TensionFrame
 
@@ -31,7 +31,8 @@ def feature_names(groups) -> tuple[str, ...]:
     groups = set(groups)
     unknown = groups - set(GROUPS)
     if unknown:
-        raise ValueError(f"unknown feature groups {sorted(unknown)}")
+        raise SettingError("groups", f"must name feature groups among P, M, T, "
+                                     f"got unknown {sorted(unknown)}")
     return tuple(n for n in CANONICAL_ORDER
                  if any(n in GROUPS[g] for g in groups))
 

@@ -115,7 +115,8 @@ def estimate_mi(x, y, k: int = 3, seed: int = 0) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     _check_k(k)
     if x.size < 2 * k + 2:
-        raise ValueError(f"need at least {2 * k + 2} samples for k={k}, got {x.size}")
+        raise SettingError("mi_k", f"must leave 2k+2 samples: k={k} needs {2 * k + 2}, "
+                                   f"the MI subset has {x.size}")
     ux, uy = np.unique(x).size, np.unique(y).size
     if ux <= 1 or uy <= 1:
         return 0.0  # a constant carries no information

@@ -109,7 +109,7 @@ class Cloud:
 
 
 def pitch_position(tpc: int, params: SpiralParams) -> SpiralPoint:
-    """Position of a spelled pitch class on the helix."""
+    """Position of line-of-fifths index ``tpc`` on the helix."""
     angle = tpc * HALF_PI
     return SpiralPoint(params.r * math.sin(angle), params.r * math.cos(angle), tpc * params.h)
 

@@ -5,8 +5,10 @@ Two line-oriented TSV formats:
 * ``.score.tsv``: ``#meter <start_beat> <B> <unit> <class>`` header lines
   (repeatable), an optional ``#key <tpc> <major|minor>`` line, then one
   note per line ``id  onset  duration  midi  step  alter  octave  melody``.
-  ``step/alter/octave`` may all be ``-`` for unspelled notes, in which case
-  a key-aware nearest-on-the-line-of-fifths spelling is derived.
+  A note stores its MIDI pitch and its line-of-fifths index (tpc), the
+  two pitch facts that extraction reads; ``step/alter/octave`` is the
+  file form of the tpc. They may all be ``-``, in which case the tpc
+  nearest the key on the line of fifths is derived.
 * ``.match.tsv``: one performed note per line
   ``score_id  onset_sec  duration_sec  velocity``. Score notes missing
   from the match are allowed (deletions); performed notes referencing
@@ -33,37 +35,6 @@ _STEP_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _TPC_LETTERS = ("F", "C", "G", "D", "A", "E", "B")
 
 
-@dataclass(frozen=True)
-class SpelledPitch:
-    step: str
-    alter: int
-    octave: int
-
-    @property
-    def tpc(self) -> int:
-        """Line-of-fifths index, C=0, sharps positive; one sharp = +7."""
-        return _STEP_TPC[self.step] + 7 * self.alter
-
-    @property
-    def midi_pitch(self) -> int:
-        return 12 * (self.octave + 1) + _STEP_SEMITONE[self.step] + self.alter
-
-
-def spelled_from_tpc(tpc: int, midi_pitch: int) -> SpelledPitch:
-    """Reconstruct an explicit spelling from a line-of-fifths index.
-
-    The octave is chosen so the spelling's implied MIDI pitch equals
-    ``midi_pitch`` (caller guarantees the pitch classes agree).
-    """
-    step = _TPC_LETTERS[(tpc + 1) % 7]
-    alter = (tpc + 1) // 7
-    octave = (midi_pitch - _STEP_SEMITONE[step] - alter) // 12 - 1
-    sp = SpelledPitch(step, alter, octave)
-    if sp.midi_pitch != midi_pitch:
-        raise ValueError(f"tpc {tpc} cannot spell midi pitch {midi_pitch}")
-    return sp
-
-
 def derive_tpc(midi_pitch: int, key_tpc: int = 0) -> int:
     """Spell a bare MIDI pitch: take the line-of-fifths index of its pitch
     class closest to the key tonic, ties resolved toward the sharp side."""
@@ -84,14 +55,8 @@ class ScoreNote:
     onset: float
     duration: float
     midi_pitch: int
-    spelled: SpelledPitch | None = None
+    tpc: int  # line-of-fifths index, C=0, sharps positive; one sharp = +7
     is_melody: bool = False
-
-    @property
-    def tpc(self) -> int:
-        if self.spelled is None:
-            raise ValidationError(f"note {self.id!r} has no spelling")
-        return self.spelled.tpc
 
 
 @dataclass(frozen=True)
@@ -128,11 +93,9 @@ class Score:
                 raise ValidationError(f"note {n.id!r}: duration must be finite and > 0, got {n.duration}")
             if not 0 <= n.midi_pitch <= 127:
                 raise ValidationError(f"note {n.id!r}: midi pitch {n.midi_pitch} out of range")
-            if n.spelled is not None and n.spelled.midi_pitch != n.midi_pitch:
+            if (7 * n.tpc - n.midi_pitch) % 12:
                 raise ValidationError(
-                    f"note {n.id!r}: spelling {n.spelled} implies midi "
-                    f"{n.spelled.midi_pitch}, stored {n.midi_pitch}"
-                )
+                    f"note {n.id!r}: tpc {n.tpc} cannot spell midi pitch {n.midi_pitch}")
         onsets = [n.onset for n in self.notes]
         if onsets != sorted(onsets):
             raise ValidationError("notes not sorted by onset")
@@ -244,21 +207,34 @@ def parse_score(text: str) -> Score:
         duration = _parse_float(f[2], "duration", lineno)
         midi = _parse_int(f[3], "midi pitch", lineno)
         if f[4] == "-" or f[5] == "-" or f[6] == "-":
-            spelled = spelled_from_tpc(derive_tpc(midi, key_tpc), midi)
+            tpc = derive_tpc(midi, key_tpc)
         else:
             step = f[4].upper()
             if step not in _STEP_TPC:
                 raise ParseError(f"line {lineno}: bad step {f[4]!r}")
-            spelled = SpelledPitch(step, _parse_int(f[5], "alter", lineno),
-                                   _parse_int(f[6], "octave", lineno))
+            alter = _parse_int(f[5], "alter", lineno)
+            octave = _parse_int(f[6], "octave", lineno)
+            implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
+            if implied != midi:
+                raise ValidationError(f"line {lineno}: spelling {step} {alter} {octave} "
+                                      f"implies midi {implied}, stored {midi}")
+            tpc = _STEP_TPC[step] + 7 * alter
         if f[7] not in ("0", "1"):
             raise ParseError(f"line {lineno}: melody flag must be 0 or 1, got {f[7]!r}")
-        notes.append(ScoreNote(nid, onset, duration, midi, spelled, f[7] == "1"))
+        notes.append(ScoreNote(nid, onset, duration, midi, tpc, f[7] == "1"))
 
     notes.sort(key=lambda n: (n.onset, n.midi_pitch))
     score = Score(tuple(notes), tuple(sorted(meter_map, key=lambda m: m.start_beat)), key)
     score.validate()
     return score
+
+
+def _spelling(tpc: int, midi_pitch: int) -> tuple[str, int, int]:
+    """The (step, alter, octave) that write ``tpc`` at ``midi_pitch``; the
+    caller guarantees that their pitch classes agree."""
+    step = _TPC_LETTERS[(tpc + 1) % 7]
+    alter = (tpc + 1) // 7
+    return step, alter, (midi_pitch - _STEP_SEMITONE[step] - alter) // 12 - 1
 
 
 def serialize_score(score: Score) -> str:
@@ -269,8 +245,7 @@ def serialize_score(score: Score) -> str:
     if score.key is not None:
         lines.append(f"#key {score.key[0]} {score.key[1]}")
     for n in score.notes:
-        sp = n.spelled
-        step, alter, octave = (sp.step, str(sp.alter), str(sp.octave)) if sp else ("-", "-", "-")
+        step, alter, octave = _spelling(n.tpc, n.midi_pitch)
         lines.append(
             f"{n.id}\t{float(n.onset)!r}\t{float(n.duration)!r}\t{int(n.midi_pitch)}"
             f"\t{step}\t{alter}\t{octave}\t{1 if n.is_melody else 0}"

@@ -23,13 +23,13 @@ import numpy as np
 from .errors import SettingError
 from .spiral import SpiralParams
 from .symbolic import (MeterEntry, Performance, PerformedNote, Score, ScoreNote,
-                       derive_tpc, group_onsets, spelled_from_tpc)
+                       derive_tpc, group_onsets)
 from .tension import WindowConfig, tension_track
 
 RULES = ("t_cd-slow", "none")
 TEMPO_GAIN = 0.8  # beat-period stretch per unit of cloud diameter
 NOISE = 0.05  # relative sd of the tempo noise
-RESPELL_PROB = 0.35  # chance that a note is respelled enharmonically
+RESPELL_PROB = 0.35  # chance that a note takes an enharmonic spelling
 BASE_BEAT_PERIOD = 0.5  # seconds per beat
 
 _METERS = (
@@ -86,10 +86,9 @@ def generate_score(rng: np.random.Generator, frames: int) -> Score:
         top = max(midis)
         for midi in sorted(midis):
             dur = step if rng.random() < 0.8 else 2.0 * step
-            tpc = _respell(derive_tpc(midi, key_tpc), rng)
             notes.append(ScoreNote(
                 id=f"n{len(notes)}", onset=beat, duration=dur, midi_pitch=midi,
-                spelled=spelled_from_tpc(tpc, midi), is_melody=midi == top))
+                tpc=_respell(derive_tpc(midi, key_tpc), rng), is_melody=midi == top))
         beat += step
     score = Score(tuple(notes), (meter,), (key_tpc, "major"))
     score.validate()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tonaltension.symbolic import (MeterEntry, Performance, PerformedNote, Score,
-                                   ScoreNote, spelled_from_tpc)
+                                   ScoreNote)
 
 METER_44 = MeterEntry(0.0, 4.0, 4, "duple")
 
@@ -15,7 +15,7 @@ def midi_of_tpc(tpc: int, octave: int = 4) -> int:
 
 def note(nid, onset, dur, tpc=0, octave=4, melody=False, midi=None):
     midi = midi_of_tpc(tpc, octave) if midi is None else midi
-    return ScoreNote(nid, onset, dur, midi, spelled_from_tpc(tpc, midi), melody)
+    return ScoreNote(nid, onset, dur, midi, tpc, melody)
 
 
 def build_score(notes, meter=METER_44, key=(0, "major")):

@@ -89,7 +89,7 @@ def test_criterion_2_geometry_suite():
         base = tension_track(build_score(base_notes), CFG, P)
         for shift in (-6, -1, 1, 3, 6):
             moved_notes = [note(n.id, n.onset, n.duration, n.tpc + shift,
-                                n.spelled.octave) for n in build_score(base_notes).notes]
+                                n.midi_pitch // 12 - 1) for n in build_score(base_notes).notes]
             moved = tension_track(build_score(moved_notes, key=(shift, "major")), CFG, P)
             for a, b in zip(base, moved):
                 assert abs(a.t_cd - b.t_cd) < 1e-9

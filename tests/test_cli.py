@@ -99,6 +99,25 @@ class TestExtract:
                        "--out-dir", tmp_path) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,problem", [
+        ("spiral.chord_weights", "0.5,0.3", "expected 3 weights"),
+        ("spiral.h", "nan", "rise per fifth must be positive"),
+        ("spiral.key_weights", None, "missing ['spiral.key_weights']"),
+    ], ids=["weights", "nan-h", "missing-key"])
+    def test_bad_spiral_config_names_the_file(self, tmp_path, capsys, key, value, problem):
+        corpus, _ = make_corpus(tmp_path, pieces=1, length=8)
+        items = {"spiral.r": "1.0", "spiral.h": "0.5",
+                 "spiral.chord_weights": "0.5,0.3,0.2",
+                 "spiral.key_weights": "0.5,0.3,0.2", key: value}
+        cfg = tmp_path / "spiral.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in items.items() if v is not None))
+        capsys.readouterr()
+        assert run_cli("extract", corpus / "piece000.score.tsv", "--spiral-config", cfg,
+                       "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {cfg}: ") and problem in line
+        assert not (tmp_path / "out").exists()
+
     def test_headers_carry_manifest_and_spiral_config(self, tmp_path):
         _, feats = make_corpus(tmp_path, pieces=1, length=8)
         meta, _, _ = cli.read_csv(str(feats / "piece000.features.csv"))
@@ -406,6 +425,33 @@ class TestBadInputs:
         line = single_error_line(capsys)
         assert str(path) in line and "'hidden'" in line
 
+    @pytest.mark.parametrize("key,value,problem", [
+        ("feature_names", "pitch_h,pitch_l", "lists 2 features but input_dim is 13"),
+        ("feature_mean", None, "lacks feature standardization metadata"),
+    ], ids=["names", "no-mean"])
+    def test_bad_model_metadata_names_the_model(self, tmp_path, capsys, key, value,
+                                                problem):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        path = canonical_model(tmp_path / "m.txt")
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"meta {key} "))
+        lines[k:k + 1] = [] if value is None else [f"meta {key} {value}"]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("sensitivity", "--model", path, "--corpus", feats,
+                       "--out-dir", tmp_path / "s") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {path}: ") and problem in line
+
+    def test_inconsistent_spelling_names_file_and_line(self, tmp_path, capsys):
+        score = tmp_path / "bad.score.tsv"
+        score.write_text("#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\n"
+                         "n2\t1\t1\t61\tC\t0\t4\t0\n")
+        assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {score}: line 3: ") and "implies midi 60" in line
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["", "#key 0 major\n"], ids=["meter", "meter-key"])
     def test_score_without_notes_fails_at_load(self, tmp_path, capsys, key):
         score = tmp_path / "empty.score.tsv"
@@ -465,6 +511,12 @@ class TestBadInputs:
     (["train", "--target", "bpr", "--seed", "1", "--patience", "0"], "--patience"),
     (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--patience", "-3"],
      "--patience"),
+    (["train", "--target", "bpr", "--seed", "1", "--epochs", "1", "--groups", "P,X"],
+     "--groups"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--folds", "6"], "--folds"),
+    (["mi", "--fs-seed", "1", "--fs-k", "50"], "--fs-k"),
+    (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
+      "--fs-k", "50"], "--fs-k"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)
@@ -484,6 +536,7 @@ def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
      "--window"),
     (["synth", "--pieces", "0", "--length", "5", "--seed", "1"], "--pieces"),
     (["synth", "--pieces", "2", "--length", "1", "--seed", "1"], "--length"),
+    (["extract", "--groups", "X"], "--groups"),
 ])
 def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag):
     corpus, feats = make_corpus(tmp_path, pieces=1, length=12)

@@ -2,11 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tonaltension.errors import ParseError, ValidationError
-from tonaltension.symbolic import (ONSET_TOLERANCE, Score, SpelledPitch,
-                                   derive_tpc, group_onsets,
+from tonaltension.symbolic import (ONSET_TOLERANCE, Score, derive_tpc, group_onsets,
                                    parse_performance, parse_score,
-                                   serialize_performance, serialize_score,
-                                   spelled_from_tpc)
+                                   serialize_performance, serialize_score)
 
 from conftest import build_score, note
 
@@ -21,27 +19,32 @@ TRIAD = (
 )
 
 
+def spelled_note(step, alter, octave, midi):
+    """The one note of a score file that spells ``midi`` as step/alter/octave."""
+    return parse_score(f"#meter 0 4 4 duple\nn1\t0\t1\t{midi}\t{step}\t{alter}"
+                       f"\t{octave}\t0\n").notes[0]
+
+
 class TestSpelling:
     def test_line_of_fifths_indices(self):
-        assert SpelledPitch("C", 0, 4).tpc == 0
-        assert SpelledPitch("G", 0, 4).tpc == 1
-        assert SpelledPitch("F", 0, 4).tpc == -1
-        assert SpelledPitch("B", 0, 4).tpc == 5
-        assert SpelledPitch("C", 1, 4).tpc == 7  # C sharp
-        assert SpelledPitch("D", -1, 4).tpc == -5  # D flat
+        assert spelled_note("C", 0, 4, 60).tpc == 0
+        assert spelled_note("G", 0, 4, 67).tpc == 1
+        assert spelled_note("F", 0, 4, 65).tpc == -1
+        assert spelled_note("B", 0, 4, 71).tpc == 5
+        assert spelled_note("C", 1, 4, 61).tpc == 7  # C sharp
+        assert spelled_note("D", -1, 4, 61).tpc == -5  # D flat
 
     def test_enharmonics_differ_by_twelve(self):
-        cs = SpelledPitch("C", 1, 4)
-        db = SpelledPitch("D", -1, 4)
+        cs = spelled_note("C", 1, 4, 61)
+        db = spelled_note("D", -1, 4, 61)
         assert cs.midi_pitch == db.midi_pitch == 61
         assert cs.tpc - db.tpc == 12
 
     @given(st.integers(min_value=-15, max_value=15), st.integers(min_value=1, max_value=6))
-    def test_spelled_from_tpc_round_trips(self, tpc, octave):
-        midi = 12 * (octave + 1) + (7 * tpc) % 12
-        sp = spelled_from_tpc(tpc, midi)
-        assert sp.tpc == tpc
-        assert sp.midi_pitch == midi
+    def test_tpc_spelling_round_trips(self, tpc, octave):
+        score = build_score([note("n1", 0.0, 1.0, tpc, octave)])
+        again = parse_score(serialize_score(score)).notes[0]
+        assert (again.tpc, again.midi_pitch) == (tpc, score.notes[0].midi_pitch)
 
     def test_derive_tpc_prefers_near_key(self):
         assert derive_tpc(61, key_tpc=0) == -5  # Db is closer to C than C#
@@ -100,6 +103,10 @@ class TestParseScore:
         text = "#meter 0 4 4 duple\nn1\t0\t1\t61\tC\t0\t4\t0\n"
         with pytest.raises(ValidationError, match="implies midi"):
             parse_score(text)
+
+    def test_tpc_midi_mismatch_rejected_in_memory(self):
+        with pytest.raises(ValidationError, match="cannot spell midi pitch 61"):
+            build_score([note("n1", 0.0, 1.0, tpc=0, midi=61)])
 
     def test_notes_sorted_by_onset_then_pitch(self):
         text = ("#meter 0 4 4 duple\n"

@@ -168,7 +168,7 @@ class TestTensionTrack:
     def test_invariant_under_global_fifth_transposition(self, shift):
         base = tension_track(two_chord_score(), CFG, P)
         notes = [note(n.id, n.onset, n.duration, n.tpc + shift,
-                      n.spelled.octave) for n in two_chord_score().notes]
+                      n.midi_pitch // 12 - 1) for n in two_chord_score().notes]
         moved = tension_track(build_score(notes, key=(shift, "major")), CFG, P)
         for a, b in zip(base, moved):
             assert b.t_cd == pytest.approx(a.t_cd, abs=1e-9)
