@@ -232,7 +232,10 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
 
 
 def _parse_groups(text: str) -> set[str]:
-    return {g.strip().upper() for g in text.split(",") if g.strip()}
+    groups = {g.strip().upper() for g in text.split(",") if g.strip()}
+    if not groups:
+        raise SettingError("groups", f"must name at least one feature group, got {text!r}")
+    return groups
 
 
 def _spiral_from_args(args) -> SpiralParams:
@@ -326,7 +329,7 @@ def cmd_extract(args) -> int:
         with _naming(args.match):
             with open(args.match) as fh:
                 perf = parse_performance(fh.read(), score)
-            target_rows = extract_targets(score, perf, frames)
+            target_rows = extract_targets(perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
         files.append(OutputFile(
@@ -432,7 +435,7 @@ def cmd_eval(args) -> int:
         raise SettingError("targets", f"must name at least one target, got {args.targets!r}")
     for t in requested:
         if t not in TARGET_NAMES:
-            raise ValidationError(f"unknown target {t!r}")
+            raise SettingError("targets", f"must be among {', '.join(TARGET_NAMES)}, got {t!r}")
     cfg = _train_config(args)
     labels = sorted({lbl for pair in _TABLE_ROWS for lbl in pair})
     if args.include_fs:

@@ -19,7 +19,7 @@ from scipy.special import betainc
 
 from . import mi as mi_mod
 from .errors import SettingError, TrainingDiverged, ValidationError
-from .features import feature_names as group_feature_names
+from .features import feature_names
 from .model import (ModelParams, TrainConfig, forward_many, input_jacobian_band, train,
                     train_many)
 from .targets import TARGET_NAMES
@@ -164,15 +164,6 @@ def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
     return params, train_log, dataset.mean, dataset.std
 
 
-def resolve_feature_set(label: str) -> tuple[str, ...]:
-    """Canonical column names for a group-combination label such as ``PM``
-    (the empty string is the empty feature set). ``FS`` is per target and
-    resolved via fs_select instead."""
-    if label == "FS":
-        raise ValueError("FS must be resolved per target via fs_select")
-    return group_feature_names(set(label))
-
-
 def mi_subset(corpus: list[Piece], fraction: float, k: int,
               seed: int) -> tuple[list[Piece], mi_mod.MiTable]:
     """MI between every feature and target column, pooled over a seeded
@@ -204,6 +195,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
            fs_fraction: float = 0.2, fs_k: int = 3,
            fs_count: int = 10) -> list[EvalResult]:
     """k-fold cross-validation for each (target, feature set) experiment.
+    A feature set is a group label such as ``PM`` (``""`` for none) or ``FS``.
 
     All experiments share one seeded fold plan; fold i trains with seed
     ``cfg.seed + i``. Every (experiment, fold) model trains in one
@@ -222,7 +214,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
         if feature_set == "FS":
             names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
         else:
-            names = resolve_feature_set(feature_set)
+            names = feature_names(set(feature_set))
         for fold_i, test_ids in enumerate(fold_ids):
             test_set = set(test_ids)
             data = _StandardizedPieces([p for p in corpus if p.id not in test_set],

@@ -1,6 +1,7 @@
 """Low-level score features per onset frame: pitch group (P), vertical
 interval classes, and metrical group (M); assembly with the tension
-group (T) into model input rows."""
+group (T) into model input rows. The onset frames come from the caller,
+which groups the score once for all of extraction."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SettingError, ValidationError
-from .symbolic import ONSET_TOLERANCE, OnsetFrame, Score, group_onsets
+from .symbolic import ONSET_TOLERANCE, OnsetFrame, Score
 from .tension import TensionFrame
 
 PITCH_FEATURES = ("pitch_h", "pitch_l", "pitch_m", "vic1", "vic2", "vic3")
@@ -37,7 +38,7 @@ def feature_names(groups) -> tuple[str, ...]:
                  if any(n in GROUPS[g] for g in groups))
 
 
-def pitch_features(frame: OnsetFrame, score: Score) -> tuple[float, float, float]:
+def pitch_features(frame: OnsetFrame) -> tuple[float, float, float]:
     """(highest, lowest, melody) MIDI pitches / 127; melody is 0 when the
     frame has no melody note, the highest such note otherwise."""
     midis = [n.midi_pitch for n in frame.notes]
@@ -46,7 +47,7 @@ def pitch_features(frame: OnsetFrame, score: Score) -> tuple[float, float, float
     return max(midis) / 127.0, min(midis) / 127.0, pitch_m
 
 
-def vertical_intervals(frame: OnsetFrame, score: Score) -> tuple[float, float, float]:
+def vertical_intervals(frame: OnsetFrame) -> tuple[float, float, float]:
     """Up to three distinct interval classes above the frame's bass note,
     octaves and unisons excluded, each divided by 11; zero-padded."""
     midis = sorted(n.midi_pitch for n in frame.notes)
@@ -82,28 +83,21 @@ def metrical_features(frame: OnsetFrame, score: Score) -> tuple[float, float, fl
 
 
 def assemble_features(score: Score, tension: list[TensionFrame] | None,
-                      groups, frames: list[OnsetFrame] | None = None
-                      ) -> list[FeatureRow]:
-    """Stack the requested feature groups into per-frame rows in canonical
-    column order; excluded groups contribute no columns.
-
-    ``frames`` is ``group_onsets(score)``, computed here when not given.
-    """
+                      groups, frames: list[OnsetFrame]) -> list[FeatureRow]:
+    """Stack the requested feature groups into rows, one per frame of
+    ``frames`` (the caller's ``group_onsets(score)``), in canonical column
+    order; excluded groups contribute no columns."""
     groups = set(groups)
     names = feature_names(groups)
-    if frames is None:
-        frames = group_onsets(score)
-    if "T" in groups:
-        if tension is None or len(tension) != len(frames):
-            got = "none" if tension is None else str(len(tension))
-            raise ValidationError(
-                f"tension track length {got} does not match {len(frames)} frames")
+    if "T" in groups and (tension is None or len(tension) != len(frames)):
+        got = "none" if tension is None else str(len(tension))
+        raise ValidationError(f"tension track length {got} does not match {len(frames)} frames")
     rows = []
     for frame in frames:
         values: dict[str, float] = {}
         if "P" in groups:
-            p = pitch_features(frame, score)
-            v = vertical_intervals(frame, score)
+            p = pitch_features(frame)
+            v = vertical_intervals(frame)
             values.update(zip(PITCH_FEATURES, p + v))
         if "M" in groups:
             values.update(zip(METRICAL_FEATURES, metrical_features(frame, score)))

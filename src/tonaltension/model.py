@@ -811,11 +811,6 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
     return unflatten(np.array(flat), input_dim), meta
 
 
-def save_model(params: ModelParams, path, meta: dict[str, str] | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_model(params, meta))
-
-
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
     with open(path) as fh:
         text = fh.read()

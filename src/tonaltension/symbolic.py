@@ -59,6 +59,24 @@ class ScoreNote:
     is_melody: bool = False
 
 
+def _check_note(n: ScoreNote, seen: set[str], where: str = "") -> None:
+    """Raise a ValidationError starting with ``where`` if ``n`` breaks a
+    per-note rule; ``seen`` holds the ids before it and gains its own."""
+    if n.id in seen:
+        raise ValidationError(f"{where}duplicate note id {n.id!r}")
+    seen.add(n.id)
+    # extraction sweeps notes in onset order, which needs real numbers
+    if not math.isfinite(n.onset) or n.onset < 0:
+        raise ValidationError(f"{where}note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
+    if not (math.isfinite(n.duration) and n.duration > 0):
+        raise ValidationError(f"{where}note {n.id!r}: duration must be finite and > 0, got {n.duration}")
+    if not 0 <= n.midi_pitch <= 127:
+        raise ValidationError(f"{where}note {n.id!r}: midi pitch {n.midi_pitch} out of range")
+    if (7 * n.tpc - n.midi_pitch) % 12:
+        raise ValidationError(
+            f"{where}note {n.id!r}: tpc {n.tpc} cannot spell midi pitch {n.midi_pitch}")
+
+
 @dataclass(frozen=True)
 class MeterEntry:
     start_beat: float
@@ -74,6 +92,13 @@ class Score:
     key: tuple[int, str] | None = None  # (tonic tpc, mode)
 
     def validate(self) -> None:
+        """Check a score built in memory (parse_score checks notes per line)."""
+        seen: set[str] = set()
+        for n in self.notes:
+            _check_note(n, seen)
+        self._check_layout()
+
+    def _check_layout(self) -> None:
         if not self.meter_map:
             raise ValidationError("meter map is empty")
         if self.meter_map[0].start_beat != 0.0:
@@ -81,21 +106,6 @@ class Score:
         starts = [m.start_beat for m in self.meter_map]
         if starts != sorted(starts):
             raise ValidationError("meter map entries out of order")
-        seen = set()
-        for n in self.notes:
-            if n.id in seen:
-                raise ValidationError(f"duplicate note id {n.id!r}")
-            seen.add(n.id)
-            # extraction sweeps notes in onset order, which needs real numbers
-            if not math.isfinite(n.onset) or n.onset < 0:
-                raise ValidationError(f"note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
-            if not (math.isfinite(n.duration) and n.duration > 0):
-                raise ValidationError(f"note {n.id!r}: duration must be finite and > 0, got {n.duration}")
-            if not 0 <= n.midi_pitch <= 127:
-                raise ValidationError(f"note {n.id!r}: midi pitch {n.midi_pitch} out of range")
-            if (7 * n.tpc - n.midi_pitch) % 12:
-                raise ValidationError(
-                    f"note {n.id!r}: tpc {n.tpc} cannot spell midi pitch {n.midi_pitch}")
         onsets = [n.onset for n in self.notes]
         if onsets != sorted(onsets):
             raise ValidationError("notes not sorted by onset")
@@ -201,6 +211,7 @@ def parse_score(text: str) -> Score:
 
     key_tpc = key[0] if key else 0
     notes = []
+    seen: set[str] = set()
     for lineno, f in raw_notes:
         nid = f[0]
         onset = _parse_float(f[1], "onset", lineno)
@@ -222,10 +233,11 @@ def parse_score(text: str) -> Score:
         if f[7] not in ("0", "1"):
             raise ParseError(f"line {lineno}: melody flag must be 0 or 1, got {f[7]!r}")
         notes.append(ScoreNote(nid, onset, duration, midi, tpc, f[7] == "1"))
+        _check_note(notes[-1], seen, f"line {lineno}: ")
 
     notes.sort(key=lambda n: (n.onset, n.midi_pitch))
     score = Score(tuple(notes), tuple(sorted(meter_map, key=lambda m: m.start_beat)), key)
-    score.validate()
+    score._check_layout()
     return score
 
 

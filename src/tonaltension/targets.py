@@ -9,9 +9,11 @@ From a score-aligned performance, each surviving frame gets four numbers:
 * vel: loudest MIDI velocity at the frame, divided by 127;
 * d_vel: backward difference of vel.
 
-Frames whose every note was deleted in the alignment are dropped (with a
-warning) and must be excluded from the feature rows as well; TargetRow
-keeps the original frame index so callers can join on it.
+The onset frames come from the caller, which groups the score once for
+all of extraction. Frames whose every note was deleted in the alignment
+are dropped (with a warning) and must be excluded from the feature rows
+as well; TargetRow keeps the original frame index so callers can join
+on it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .symbolic import OnsetFrame, Performance, Score, group_onsets
+from .symbolic import OnsetFrame, Performance
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +68,6 @@ def _mean_onsets(kept) -> list[float]:
     return onsets
 
 
-def _loudest(kept) -> list[float]:
-    return [max(n.velocity for n in notes) / 127.0 for _, notes in kept]
-
-
 def average_onsets(performance: Performance, frames: list[OnsetFrame]) -> list[float]:
     """Mean performed onset seconds per surviving frame, in frame order."""
     return _mean_onsets(_matched_frames(performance, frames))
@@ -103,25 +101,15 @@ def derivative(series: list[float], beats: list[float]) -> list[float]:
     return out
 
 
-def compute_vel(performance: Performance, frames: list[OnsetFrame]) -> list[float]:
-    """Loudest velocity per surviving frame, scaled to (0, 1]."""
-    return _loudest(_matched_frames(performance, frames))
-
-
-def targets(score: Score, performance: Performance,
-            frames: list[OnsetFrame] | None = None) -> list[TargetRow]:
-    """Assemble the four expressive parameters for the surviving frames.
-
-    ``frames`` is ``group_onsets(score)``, computed here when not given.
-    """
-    if frames is None:
-        frames = group_onsets(score)
+def targets(performance: Performance, frames: list[OnsetFrame]) -> list[TargetRow]:
+    """The four expressive parameters for the surviving frames of
+    ``frames``, the caller's ``group_onsets(score)``."""
     kept = _matched_frames(performance, frames)
     if len(kept) < 2:
         raise ValueError("target extraction needs at least 2 matched frames")
     beats = [frame.beat for frame, _ in kept]
     bpr = compute_bpr(_mean_onsets(kept), beats)
-    vel = _loudest(kept)
+    vel = [max(n.velocity for n in notes) / 127.0 for _, notes in kept]
     d_bpr = derivative(bpr, beats)
     d_vel = derivative(vel, beats)
     return [

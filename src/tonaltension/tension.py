@@ -10,10 +10,12 @@ commensurate with the other score features:
 * cloud momentum: distance from the previous frame's center of effect;
 * tensile strain: distance from the key's center of effect.
 
-``tension_track`` sweeps the onset-sorted notes once: a forward pointer
-admits notes that start before the window ends, and an active list drops
-notes that end before the window starts (frame beats only increase). The
-sweep costs O(notes + frames x cloud size), not O(notes x frames).
+``tension_track`` takes the onset frames from its caller, which groups
+the score once for all of extraction. It sweeps the onset-sorted notes
+once: a forward pointer admits notes that start before the window ends,
+and an active list drops notes that end before the window starts (frame
+beats only increase). The sweep costs O(notes + frames x cloud size),
+not O(notes x frames).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import SettingError
 from .spiral import Cloud, SpiralParams, SpiralPoint
 from .spiral import distance, enharmonic_unit, key_coe, make_cloud as _merge_cloud
 from .spiral import pitch_position
-from .symbolic import OnsetFrame, Score, ScoreNote, group_onsets
+from .symbolic import OnsetFrame, Score, ScoreNote
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,16 @@ class TensionFrame:
     t_ts: float
 
 
-def make_cloud(score: Score, frame: OnsetFrame, cfg: WindowConfig,
-               params: SpiralParams) -> Cloud:
+def window_cloud(candidates, frame: OnsetFrame, cfg: WindowConfig,
+                 params: SpiralParams) -> Cloud:
     """Duration-weighted pitch cloud for the window starting at the frame.
 
-    A note contributes the length of its overlap with
-    ``[frame.beat, frame.beat + width)``; with ``include_held`` off only
-    notes starting inside the window count. Equal tpcs merge.
+    ``candidates`` must hold, in score order, every note that overlaps the
+    window (all of ``score.notes`` will do). A note contributes the length
+    of its overlap with ``[frame.beat, frame.beat + width)``; with
+    ``include_held`` off only notes starting inside the window count.
+    Equal tpcs merge.
     """
-    return _window_cloud(score.notes, frame, cfg, params)
-
-
-def _window_cloud(candidates, frame: OnsetFrame, cfg: WindowConfig,
-                  params: SpiralParams) -> Cloud:
-    """The cloud of ``make_cloud`` built from ``candidates``, which must hold,
-    in score order, every note that overlaps the window."""
     w_start = frame.beat
     w_end = frame.beat + cfg.width_beats
     members = []
@@ -128,13 +125,9 @@ def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
 
 
 def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
-                  frames: list[OnsetFrame] | None = None) -> list[TensionFrame]:
-    """One TensionFrame per onset frame, in frame order.
-
-    ``frames`` is ``group_onsets(score)``, computed here when not given.
-    """
-    if frames is None:
-        frames = group_onsets(score)
+                  frames: list[OnsetFrame]) -> list[TensionFrame]:
+    """One TensionFrame per frame of ``frames``, the caller's
+    ``group_onsets(score)``, in frame order."""
     if not frames:
         return []
     tonic, mode = score.key if score.key is not None else estimate_key(score, params)
@@ -150,7 +143,7 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
             active.append(notes[admitted])
             admitted += 1
         active = [n for n in active if n.onset + n.duration > frame.beat]
-        cloud = _window_cloud(active, frame, cfg, params)
+        cloud = window_cloud(active, frame, cfg, params)
         out.append(TensionFrame(
             frame_index=frame.index,
             t_cd=cloud_diameter(cloud, params),

@@ -49,8 +49,9 @@ def oracle_corpus(n_pieces, n_frames, seed, coef=0.8, noise_sd=0.05):
     rng = np.random.default_rng(seed + 999)
     pieces = []
     for pid, score, _ in generate_corpus(SynthConfig(n_pieces, n_frames, seed)):
-        track = tension_track(score, CFG, P)
-        rows = assemble_features(score, track, {"P", "M", "T"})
+        frames = group_onsets(score)
+        track = tension_track(score, CFG, P, frames)
+        rows = assemble_features(score, track, {"P", "M", "T"}, frames)
         feats = np.array([r.values for r in rows])
         beats = np.array([r.beat for r in rows])
         t_cd = feats[:, CANONICAL_ORDER.index("t_cd")]
@@ -65,8 +66,8 @@ def test_criterion_1_paper_worked_example():
         score = build_score([note("c", 0.0, 1.0, 0, 4), note("e", 0.0, 1.0, 4, 4),
                              note("g", 0.0, 1.0, 1, 4)])
         frame = group_onsets(score)[0]
-        pitch_l = pitch_features(frame, score)[1]
-        vic = vertical_intervals(frame, score)
+        pitch_l = pitch_features(frame)[1]
+        vic = vertical_intervals(frame)
         assert pitch_l == 60 / 127
         assert vic == (4 / 11, 7 / 11, 0.0)
 
@@ -86,11 +87,14 @@ def test_criterion_2_geometry_suite():
         base_notes = [note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 4),
                       note("c", 1.0, 1.0, 1), note("d", 1.0, 2.0, 7),
                       note("e", 2.0, 1.0, -3), note("f", 3.0, 0.5, 2)]
-        base = tension_track(build_score(base_notes), CFG, P)
+        base_score = build_score(base_notes)
+        base_frames = group_onsets(base_score)
+        base = tension_track(base_score, CFG, P, base_frames)
         for shift in (-6, -1, 1, 3, 6):
             moved_notes = [note(n.id, n.onset, n.duration, n.tpc + shift,
-                                n.midi_pitch // 12 - 1) for n in build_score(base_notes).notes]
-            moved = tension_track(build_score(moved_notes, key=(shift, "major")), CFG, P)
+                                n.midi_pitch // 12 - 1) for n in base_score.notes]
+            moved_score = build_score(moved_notes, key=(shift, "major"))
+            moved = tension_track(moved_score, CFG, P, group_onsets(moved_score))
             for a, b in zip(base, moved):
                 assert abs(a.t_cd - b.t_cd) < 1e-9
                 assert abs(a.t_cm - b.t_cm) < 1e-9
@@ -98,8 +102,8 @@ def test_criterion_2_geometry_suite():
 
         # joint (r, h) scaling leaves all three features unchanged
         for c in (0.25, 3.0, 17.5):
-            scaled = tension_track(build_score(base_notes), CFG,
-                                   SpiralParams(r=P.r * c, h=P.h * c))
+            scaled = tension_track(base_score, CFG, SpiralParams(r=P.r * c, h=P.h * c),
+                                   base_frames)
             for a, b in zip(base, scaled):
                 assert abs(a.t_cd - b.t_cd) < 1e-9
                 assert abs(a.t_cm - b.t_cm) < 1e-9
@@ -110,13 +114,13 @@ def test_criterion_3_expressive_parameter_suite():
     with criterion(3, "BPR extraction properties on 100 synthetic pieces", 10.0):
         # metronomic performance gives BPR = 1, dBPR = 0 everywhere
         score = build_score([note(f"n{i}", i * 0.5, 0.5, i % 3) for i in range(12)])
-        rows = extract_targets(score, metronomic_performance(score))
+        rows = extract_targets(metronomic_performance(score), group_onsets(score))
         assert all(abs(r.bpr - 1.0) < 1e-12 for r in rows)
         assert all(r.d_bpr == 0.0 for r in rows)
 
         corpus = generate_corpus(SynthConfig(pieces=100, frames=20, seed=31))
         for _, piece_score, perf in corpus:
-            piece_rows = extract_targets(piece_score, perf)
+            piece_rows = extract_targets(perf, group_onsets(piece_score))
             bpr = [r.bpr for r in piece_rows]
             assert abs(np.mean(bpr) - 1.0) <= 1e-9
 
@@ -125,8 +129,9 @@ def test_criterion_3_expressive_parameter_suite():
         scaled = type(pf)(tuple(
             type(n)(n.score_id, 3.0 * n.onset_sec, 3.0 * n.duration_sec, n.velocity)
             for n in pf.notes))
-        a = [r.bpr for r in extract_targets(sc, pf)]
-        b = [r.bpr for r in extract_targets(sc, scaled)]
+        frames = group_onsets(sc)
+        a = [r.bpr for r in extract_targets(pf, frames)]
+        b = [r.bpr for r in extract_targets(scaled, frames)]
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
 
 
@@ -197,8 +202,9 @@ def test_criterion_8_sensitivity():
     with criterion(8, "sensitivity: zero model and t_cd dominance >= 5x", 120.0):
         feats_all = []
         for _, score, _ in generate_corpus(SynthConfig(pieces=10, frames=80, seed=5)):
-            track = tension_track(score, CFG, P)
-            rows = assemble_features(score, track, {"P", "M", "T"})
+            frames = group_onsets(score)
+            track = tension_track(score, CFG, P, frames)
+            rows = assemble_features(score, track, {"P", "M", "T"}, frames)
             feats_all.append(np.array([r.values for r in rows]))
         mean, std = standardize_stats(np.vstack(feats_all))
         sequences = [(f - mean) / std for f in feats_all]

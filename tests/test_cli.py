@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tonaltension import cli
-from tonaltension.model import init_model, load_model, save_model
+from tonaltension.model import dumps_model, init_model, load_model
 from tonaltension.symbolic import parse_score
 from tonaltension.targets import TARGET_NAMES
 
@@ -244,11 +244,11 @@ class TestSensitivity:
         params.v[:] = 0.0
         model_path = tmp_path / "zero.txt"
         from tonaltension.features import CANONICAL_ORDER
-        save_model(params, model_path, {
+        model_path.write_text(dumps_model(params, {
             "target": "bpr",
             "feature_names": ",".join(CANONICAL_ORDER),
             "feature_mean": ",".join("0.0" for _ in CANONICAL_ORDER),
-            "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)})
+            "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)}))
         out = tmp_path / "sens"
         assert run_cli("sensitivity", "--model", model_path, "--corpus", feats,
                        "--radius", 3, "--out-dir", out) == 0
@@ -290,11 +290,11 @@ class TestSensitivity:
 
 def canonical_model(path, seed=0):
     from tonaltension.features import CANONICAL_ORDER
-    save_model(init_model(len(CANONICAL_ORDER), seed=seed), path, {
+    path.write_text(dumps_model(init_model(len(CANONICAL_ORDER), seed=seed), {
         "target": "bpr",
         "feature_names": ",".join(CANONICAL_ORDER),
         "feature_mean": ",".join("0.0" for _ in CANONICAL_ORDER),
-        "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)})
+        "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)}))
     return path
 
 
@@ -452,6 +452,15 @@ class TestBadInputs:
         assert line.startswith(f"error: {score}: line 3: ") and "implies midi 60" in line
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_note_id_names_file_and_line(self, tmp_path, capsys):
+        score = tmp_path / "dup.score.tsv"
+        score.write_text("#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\n"
+                         "n2\t0\t1\t64\tE\t0\t4\t0\nn1\t1\t1\t62\tD\t0\t4\t0\n")
+        assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys) \
+            == f"error: {score}: line 4: duplicate note id 'n1'"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["", "#key 0 major\n"], ids=["meter", "meter-key"])
     def test_score_without_notes_fails_at_load(self, tmp_path, capsys, key):
         score = tmp_path / "empty.score.tsv"
@@ -517,6 +526,9 @@ class TestBadInputs:
     (["mi", "--fs-seed", "1", "--fs-k", "50"], "--fs-k"),
     (["eval", "--targets", "bpr", "--seed", "1", "--epochs", "1", "--include-fs",
       "--fs-k", "50"], "--fs-k"),
+    (["eval", "--targets", "bpr,foo", "--seed", "1", "--epochs", "1"], "--targets"),
+    (["train", "--target", "bpr", "--seed", "1", "--epochs", "1", "--groups", ","],
+     "--groups"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)
@@ -537,6 +549,7 @@ def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     (["synth", "--pieces", "0", "--length", "5", "--seed", "1"], "--pieces"),
     (["synth", "--pieces", "2", "--length", "1", "--seed", "1"], "--length"),
     (["extract", "--groups", "X"], "--groups"),
+    (["extract", "--groups", ""], "--groups"),
 ])
 def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag):
     corpus, feats = make_corpus(tmp_path, pieces=1, length=12)

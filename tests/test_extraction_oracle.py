@@ -16,8 +16,8 @@ from tonaltension.spiral import SpiralParams, key_coe, make_cloud as merge_cloud
 from tonaltension.symbolic import group_onsets, parse_performance, parse_score
 from tonaltension.targets import compute_bpr, derivative
 from tonaltension.tension import (TensionFrame, WindowConfig, cloud_diameter,
-                                  cloud_momentum, estimate_key, make_cloud,
-                                  tension_track, tensile_strain)
+                                  cloud_momentum, estimate_key, tension_track,
+                                  tensile_strain, window_cloud)
 
 from conftest import build_score, note
 
@@ -146,20 +146,12 @@ class TestSweepMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(scores(), windows)
     def test_tension_and_features_equal(self, score, cfg):
-        track = tension_track(score, cfg, P)
-        assert track == oracle_track(score, cfg, P)
-        rows = assemble_features(score, track, {"P", "M", "T"})
-        assert [(r.frame_index, r.beat) + r.values for r in rows] \
-            == oracle_features(score, track)
-
-    @settings(max_examples=30, deadline=None)
-    @given(scores(), windows)
-    def test_given_frames_change_nothing(self, score, cfg):
         frames = group_onsets(score)
         track = tension_track(score, cfg, P, frames)
-        assert track == tension_track(score, cfg, P)
-        assert assemble_features(score, track, {"P", "M", "T"}, frames) \
-            == assemble_features(score, track, {"P", "M", "T"})
+        assert track == oracle_track(score, cfg, P)
+        rows = assemble_features(score, track, {"P", "M", "T"}, frames)
+        assert [(r.frame_index, r.beat) + r.values for r in rows] \
+            == oracle_features(score, track)
 
     def test_fallback_when_window_rounds_away(self):
         # at beat 2**60 adding a one-beat width or a short duration is lost
@@ -171,10 +163,10 @@ class TestSweepMatchesOracle:
                              note("c", beat, 0.3, 0, octave=2),
                              note("d", beat, 0.5, 1, octave=5)])
         assert [n.id for n in score.notes] == ["c", "b", "a", "d"]
-        frame = group_onsets(score)[0]
-        assert make_cloud(score, frame, WindowConfig(), P) \
-            == oracle_cloud(score, frame, WindowConfig(), P)
-        assert tension_track(score, WindowConfig(), P) \
+        frames = group_onsets(score)
+        assert window_cloud(score.notes, frames[0], WindowConfig(), P) \
+            == oracle_cloud(score, frames[0], WindowConfig(), P)
+        assert tension_track(score, WindowConfig(), P, frames) \
             == oracle_track(score, WindowConfig(), P)
 
 

@@ -27,47 +27,47 @@ def frame0(score):
 class TestPitchFeatures:
     def test_single_melody_note(self):
         score = build_score([note("c", 0.0, 1.0, 0, 4, melody=True)])
-        assert pitch_features(frame0(score), score) == (60 / 127, 60 / 127, 60 / 127)
+        assert pitch_features(frame0(score)) == (60 / 127, 60 / 127, 60 / 127)
 
     def test_triad_without_melody_flag(self):
         score = triad_at_c4()
-        assert pitch_features(frame0(score), score) == (67 / 127, 60 / 127, 0.0)
+        assert pitch_features(frame0(score)) == (67 / 127, 60 / 127, 0.0)
 
     def test_lowest_note_matches_worked_example(self):
         score = triad_at_c4()
-        assert pitch_features(frame0(score), score)[1] == 60 / 127
+        assert pitch_features(frame0(score))[1] == 60 / 127
 
     def test_highest_of_several_melody_notes_wins(self):
         score = build_score([note("a", 0.0, 1.0, 0, 4, melody=True),
                              note("b", 0.0, 1.0, 2, 5, melody=True)])
         top = max(n.midi_pitch for n in score.notes)
-        assert pitch_features(frame0(score), score)[2] == top / 127
+        assert pitch_features(frame0(score))[2] == top / 127
 
 
 class TestVerticalIntervals:
     def test_c_major_triad_worked_example(self):
         score = triad_at_c4()
-        assert vertical_intervals(frame0(score), score) == (4 / 11, 7 / 11, 0.0)
+        assert vertical_intervals(frame0(score)) == (4 / 11, 7 / 11, 0.0)
 
     def test_single_note_has_no_intervals(self):
         score = build_score([note("c", 0.0, 1.0, 0, 4)])
-        assert vertical_intervals(frame0(score), score) == (0.0, 0.0, 0.0)
+        assert vertical_intervals(frame0(score)) == (0.0, 0.0, 0.0)
 
     def test_octave_excluded(self):
         score = build_score([note("c4", 0.0, 1.0, 0, 4), note("c5", 0.0, 1.0, 0, 5)])
-        assert vertical_intervals(frame0(score), score) == (0.0, 0.0, 0.0)
+        assert vertical_intervals(frame0(score)) == (0.0, 0.0, 0.0)
 
     def test_pitch_class_repetition_excluded(self):
         score = build_score([note("c4", 0.0, 1.0, 0, 4), note("e4", 0.0, 1.0, 4, 4),
                              note("e5", 0.0, 1.0, 4, 5)])
-        assert vertical_intervals(frame0(score), score) == (4 / 11, 0.0, 0.0)
+        assert vertical_intervals(frame0(score)) == (4 / 11, 0.0, 0.0)
 
     def test_more_than_three_keeps_smallest(self):
         score = build_score([
             note("c", 0.0, 1.0, 0, 4), note("d", 0.0, 1.0, 2, 4),
             note("e", 0.0, 1.0, 4, 4), note("g", 0.0, 1.0, 1, 4),
             note("b", 0.0, 1.0, 5, 4)])
-        assert vertical_intervals(frame0(score), score) == (2 / 11, 4 / 11, 7 / 11)
+        assert vertical_intervals(frame0(score)) == (2 / 11, 4 / 11, 7 / 11)
 
 
 class TestMetricalFeatures:
@@ -124,27 +124,33 @@ class TestAssemble:
             note("c", 0.0, 1.0, 0, 4, melody=True), note("e", 0.0, 1.0, 4, 4),
             note("g", 1.0, 1.0, 1, 4), note("d", 2.5, 0.5, 2, 5)])
 
+    def rows(self, groups):
+        score = self.score()
+        return assemble_features(score, None, groups, group_onsets(score))
+
     def test_empty_group_set_gives_zero_columns(self):
-        rows = assemble_features(self.score(), None, set())
+        rows = self.rows(set())
         assert all(r.values == () for r in rows)
         assert feature_names(set()) == ()
 
     def test_pitch_only_six_columns(self):
-        rows = assemble_features(self.score(), None, {"P"})
+        rows = self.rows({"P"})
         assert all(len(r.values) == 6 for r in rows)
 
     def test_all_groups_thirteen_canonical_columns(self):
         score = self.score()
-        track = tension_track(score, WindowConfig(), SpiralParams())
-        rows = assemble_features(score, track, {"P", "M", "T"})
+        frames = group_onsets(score)
+        track = tension_track(score, WindowConfig(), SpiralParams(), frames)
+        rows = assemble_features(score, track, {"P", "M", "T"}, frames)
         assert feature_names({"P", "M", "T"}) == CANONICAL_ORDER
         assert all(len(r.values) == 13 for r in rows)
 
     def test_tension_length_mismatch_rejected(self):
         score = self.score()
-        track = tension_track(score, WindowConfig(), SpiralParams())
+        frames = group_onsets(score)
+        track = tension_track(score, WindowConfig(), SpiralParams(), frames)
         with pytest.raises(ValidationError, match="match"):
-            assemble_features(score, track[:-1], {"T"})
+            assemble_features(score, track[:-1], {"T"}, frames)
 
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
@@ -152,19 +158,20 @@ class TestAssemble:
 
     def test_all_values_in_unit_interval(self):
         score = self.score()
-        track = tension_track(score, WindowConfig(), SpiralParams())
-        for row in assemble_features(score, track, {"P", "M"}):
+        frames = group_onsets(score)
+        track = tension_track(score, WindowConfig(), SpiralParams(), frames)
+        for row in assemble_features(score, track, {"P", "M"}, frames):
             assert all(0.0 <= v <= 1.0 for v in row.values)
 
     def test_pitch_high_at_least_low(self):
-        rows = assemble_features(self.score(), None, {"P"})
+        rows = self.rows({"P"})
         names = feature_names({"P"})
         hi, lo = names.index("pitch_h"), names.index("pitch_l")
         for row in rows:
             assert row.values[hi] >= row.values[lo]
 
     def test_vic_nondecreasing_before_padding(self):
-        rows = assemble_features(self.score(), None, {"P"})
+        rows = self.rows({"P"})
         names = feature_names({"P"})
         idx = [names.index(f"vic{i}") for i in (1, 2, 3)]
         for row in rows:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tonaltension import cli
 from tonaltension.features import CANONICAL_ORDER
-from tonaltension.model import init_model, loads_model, save_model
+from tonaltension.model import dumps_model, init_model, loads_model
 from tonaltension.symbolic import parse_performance, parse_score
 
 ALPHABET = "0123456789.-+eE, naif#x\n"
@@ -71,11 +71,11 @@ def corpus(tmp_path_factory):
                          "--match", base / "corpus" / f"{stem}.match.tsv",
                          "--out-dir", base / "feats"])[0] == 0
     model = base / "model.txt"
-    save_model(init_model(len(CANONICAL_ORDER), seed=0), model, {
+    model.write_text(dumps_model(init_model(len(CANONICAL_ORDER), seed=0), {
         "target": "bpr",
         "feature_names": ",".join(CANONICAL_ORDER),
         "feature_mean": ",".join("0.0" for _ in CANONICAL_ORDER),
-        "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)})
+        "feature_std": ",".join("1.0" for _ in CANONICAL_ORDER)}))
     return base
 
 

@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
 from tonaltension.errors import TrainingDiverged
-from tonaltension.evaluate import (Piece, columns, make_folds, r2, resolve_feature_set,
-                                   run_cv, standardize_stats)
-from tonaltension.features import CANONICAL_ORDER
+from tonaltension.evaluate import (Piece, columns, make_folds, r2, run_cv,
+                                   standardize_stats)
+from tonaltension.features import CANONICAL_ORDER, feature_names
 from tonaltension.model import (HIDDEN, RMSPROP_DECAY, RMSPROP_EPSILON, TrainConfig,
                                 TrainLogEntry, forward, forward_many, init_model,
                                 input_jacobian_band, loss_and_gradient, train_many, unflatten)
@@ -176,7 +176,7 @@ def o_run_cv(corpus, experiments, cfg, seed, k):
     by_id = {p.id: p for p in corpus}
     results = []
     for target, feature_set in experiments:
-        names = resolve_feature_set(feature_set)
+        names = feature_names(set(feature_set))
         t_idx = TARGET_NAMES.index(target)
         per_piece = {}
         for fold_i, test_ids in enumerate(fold_ids):

@@ -7,7 +7,7 @@ from tonaltension.errors import TrainingDiverged
 from tonaltension.model import (HIDDEN, ModelParams, TrainConfig, dumps_model,
                                 forward, forward_batch, init_model,
                                 load_model, loads_model, loss_and_gradient,
-                                save_model, train, train_many, unflatten)
+                                train, train_many, unflatten)
 
 
 def randomized(input_dim, seed, scale=0.3):
@@ -247,7 +247,7 @@ class TestModelFile:
     def test_round_trip_is_exact(self, tmp_path, rng):
         params = randomized(4, seed=8)
         path = tmp_path / "model.txt"
-        save_model(params, path, {"target": "bpr", "note": "hello world"})
+        path.write_text(dumps_model(params, {"target": "bpr", "note": "hello world"}))
         loaded, meta = load_model(path)
         assert np.array_equal(loaded.flatten(), params.flatten())
         assert meta["target"] == "bpr"

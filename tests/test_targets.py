@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tonaltension.errors import ValidationError
 from tonaltension.symbolic import Performance, PerformedNote, group_onsets
-from tonaltension.targets import (average_onsets, compute_bpr, compute_vel,
-                                  derivative, targets)
+from tonaltension.targets import average_onsets, compute_bpr, derivative, targets
 
 from conftest import build_score, metronomic_performance, note
 
@@ -89,19 +88,24 @@ class TestDerivative:
         assert d == [0.0, 2.0, 2.0, 2.0]
 
 
+def vels(performance, score):
+    return [r.vel for r in targets(performance, group_onsets(score))]
+
+
 class TestComputeVel:
     def test_max_per_frame(self):
-        score = build_score([note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 4)])
-        p = perf(("a", 0.0, 0.5, 64), ("b", 0.01, 0.5, 80))
-        assert compute_vel(p, group_onsets(score)) == [80 / 127]
+        score = build_score([note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 4),
+                             note("c", 1.0, 1.0, 1)])
+        p = perf(("a", 0.0, 0.5, 64), ("b", 0.01, 0.5, 80), ("c", 0.5, 0.5, 64))
+        assert vels(p, score)[0] == 80 / 127
 
     def test_saturated(self):
-        score = build_score([note("a", 0.0, 1.0, 0)])
-        assert compute_vel(perf(("a", 0.0, 0.5, 127)), group_onsets(score)) == [1.0]
+        p = perf(("a", 0.0, 0.5, 127), ("b", 0.5, 0.5, 64), ("c", 1.0, 0.5, 64))
+        assert vels(p, three_frame_score())[0] == 1.0
 
     def test_minimum_velocity(self):
-        score = build_score([note("a", 0.0, 1.0, 0)])
-        assert compute_vel(perf(("a", 0.0, 0.5, 1)), group_onsets(score)) == [1 / 127]
+        p = perf(("a", 0.0, 0.5, 1), ("b", 0.5, 0.5, 64), ("c", 1.0, 0.5, 64))
+        assert vels(p, three_frame_score())[0] == 1 / 127
 
 
 class TestVelScaling:
@@ -109,22 +113,19 @@ class TestVelScaling:
         score = three_frame_score()
         base = perf(("a", 0.0, 0.4, 10), ("b", 0.5, 0.4, 20), ("c", 1.0, 0.4, 40))
         tripled = perf(("a", 0.0, 0.4, 30), ("b", 0.5, 0.4, 60), ("c", 1.0, 0.4, 120))
-        v1 = compute_vel(base, group_onsets(score))
-        v3 = compute_vel(tripled, group_onsets(score))
-        assert v3 == [3 * v for v in v1]
+        assert vels(tripled, score) == [3 * v for v in vels(base, score)]
 
     def test_vel_invariant_under_time_scaling(self):
         score = three_frame_score()
         a = perf(("a", 0.0, 0.4, 50), ("b", 0.5, 0.4, 60), ("c", 1.0, 0.4, 70))
         b = perf(("a", 0.0, 0.8, 50), ("b", 1.0, 0.8, 60), ("c", 2.0, 0.8, 70))
-        frames = group_onsets(score)
-        assert compute_vel(a, frames) == compute_vel(b, frames)
+        assert vels(a, score) == vels(b, score)
 
 
 class TestTargets:
     def test_metronomic_flat_velocity(self):
         score = three_frame_score()
-        rows = targets(score, metronomic_performance(score, velocity=90))
+        rows = targets(metronomic_performance(score, velocity=90), group_onsets(score))
         assert all(r.bpr == pytest.approx(1.0) for r in rows)
         assert all(r.d_bpr == pytest.approx(0.0) for r in rows)
         assert all(r.vel == 90 / 127 for r in rows)
@@ -133,7 +134,7 @@ class TestTargets:
     def test_composes_component_oracles(self):
         score = three_frame_score()
         p = perf(("a", 0.0, 0.4, 60), ("b", 0.5, 0.4, 70), ("c", 1.5, 0.4, 80))
-        rows = targets(score, p)
+        rows = targets(p, group_onsets(score))
         bpr = compute_bpr([0.0, 0.5, 1.5], [0.0, 1.0, 2.0])
         assert [r.bpr for r in rows] == pytest.approx(bpr)
         assert [r.vel for r in rows] == [60 / 127, 70 / 127, 80 / 127]
@@ -143,11 +144,12 @@ class TestTargets:
     def test_one_frame_rejected(self):
         score = build_score([note("a", 0.0, 1.0, 0)])
         with pytest.raises(ValueError):
-            targets(score, perf(("a", 0.0, 0.5, 64)))
+            targets(perf(("a", 0.0, 0.5, 64)), group_onsets(score))
 
     def test_dropped_frames_keep_original_indices(self):
         score = three_frame_score()
-        rows = targets(score, perf(("a", 0.0, 0.4, 64), ("c", 1.0, 0.4, 64)))
+        rows = targets(perf(("a", 0.0, 0.4, 64), ("c", 1.0, 0.4, 64)),
+                       group_onsets(score))
         assert [r.frame_index for r in rows] == [0, 2]
 
     @settings(deadline=None)
@@ -162,8 +164,8 @@ class TestTargets:
                                for i in range(n)))
         p2 = Performance(tuple(PerformedNote(f"n{i}", float(scale * onsets[i]), 0.3, 64)
                                for i in range(n)))
-        a = [r.bpr for r in targets(score, p1)]
-        b = [r.bpr for r in targets(score, p2)]
+        a = [r.bpr for r in targets(p1, group_onsets(score))]
+        b = [r.bpr for r in targets(p2, group_onsets(score))]
         assert b == pytest.approx(a, abs=1e-9)
         assert np.mean(a) == pytest.approx(1.0, abs=1e-9)
 
@@ -172,7 +174,7 @@ class TestTargets:
                              note("c", 2.0, 1.0, 2), note("d", 3.0, 1.0, 3)])
         p = perf(("a", 0.0, 0.4, 64), ("b", 0.5, 0.4, 64), ("d", 1.5, 0.4, 64))
         with caplog.at_level("WARNING", logger="tonaltension.targets"):
-            rows = targets(score, p)
+            rows = targets(p, group_onsets(score))
         assert [r.frame_index for r in rows] == [0, 1, 3]
         dropping = [r for r in caplog.records if "dropping" in r.getMessage()]
         assert len(dropping) == 1

@@ -8,8 +8,8 @@ from tonaltension.spiral import (SpiralParams, distance, enharmonic_unit,
                                  key_coe, make_cloud as cloud_of,
                                  pitch_position)
 from tonaltension.tension import (WindowConfig, cloud_diameter, cloud_momentum,
-                                  estimate_key, make_cloud, tensile_strain,
-                                  tension_track)
+                                  estimate_key, tensile_strain, tension_track,
+                                  window_cloud)
 from tonaltension.symbolic import group_onsets
 
 from conftest import build_score, note
@@ -25,13 +25,13 @@ def weights_of(cloud):
 class TestMakeCloud:
     def test_isolated_whole_note(self):
         score = build_score([note("a", 0.0, 1.0, tpc=0)])
-        cloud = make_cloud(score, group_onsets(score)[0], CFG, P)
+        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
         assert weights_of(cloud) == {0: 1.0}
 
     def test_triad_of_quarters_equal_weights(self):
         score = build_score([note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 1),
                              note("c", 0.0, 1.0, 4)])
-        cloud = make_cloud(score, group_onsets(score)[0], CFG, P)
+        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
         assert weights_of(cloud) == {0: 1.0, 1: 1.0, 4: 1.0}
 
     def test_held_bass_weighted_by_overlap(self):
@@ -39,25 +39,26 @@ class TestMakeCloud:
         score = build_score([note("bass", 0.0, 1.5, 0, octave=2),
                              note("top", 1.0, 1.0, 1)])
         frames = group_onsets(score)
-        cloud = make_cloud(score, frames[1], CFG, P)
+        cloud = window_cloud(score.notes, frames[1], CFG, P)
         # oracle: interval intersection arithmetic
         assert weights_of(cloud) == {0: min(1.5, 2.0) - 1.0, 1: 1.0}
 
     def test_onset_only_excludes_held_notes(self):
         score = build_score([note("bass", 0.0, 4.0, 0), note("top", 1.0, 1.0, 1)])
         frames = group_onsets(score)
-        cloud = make_cloud(score, frames[1], WindowConfig(include_held=False), P)
+        cloud = window_cloud(score.notes, frames[1], WindowConfig(include_held=False), P)
         assert weights_of(cloud) == {1: 1.0}
 
     def test_duplicate_tpcs_merge(self):
         score = build_score([note("a", 0.0, 1.0, 0, octave=3),
                              note("b", 0.0, 1.0, 0, octave=4)])
-        cloud = make_cloud(score, group_onsets(score)[0], CFG, P)
+        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
         assert weights_of(cloud) == {0: 2.0}
 
     def test_window_shorter_than_notes(self):
         score = build_score([note("a", 0.0, 2.0, 0)])
-        cloud = make_cloud(score, group_onsets(score)[0], WindowConfig(width_beats=0.5), P)
+        cloud = window_cloud(score.notes, group_onsets(score)[0],
+                             WindowConfig(width_beats=0.5), P)
         assert weights_of(cloud) == {0: 0.5}
 
     def test_nonpositive_width_rejected(self):
@@ -129,7 +130,8 @@ def two_chord_score():
 
 class TestTensionTrack:
     def test_single_frame(self):
-        track = tension_track(build_score([note("a", 0.0, 1.0, 0)]), CFG, P)
+        score = build_score([note("a", 0.0, 1.0, 0)])
+        track = tension_track(score, CFG, P, group_onsets(score))
         assert len(track) == 1
         assert track[0].t_cm == 0.0
 
@@ -137,17 +139,18 @@ class TestTensionTrack:
         notes = []
         for i in range(4):
             notes += [note(f"c{i}", float(i), 1.0, 0), note(f"e{i}", float(i), 1.0, 4)]
-        track = tension_track(build_score(notes), CFG, P)
+        score = build_score(notes)
+        track = tension_track(score, CFG, P, group_onsets(score))
         assert all(t.t_cm == pytest.approx(0.0, abs=1e-12) for t in track[1:])
         assert len({round(t.t_cd, 12) for t in track}) == 1
 
     def test_two_chord_progression_composes_per_op_oracles(self):
         score = two_chord_score()
         frames = group_onsets(score)
-        c0 = make_cloud(score, frames[0], CFG, P)
-        c1 = make_cloud(score, frames[1], CFG, P)
+        c0 = window_cloud(score.notes, frames[0], CFG, P)
+        c1 = window_cloud(score.notes, frames[1], CFG, P)
         key_center = key_coe(0, "major", P)
-        track = tension_track(score, CFG, P)
+        track = tension_track(score, CFG, P, frames)
         assert track[0].t_cd == pytest.approx(cloud_diameter(c0, P), abs=1e-12)
         assert track[1].t_cd == pytest.approx(cloud_diameter(c1, P), abs=1e-12)
         assert track[0].t_cm == 0.0
@@ -156,20 +159,23 @@ class TestTensionTrack:
 
     def test_track_length_matches_frames(self):
         score = two_chord_score()
-        assert len(tension_track(score, CFG, P)) == len(group_onsets(score))
+        frames = group_onsets(score)
+        assert len(tension_track(score, CFG, P, frames)) == len(frames)
 
     def test_empty_score_empty_track(self):
         from tonaltension.symbolic import Score, MeterEntry
         empty = Score((), (MeterEntry(0.0, 4.0, 4, "duple"),), None)
-        assert tension_track(empty, CFG, P) == []
+        assert tension_track(empty, CFG, P, group_onsets(empty)) == []
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(min_value=-5, max_value=5))
     def test_invariant_under_global_fifth_transposition(self, shift):
-        base = tension_track(two_chord_score(), CFG, P)
+        score = two_chord_score()
+        base = tension_track(score, CFG, P, group_onsets(score))
         notes = [note(n.id, n.onset, n.duration, n.tpc + shift,
-                      n.midi_pitch // 12 - 1) for n in two_chord_score().notes]
-        moved = tension_track(build_score(notes, key=(shift, "major")), CFG, P)
+                      n.midi_pitch // 12 - 1) for n in score.notes]
+        moved_score = build_score(notes, key=(shift, "major"))
+        moved = tension_track(moved_score, CFG, P, group_onsets(moved_score))
         for a, b in zip(base, moved):
             assert b.t_cd == pytest.approx(a.t_cd, abs=1e-9)
             assert b.t_cm == pytest.approx(a.t_cm, abs=1e-9)
@@ -178,8 +184,10 @@ class TestTensionTrack:
     @given(st.floats(min_value=0.1, max_value=10.0))
     def test_invariant_under_joint_scaling(self, c):
         scaled = SpiralParams(r=P.r * c, h=P.h * c)
-        base = tension_track(two_chord_score(), CFG, P)
-        moved = tension_track(two_chord_score(), CFG, scaled)
+        score = two_chord_score()
+        frames = group_onsets(score)
+        base = tension_track(score, CFG, P, frames)
+        moved = tension_track(score, CFG, scaled, frames)
         for a, b in zip(base, moved):
             assert b.t_cd == pytest.approx(a.t_cd, abs=1e-9)
             assert b.t_cm == pytest.approx(a.t_cm, abs=1e-9)
@@ -190,6 +198,7 @@ class TestTensionTrack:
                              enumerate([0, 1, 4, 0, -1, 1, 0])], key=None)
         tonic, mode = estimate_key(score, P)
         assert (tonic, mode) == (0, "major")
-        keyed = tension_track(build_score(list(score.notes), key=(0, "major")), CFG, P)
-        fallback = tension_track(score, CFG, P)
+        frames = group_onsets(score)
+        keyed = tension_track(build_score(list(score.notes), key=(0, "major")), CFG, P, frames)
+        fallback = tension_track(score, CFG, P, frames)
         assert [t.t_ts for t in keyed] == [t.t_ts for t in fallback]
