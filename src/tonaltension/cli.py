@@ -436,6 +436,9 @@ def cmd_eval(args) -> int:
     for t in requested:
         if t not in TARGET_NAMES:
             raise SettingError("targets", f"must be among {', '.join(TARGET_NAMES)}, got {t!r}")
+        if requested.count(t) > 1:
+            raise SettingError("targets", f"must name each target once, "
+                                          f"got {t!r} {requested.count(t)} times")
     cfg = _train_config(args)
     labels = sorted({lbl for pair in _TABLE_ROWS for lbl in pair})
     if args.include_fs:

@@ -33,8 +33,7 @@ class Piece:
     beats: np.ndarray  # (T,)
     features: np.ndarray  # (T, F)
     feature_names: tuple[str, ...]
-    targets: np.ndarray  # (T, 4)
-    target_names: tuple[str, ...] = TARGET_NAMES
+    targets: np.ndarray  # (T, 4), columns in TARGET_NAMES order
 
 
 class _FoldModel(NamedTuple):
@@ -141,7 +140,7 @@ class _StandardizedPieces:
         self.names = names
         self.mean, self.std = standardize_stats(np.vstack([columns(p, names)
                                                            for p in pieces]))
-        self.t_idx = pieces[0].target_names.index(target)
+        self.t_idx = TARGET_NAMES.index(target)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -179,7 +178,7 @@ def mi_subset(corpus: list[Piece], fraction: float, k: int,
     subset = [p for p in corpus if p.id in subset_ids]
     feats = np.vstack([p.features for p in subset])
     targs = np.vstack([p.targets for p in subset])
-    table = mi_mod.mi_table(feats, names, targs, subset[0].target_names, k=k, seed=seed)
+    table = mi_mod.mi_table(feats, names, targs, TARGET_NAMES, k=k, seed=seed)
     return subset, table
 
 
@@ -228,7 +227,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
 
     results = []
     for e, (target, feature_set) in enumerate(experiments):
-        t_idx = corpus[0].target_names.index(target)
+        t_idx = TARGET_NAMES.index(target)
         tests = [(params, fold.data, by_id[pid])
                  for fold, (params, _) in zip(folds, fitted) if fold.experiment == e
                  for pid in fold.test_ids]

@@ -35,8 +35,10 @@ unpadded inputs, so models of different input widths share the axis:
 every parameter stack (``loss_and_gradient``'s input and gradient, and
 ``train_many``'s parameters, RMSProp state and best parameters) holds
 each model flattened at the common input width, with zero W columns
-past its own input_dim; ``ModelParams`` and model files keep a model at
-its own width. Rows are ordered longest sequence first (a model's two
+past its own input_dim. A model (``ModelParams``) is its input width and
+its flat parameter vector at that width, in the one layout that
+``_shapes`` names; ``tensors()`` views that vector by tensor name, and
+model files store the same tensors in the same order. Rows are ordered longest sequence first (a model's two
 rows have one length), so a step only advances the leading rows still
 inside their sequence and every sum over time covers a row's own steps.
 
@@ -76,57 +78,44 @@ _FILE_MAGIC = "tonaltension-model"
 _FILE_VERSION = 1
 
 
-@dataclass
-class DirectionParams:
-    """Gate parameters for one scan direction, gate blocks stacked in
-    GATE_ORDER along the first axis (4H rows)."""
+class _Gates(NamedTuple):
+    """Gate tensors of a stack of n scan rows, gate blocks stacked in
+    GATE_ORDER along the 4H axis. Its fields name a direction's tensors
+    in the parameter layout (``_shapes``)."""
 
-    W: np.ndarray  # (4H, input_dim)
-    U: np.ndarray  # (4H, H)
-    alpha: np.ndarray  # (4H,)
-    beta1: np.ndarray  # (4H,)
-    beta2: np.ndarray  # (4H,)
-    bias: np.ndarray  # (4H,)
-
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("W", self.W), ("U", self.U), ("alpha", self.alpha),
-                ("beta1", self.beta1), ("beta2", self.beta2), ("bias", self.bias)]
+    W: np.ndarray  # (n, 4H, input_dim)
+    U: np.ndarray  # (n, 4H, H)
+    alpha: np.ndarray  # (n, 4H), or (n, 1, 4H) in _scan_grad's gradients
+    beta1: np.ndarray
+    beta2: np.ndarray
+    bias: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    input_dim: int
-    fwd: DirectionParams
-    bwd: DirectionParams
-    v: np.ndarray  # (2H,)
-    out_bias: float
+    """One model: its input width and its parameters flattened in the
+    layout of ``_shapes(input_dim)``."""
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        named = [(f"fwd.{n}", t) for n, t in self.fwd.tensors()]
-        named += [(f"bwd.{n}", t) for n, t in self.bwd.tensors()]
-        named.append(("out.v", self.v))
-        named.append(("out.bias", np.array([self.out_bias])))
-        return named
+    input_dim: int
+    flat: np.ndarray
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """{tensor name: view into ``flat``}, in layout order."""
+        return {name: t[0] for name, t in _split(self.flat[None], self.input_dim).items()}
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for _, t in self.tensors()])
-
-    @property
-    def size(self) -> int:
-        return sum(t.size for _, t in self.tensors())
+        """``flat`` itself, not a copy."""
+        return self.flat
 
 
 def _shapes(input_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The parameter layout: (tensor name, shape) in flattening order."""
     G = 4 * HIDDEN
-    per_dir = [("W", (G, input_dim)), ("U", (G, HIDDEN)), ("alpha", (G,)),
-               ("beta1", (G,)), ("beta2", (G,)), ("bias", (G,))]
-    named = [(f"{d}.{n}", s) for d in ("fwd", "bwd") for n, s in per_dir]
+    per_dir = {"W": (G, input_dim), "U": (G, HIDDEN)}
+    named = [(f"{d}.{n}", per_dir.get(n, (G,))) for d in ("fwd", "bwd") for n in _Gates._fields]
     named.append(("out.v", (2 * HIDDEN,)))
     named.append(("out.bias", (1,)))
     return named
-
-
-_DIR_FIELDS = ("W", "U", "alpha", "beta1", "beta2", "bias")
 
 
 def _size(input_dim: int) -> int:
@@ -136,7 +125,7 @@ def _size(input_dim: int) -> int:
 
 def _split(flat: np.ndarray, input_dim: int) -> dict[str, np.ndarray]:
     """An (n, size) stack of models, each flattened at ``input_dim`` in
-    canonical order, as {tensor name: (n,) + shape view}."""
+    the ``_shapes`` layout, as {tensor name: (n,) + shape view}."""
     n = flat.shape[0]
     parts = {}
     pos = 0
@@ -149,42 +138,25 @@ def _split(flat: np.ndarray, input_dim: int) -> dict[str, np.ndarray]:
     return parts
 
 
-def unflatten(flat: np.ndarray, input_dim: int) -> ModelParams:
-    """Inverse of ModelParams.flatten (exact round trip)."""
-    flat = np.asarray(flat, dtype=float).reshape(1, -1)
-    parts = {name: t[0].copy() for name, t in _split(flat, input_dim).items()}
-
-    def direction(prefix):
-        return DirectionParams(*(parts[f"{prefix}.{n}"] for n in _DIR_FIELDS))
-
-    return ModelParams(input_dim, direction("fwd"), direction("bwd"),
-                       parts["out.v"], float(parts["out.bias"][0]))
-
-
 def init_model(input_dim: int, seed: int) -> ModelParams:
     """Glorot-uniform projections; alpha = 1, beta = 0.5, forget bias 1."""
     if input_dim < 0:
         raise ValueError(f"input_dim must be >= 0, got {input_dim}")
     rng = np.random.default_rng(seed)
-
-    def direction() -> DirectionParams:
-        sw = np.sqrt(6.0 / (input_dim + HIDDEN))
-        su = np.sqrt(6.0 / (HIDDEN + HIDDEN))
-        bias = np.zeros(4 * HIDDEN)
-        bias[HIDDEN:2 * HIDDEN] = 1.0  # forget gate block
-        return DirectionParams(
-            W=rng.uniform(-sw, sw, size=(4 * HIDDEN, input_dim)),
-            U=rng.uniform(-su, su, size=(4 * HIDDEN, HIDDEN)),
-            alpha=np.ones(4 * HIDDEN),
-            beta1=np.full(4 * HIDDEN, 0.5),
-            beta2=np.full(4 * HIDDEN, 0.5),
-            bias=bias,
-        )
-
-    fwd = direction()
-    bwd = direction()
+    params = ModelParams(input_dim, np.zeros(_size(input_dim)))
+    t = params.tensors()
+    sw = np.sqrt(6.0 / (input_dim + HIDDEN))
+    su = np.sqrt(6.0 / (HIDDEN + HIDDEN))
+    for d in ("fwd", "bwd"):
+        t[f"{d}.W"][:] = rng.uniform(-sw, sw, size=t[f"{d}.W"].shape)
+        t[f"{d}.U"][:] = rng.uniform(-su, su, size=t[f"{d}.U"].shape)
+        t[f"{d}.alpha"][:] = 1.0
+        t[f"{d}.beta1"][:] = 0.5
+        t[f"{d}.beta2"][:] = 0.5
+        t[f"{d}.bias"][HIDDEN:2 * HIDDEN] = 1.0  # forget gate block
     sv = np.sqrt(6.0 / (2 * HIDDEN + 1))
-    return ModelParams(input_dim, fwd, bwd, rng.uniform(-sv, sv, size=2 * HIDDEN), 0.0)
+    t["out.v"][:] = rng.uniform(-sv, sv, size=2 * HIDDEN)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +184,7 @@ def _unstack(flat: np.ndarray, input_dim: int):
         fwd, bwd = parts[f"fwd.{field}"], parts[f"bwd.{field}"]
         return np.stack([fwd, bwd], axis=1).reshape((2 * n,) + fwd.shape[1:])
 
-    return DirectionParams(*map(both, _DIR_FIELDS)), parts["out.v"], parts["out.bias"][:, 0]
+    return _Gates(*map(both, _Gates._fields)), parts["out.v"], parts["out.bias"][:, 0]
 
 
 def _spans(lengths) -> list[tuple[int, int, int]]:
@@ -228,7 +200,7 @@ def _spans(lengths) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _project(d: DirectionParams, seqs) -> np.ndarray:
+def _project(d: _Gates, seqs) -> np.ndarray:
     """The input projections P (T, n, 1, 4H) of n stacked rows, row r over
     its own (T_r, D_r) sequence: one GEMM of the row's unpadded inputs and
     W columns each, zero past its length."""
@@ -239,7 +211,7 @@ def _project(d: DirectionParams, seqs) -> np.ndarray:
     return P
 
 
-def _scan(d: DirectionParams, seqs, spans) -> dict:
+def _scan(d: _Gates, seqs, spans) -> dict:
     """Scan n stacked rows, row r with its own gate tensors over its own
     sequence, rows ordered longest first; over each span of ``spans`` only
     its leading rows advance. Per-step arrays are (m, 1, .) row vectors,
@@ -259,7 +231,7 @@ def _scan(d: DirectionParams, seqs, spans) -> dict:
     c = C[0]
     for start, stop, m in spans:
         U_T = d.U[:m].swapaxes(1, 2)
-        alpha, beta1, beta2, bias = (t[:m, None] for _, t in d.tensors()[2:])
+        alpha, beta1, beta2, bias = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2, d.bias))
         h, c = h[:m], c[:m]
         for t in range(start, stop):
             p = P[t, :m]
@@ -321,10 +293,11 @@ def _cell_grad(fac: _Factors, j, dh, dc):
     return da, da * fac.dp_da[j], da * fac.dq_da[j], dc * fac.f[j]
 
 
-def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
-               width: int) -> DirectionParams:
+def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
+               width: int) -> _Gates:
     """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
-    is the loss gradient injected at each step's hidden state. Every sum over time runs from a
+    is the loss gradient injected at each step's hidden state. Returns the
+    rows' parameter gradients. Every sum over time runs from a
     row's own last step down to step 0, as for that row alone; W gradients
     are (n, 4H, width), a narrower row filling only its own columns. The
     steps of a span are reversed in blocks of BPTT_BLOCK, each block's
@@ -335,8 +308,8 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
     X = np.zeros((T, n, 1, width))  # the scanned inputs, zero-padded
     for r, xs in enumerate(seqs):
         X[:len(xs), r, 0, :xs.shape[1]] = xs
-    grads = DirectionParams(np.zeros((n, G, width)), np.zeros((n, G, H)),
-                            *(np.zeros((n, 1, G)) for _ in range(4)))
+    grads = _Gates(np.zeros((n, G, width)), np.zeros((n, G, H)),
+                   *(np.zeros((n, 1, G)) for _ in range(4)))
     dh = np.zeros((0, 1, H))
     dc = np.zeros((0, 1, H))
     for start, stop, m in reversed(spans):
@@ -345,8 +318,8 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
         dc = np.concatenate([dc, np.zeros((m - len(dc), 1, H))])
         U = d.U[:m]
         U_T = U.swapaxes(1, 2)
-        alpha, beta1, beta2 = (t[:m, None] for _, t in d.tensors()[2:5])
-        g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias = (t[:m] for _, t in grads.tensors())
+        alpha, beta1, beta2 = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2))
+        g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias = (t[:m] for t in grads)
         for end in range(stop, start, -BPTT_BLOCK):
             block = slice(max(start, end - BPTT_BLOCK), end)
             p, h_prev, x, dH = P[block, :m], Hs[block, :m], X[block, :m], dH_out[block, :m]
@@ -363,7 +336,7 @@ def _scan_grad(d: DirectionParams, cache: dict, seqs, dH_out: np.ndarray, spans,
                 g_bias += da
                 g_W += dp[:, 0, :, None] * x[j]
                 g_U += dq[:, 0, :, None] * h_prev[j]
-    return DirectionParams(grads.W, grads.U, *(g[:, 0] for _, g in grads.tensors()[2:]))
+    return grads
 
 
 def _prediction(Hs: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
@@ -392,7 +365,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int,
     Row r of ``flat`` (n, size) is model r flattened at ``input_dim``,
     trained on batch[r] = (xs, ys); items are ordered longest first, as
     rows are in _predict_rows. Returns the (n,) MSEs and the (n, size)
-    gradients in canonical order; a narrower row's W gradient fills only
+    gradients in layout order; a narrower row's W gradient fills only
     its own columns. ``train_many`` takes every update step this way.
     """
     dirs, v, out_bias = _unstack(flat, input_dim)
@@ -414,9 +387,9 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int,
         g_out[r, 2 * H] += dy.sum()
         dH[:L, 2 * r, 0] = np.outer(dy, v[r, :H])
         dH[:L, 2 * r + 1, 0] = np.outer(dy[::-1], v[r, H:])
-    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim).tensors()
+    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim)
     # rows 2r and 2r + 1 are model r's fwd and bwd tensors
-    flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for _, t in grads]
+    flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for t in grads]
     return mse, np.concatenate(flat_grads + [g_out], axis=1)
 
 
@@ -424,7 +397,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int,
 # one model
 
 
-def _band_sweep(d: DirectionParams, cache: dict, row: int, v: np.ndarray,
+def _band_sweep(d: _Gates, cache: dict, row: int, v: np.ndarray,
                 radius: int) -> np.ndarray:
     """Exact d y_tau / d x_{tau-k} for k = 0..radius through row ``row`` of
     a scan of one model (``d`` and ``cache`` as in _scan).
@@ -436,7 +409,7 @@ def _band_sweep(d: DirectionParams, cache: dict, row: int, v: np.ndarray,
     in the row's scan order, with entry [tau, k] zero where tau - k < 0.
     """
     P, gates, C, Hs = (cache[k][:, row, 0] for k in ("P", "gates", "C", "H"))
-    W, U, alpha, beta1, beta2 = (t[row] for _, t in d.tensors()[:5])
+    W, U, alpha, beta1, beta2, _ = (t[row] for t in d)
     T = P.shape[0]
     Q = (Hs[:-1, None] @ U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
     fac = _factors(gates, C[1:], C[:-1], P, Q, alpha, beta1, beta2)
@@ -463,7 +436,7 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     xs = _check_sequence(params, xs)
-    dirs, v, _ = _unstack(params.flatten()[None], params.input_dim)
+    dirs, v, _ = _unstack(params.flat[None], params.input_dim)
     cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2))
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
@@ -487,7 +460,7 @@ def forward_many(models, seqs) -> list[np.ndarray]:
     order = sorted(range(len(seqs)), key=lambda r: -len(seqs[r]))
     flat = np.zeros((len(order), _size(width)))
     for row, r in enumerate(order):
-        flat[row, _own_entries(models[r].input_dim, width)] = models[r].flatten()
+        flat[row, _own_entries(models[r].input_dim, width)] = models[r].flat
     preds = _predict_rows(flat, width, [seqs[r] for r in order])
     return [preds[row] for row in np.argsort(order)]
 
@@ -594,7 +567,7 @@ class _Run:
 def _own_entries(input_dim: int, width: int) -> np.ndarray:
     """Where a model's entries, flattened at its own ``input_dim``, sit in
     the same model flattened at ``width`` (W columns past input_dim are
-    not its own), in canonical order."""
+    not its own), in layout order."""
     parts = _split(np.arange(_size(width))[None], width)
     return np.concatenate([t[0, ..., :input_dim] if name.endswith(".W") else t[0]
                            for name, t in parts.items()], axis=None)
@@ -636,7 +609,7 @@ def train_many(datasets, cfg: TrainConfig,
     own = [_own_entries(run.input_dim, width) for run in runs]
     theta = np.zeros((len(runs), _size(width)))
     for m, run in enumerate(runs):
-        theta[m, own[m]] = init_model(run.input_dim, seed=run.seed).flatten()
+        theta[m, own[m]] = init_model(run.input_dim, seed=run.seed).flat
     accum = np.zeros_like(theta)
     best = theta.copy()
     first_error = len(runs)
@@ -698,7 +671,7 @@ def train_many(datasets, cfg: TrainConfig,
 
     if first_error < len(runs):
         raise runs[first_error].error
-    return [(unflatten(best[m, own[m]], run.input_dim), run.log)
+    return [(ModelParams(run.input_dim, best[m, own[m]]), run.log)
             for m, run in enumerate(runs)]
 
 
@@ -737,7 +710,7 @@ def dumps_model(params: ModelParams, meta: dict[str, str] | None = None) -> str:
         if any(c in key for c in " \t\n") or "\n" in str(value):
             raise ValueError(f"meta key/value not representable: {key!r}")
         lines.append(f"meta {key} {value}")
-    for name, tensor in params.tensors():
+    for name, tensor in params.tensors().items():
         shape = "x".join(str(s) for s in tensor.shape)
         values = " ".join(repr(float(v)) for v in tensor.ravel())
         lines.append(f"tensor {name} {shape} {values}".rstrip())
@@ -808,7 +781,7 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
         if not np.isfinite(values).all():
             raise ValueError(f"tensor {name} holds a non-finite parameter")
         flat.extend(values)
-    return unflatten(np.array(flat), input_dim), meta
+    return ModelParams(input_dim, np.array(flat)), meta
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:

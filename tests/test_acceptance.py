@@ -142,7 +142,7 @@ def test_criterion_4_gradient_check():
         for seed in range(5):
             rng = np.random.default_rng(seed)
             params = init_model(input_dim, seed=seed)
-            theta = params.flatten() + rng.normal(scale=0.3, size=params.size)
+            theta = params.flat + rng.normal(scale=0.3, size=params.flat.size)
             batch = [(rng.normal(size=(3, input_dim)), rng.normal(size=3))]
             _, (grad,) = loss_and_gradient(theta[None], input_dim, batch)
             fd = np.zeros_like(grad)
@@ -212,7 +212,7 @@ def test_criterion_8_sensitivity():
 
         # zero output weights: the prediction is constant, so the matrix is 0
         zero = init_model(13, seed=0)
-        zero.v[:] = 0.0
+        zero.tensors()["out.v"][:] = 0.0
         assert np.all(sensitivity(zero, sequences[:3], radius=5).matrix == 0.0)
 
         # model trained to reproduce the current cloud diameter

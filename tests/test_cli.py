@@ -241,7 +241,7 @@ class TestSensitivity:
     def test_zero_output_model_gives_zero_matrix(self, tmp_path):
         _, feats = make_corpus(tmp_path, pieces=2, length=14)
         params = init_model(13, seed=0)
-        params.v[:] = 0.0
+        params.tensors()["out.v"][:] = 0.0
         model_path = tmp_path / "zero.txt"
         from tonaltension.features import CANONICAL_ORDER
         model_path.write_text(dumps_model(params, {
@@ -529,6 +529,7 @@ class TestBadInputs:
     (["eval", "--targets", "bpr,foo", "--seed", "1", "--epochs", "1"], "--targets"),
     (["train", "--target", "bpr", "--seed", "1", "--epochs", "1", "--groups", ","],
      "--groups"),
+    (["eval", "--targets", "bpr,vel,bpr", "--seed", "1", "--epochs", "1"], "--targets"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)

@@ -234,7 +234,7 @@ class TestRunCv:
 class TestSensitivity:
     def test_zero_output_weights_give_zero_matrix(self):
         params = init_model(4, seed=0)
-        params.v[:] = 0.0
+        params.tensors()["out.v"][:] = 0.0
         seqs = [np.random.default_rng(0).normal(size=(20, 4))]
         res = sensitivity(params, seqs, radius=3)
         assert np.all(res.matrix == 0.0)
@@ -254,9 +254,9 @@ class TestSensitivity:
     def test_matches_direct_finite_difference(self):
         rng = np.random.default_rng(7)
         params = init_model(2, seed=3)
-        flat = params.flatten() + rng.normal(scale=0.3, size=params.size)
-        from tonaltension.model import forward, unflatten
-        params = unflatten(flat, 2)
+        flat = params.flat + rng.normal(scale=0.3, size=params.flat.size)
+        from tonaltension.model import ModelParams, forward
+        params = ModelParams(2, flat)
         xs = rng.normal(size=(9, 2))
         res = sensitivity(params, [xs], radius=1)
         # independent oracle: perturb one input cell by hand

@@ -11,6 +11,7 @@ equal logs and R2 tables) and raise the same first divergence.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,13 +21,24 @@ from tonaltension.errors import TrainingDiverged
 from tonaltension.evaluate import (Piece, columns, make_folds, r2, run_cv,
                                    standardize_stats)
 from tonaltension.features import CANONICAL_ORDER, feature_names
-from tonaltension.model import (HIDDEN, RMSPROP_DECAY, RMSPROP_EPSILON, TrainConfig,
-                                TrainLogEntry, forward, forward_many, init_model,
-                                input_jacobian_band, loss_and_gradient, train_many, unflatten)
+from tonaltension.model import (HIDDEN, RMSPROP_DECAY, RMSPROP_EPSILON, ModelParams,
+                                TrainConfig, TrainLogEntry, forward, forward_many, init_model,
+                                input_jacobian_band, loss_and_gradient, train_many)
 from tonaltension.targets import TARGET_NAMES
 
 # ---------------------------------------------------------------------------
 # oracle: one model, one sequence at a time
+
+GATE_FIELDS = ("W", "U", "alpha", "beta1", "beta2", "bias")
+
+
+def o_unpack(params):
+    """Copies of the model's tensors: each direction's gate tensors as
+    attributes, the output weights, and the output bias as a float."""
+    t = params.tensors()
+    fwd, bwd = (SimpleNamespace(**{n: t[f"{d}.{n}"].copy() for n in GATE_FIELDS})
+                for d in ("fwd", "bwd"))
+    return fwd, bwd, t["out.v"].copy(), float(t["out.bias"][0])
 
 
 def o_scan(d, xs, H):
@@ -60,7 +72,7 @@ def o_previous(rows):
 
 def o_scan_grad(d, cache, dH_out, H):
     P, Q, gates, C, Hs, xs = (cache[k] for k in ("P", "Q", "gates", "C", "H", "xs"))
-    g = {k: np.zeros_like(getattr(d, k)) for k in ("W", "U", "alpha", "beta1", "beta2", "bias")}
+    g = {k: np.zeros_like(getattr(d, k)) for k in GATE_FIELDS}
     dh_rec = np.zeros(H)
     dc_rec = np.zeros(H)
     C_prev = o_previous(C)
@@ -85,32 +97,34 @@ def o_scan_grad(d, cache, dH_out, H):
         g["bias"] += da
         g["W"] += dp[:, None] * xs[t]
         g["U"] += dq[:, None] * H_prev[t]
-    return [g[k] for k in ("W", "U", "alpha", "beta1", "beta2", "bias")]
+    return [g[k] for k in GATE_FIELDS]
 
 
 def o_forward(params, xs):
     H = HIDDEN
-    hf = o_scan(params.fwd, xs, H)["H"]
-    hb = o_scan(params.bwd, xs[::-1], H)["H"][::-1]
-    return hf @ params.v[:H] + hb @ params.v[H:] + params.out_bias
+    fwd, bwd, v, out_bias = o_unpack(params)
+    hf = o_scan(fwd, xs, H)["H"]
+    hb = o_scan(bwd, xs[::-1], H)["H"][::-1]
+    return hf @ v[:H] + hb @ v[H:] + out_bias
 
 
 def o_loss_and_gradient(params, xs, ys):
     H = HIDDEN
     T = xs.shape[0]
-    cf = o_scan(params.fwd, xs, H)
-    cb = o_scan(params.bwd, xs[::-1], H)
+    fwd, bwd, v, out_bias = o_unpack(params)
+    cf = o_scan(fwd, xs, H)
+    cb = o_scan(bwd, xs[::-1], H)
     hf = cf["H"]
     hb = cb["H"][::-1]
-    err = hf @ params.v[:H] + hb @ params.v[H:] + params.out_bias - ys
+    err = hf @ v[:H] + hb @ v[H:] + out_bias - ys
     sse = 0.0 + float(err @ err)
     dy = 2.0 * err / T
     g_v = np.zeros(2 * H)
     g_v[:H] += hf.T @ dy
     g_v[H:] += hb.T @ dy
     g_out_bias = 0.0 + float(dy.sum())
-    grads = o_scan_grad(params.fwd, cf, np.outer(dy, params.v[:H]), H)
-    grads += o_scan_grad(params.bwd, cb, np.outer(dy[::-1], params.v[H:]), H)
+    grads = o_scan_grad(fwd, cf, np.outer(dy, v[:H]), H)
+    grads += o_scan_grad(bwd, cb, np.outer(dy[::-1], v[H:]), H)
     flat = np.concatenate([t.ravel() for t in grads] + [g_v, [g_out_bias]])
     return sse / T, flat
 
@@ -139,7 +153,7 @@ def o_train(dataset, cfg):
             piece_losses = []
             for j in order:
                 xs, ys = dataset[train_idx[j]]
-                loss, grad = o_loss_and_gradient(unflatten(theta, input_dim), xs, ys)
+                loss, grad = o_loss_and_gradient(ModelParams(input_dim, theta), xs, ys)
                 if not np.isfinite(loss):
                     raise TrainingDiverged("loss", epoch, int(train_idx[j]))
                 piece_losses.append(loss)
@@ -148,7 +162,7 @@ def o_train(dataset, cfg):
                     grad = grad * (cfg.gradient_clip_norm / norm)
                 accum = RMSPROP_DECAY * accum + (1.0 - RMSPROP_DECAY) * grad * grad
                 theta = theta - cfg.learning_rate * grad / (np.sqrt(accum) + RMSPROP_EPSILON)
-            params = unflatten(theta, input_dim)
+            params = ModelParams(input_dim, theta)
             sse, steps = 0.0, 0
             for i in val_idx:
                 xs, ys = dataset[i]
@@ -168,7 +182,7 @@ def o_train(dataset, cfg):
                 bad_epochs += 1
                 if bad_epochs >= cfg.early_stop_patience:
                     break
-    return unflatten(best_theta, input_dim), log
+    return ModelParams(input_dim, best_theta), log
 
 
 def o_run_cv(corpus, experiments, cfg, seed, k):
@@ -335,7 +349,7 @@ def test_run_cv_matches_fold_by_fold(case):
 def test_one_model_paths_match(width, lengths, radius, seed):
     rng = np.random.default_rng(seed)
     params = init_model(width, seed=seed % 100)
-    params = unflatten(params.flatten() + rng.normal(scale=0.3, size=params.size), width)
+    params = ModelParams(width, params.flat + rng.normal(scale=0.3, size=params.flat.size))
     batch = [(rng.normal(size=(n, width)), rng.normal(size=n)) for n in lengths]
     for xs, ys in batch:
         assert np.array_equal(forward(params, xs), o_forward(params, xs))
@@ -356,8 +370,8 @@ def test_forward_many_matches_forward(pairs, seed):
     models, seqs = [], []
     for r, (width, length) in enumerate(pairs):
         params = init_model(width, seed=r)
-        models.append(unflatten(params.flatten() + rng.normal(scale=0.3, size=params.size),
-                                width))
+        models.append(ModelParams(width,
+                                  params.flat + rng.normal(scale=0.3, size=params.flat.size)))
         seqs.append(rng.normal(size=(length, width)))
     got = forward_many(models, seqs)
     assert len(got) == len(pairs)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,15 +9,15 @@ from tonaltension.errors import TrainingDiverged
 from tonaltension.model import (HIDDEN, ModelParams, TrainConfig, dumps_model,
                                 forward, forward_batch, init_model,
                                 load_model, loads_model, loss_and_gradient,
-                                train, train_many, unflatten)
+                                train, train_many)
 
 
 def randomized(input_dim, seed, scale=0.3):
     """Model with every tensor perturbed so no gating path is degenerate."""
     rng = np.random.default_rng(seed)
     params = init_model(input_dim, seed=seed)
-    flat = params.flatten() + rng.normal(scale=scale, size=params.size)
-    return unflatten(flat, input_dim)
+    flat = params.flat + rng.normal(scale=scale, size=params.flat.size)
+    return ModelParams(input_dim, flat)
 
 
 class TestInit:
@@ -26,45 +28,48 @@ class TestInit:
 
     def test_zero_input_dim_runs(self):
         params = init_model(0, seed=1)
-        assert params.fwd.W.shape == (4 * HIDDEN, 0)
+        assert params.tensors()["fwd.W"].shape == (4 * HIDDEN, 0)
         out = forward(params, np.zeros((4, 0)))
         assert out.shape == (4,)
 
     def test_forget_bias_is_one(self):
-        params = init_model(3, seed=0)
-        for d in (params.fwd, params.bwd):
-            assert np.all(d.bias[HIDDEN:2 * HIDDEN] == 1.0)
-            assert np.all(d.bias[:HIDDEN] == 0.0)
-            assert np.all(d.alpha == 1.0)
-            assert np.all(d.beta1 == 0.5)
+        t = init_model(3, seed=0).tensors()
+        for d in ("fwd", "bwd"):
+            assert np.all(t[f"{d}.bias"][HIDDEN:2 * HIDDEN] == 1.0)
+            assert np.all(t[f"{d}.bias"][:HIDDEN] == 0.0)
+            assert np.all(t[f"{d}.alpha"] == 1.0)
+            assert np.all(t[f"{d}.beta1"] == 0.5)
 
     @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=50))
-    def test_flatten_unflatten_round_trip(self, dim, seed):
+    def test_tensors_view_flat_in_layout_order(self, dim, seed):
         params = init_model(dim, seed=seed)
-        again = unflatten(params.flatten(), dim)
-        assert np.array_equal(params.flatten(), again.flatten())
-        for (na, ta), (nb, tb) in zip(params.tensors(), again.tensors()):
-            assert na == nb and np.array_equal(ta, tb)
+        tensors = params.tensors()
+        assert [(name, t.shape) for name, t in tensors.items()] == model_mod._shapes(dim)
+        assert all(np.shares_memory(t, params.flat) for t in tensors.values() if t.size)
+        assert np.array_equal(np.concatenate([t.ravel() for t in tensors.values()]),
+                              params.flat)
 
 
 class TestForward:
     def test_all_zero_parameters_predict_zero(self):
-        params = unflatten(np.zeros(init_model(3, 0).size), 3)
+        params = ModelParams(3, np.zeros(init_model(3, 0).flat.size))
         out = forward(params, np.ones((5, 3)))
         assert np.all(out == 0.0)
 
     def test_bias_only_path(self):
         params = init_model(3, seed=4)
-        params.v[:] = 0.0
-        params.out_bias = 0.7
+        params.tensors()["out.v"][:] = 0.0
+        params.tensors()["out.bias"][:] = 0.7
         out = forward(params, np.random.default_rng(0).normal(size=(6, 3)))
         assert out == pytest.approx(np.full(6, 0.7))
 
     def test_reversal_with_swapped_directions(self):
         params = randomized(4, seed=3)
-        swapped = ModelParams(
-            params.input_dim, params.bwd, params.fwd,
-            np.concatenate([params.v[HIDDEN:], params.v[:HIDDEN]]), params.out_bias)
+        t = params.tensors()
+        t["out.v"] = np.roll(t["out.v"], HIDDEN)  # [v_bwd ; v_fwd]
+        swap = {"fwd": "bwd", "bwd": "fwd", "out": "out"}
+        swapped = ModelParams(params.input_dim, np.concatenate(
+            [t[swap[name[:3]] + name[3:]].ravel() for name in t]))
         xs = np.random.default_rng(1).normal(size=(7, 4))
         assert forward(swapped, xs[::-1]) == pytest.approx(forward(params, xs)[::-1])
 
@@ -136,12 +141,12 @@ class TestGradient:
 
     def test_gradient_zero_at_perfect_fit(self):
         params = init_model(2, seed=0)
-        params.v[:] = 0.0
-        params.out_bias = 0.25
+        params.tensors()["out.v"][:] = 0.0
+        params.tensors()["out.bias"][:] = 0.25
         xs = np.random.default_rng(0).normal(size=(5, 2))
         mse, grad = loss_and_gradient(params.flatten()[None], 2, [(xs, np.full(5, 0.25))])
         assert mse[0] == 0.0
-        bias_index = params.size - 1
+        bias_index = params.flat.size - 1
         assert grad[0, bias_index] == 0.0
 
     def test_length_mismatch_rejected(self):
@@ -262,6 +267,12 @@ class TestModelFile:
     def test_wrong_magic_rejected(self):
         with pytest.raises(ValueError):
             loads_model("something else\n")
+
+    def test_file_bytes_are_pinned(self):
+        # guards the tensor order, the shapes and the init draws
+        text = dumps_model(init_model(13, seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b5ca0681338a634e3cf83a84aec2157fdb65c6aad114dbfe24f2409b4b3b314")
 
     def test_zero_input_dim_round_trip(self):
         params = init_model(0, seed=2)

@@ -9,26 +9,35 @@ models, so the exact derivative must agree to 1e-8 and count the same
 positions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
 from tonaltension.evaluate import sensitivity
-from tonaltension.model import (HIDDEN, forward, init_model, input_jacobian_band,
-                                unflatten)
+from tonaltension.model import (HIDDEN, ModelParams, forward, init_model,
+                                input_jacobian_band)
 
 
 # ---------------------------------------------------------------------------
 # reference oracle: central differences over batched forward passes
 
 
+def direction(params, prefix):
+    """A copy of one direction's gate tensors, as attributes."""
+    names = ("W", "U", "alpha", "beta1", "beta2", "bias")
+    return SimpleNamespace(**{n: params.tensors()[f"{prefix}.{n}"].copy() for n in names})
+
+
 def oracle_forward_batch(params, xs):
     B, T, _ = xs.shape
     H = HIDDEN
-    out = np.full((B, T), params.out_bias)
-    for d, sl, flip in ((params.fwd, slice(0, H), False),
-                        (params.bwd, slice(H, 2 * H), True)):
+    v = params.tensors()["out.v"].copy()
+    out = np.full((B, T), float(params.tensors()["out.bias"][0]))
+    for d, sl, flip in ((direction(params, "fwd"), slice(0, H), False),
+                        (direction(params, "bwd"), slice(H, 2 * H), True)):
         seq = xs[:, ::-1, :] if flip else xs
         h = np.zeros((B, H))
         c = np.zeros((B, H))
@@ -44,7 +53,7 @@ def oracle_forward_batch(params, xs):
             hs[:, t, :] = h
         if flip:
             hs = hs[:, ::-1, :]
-        out += hs @ params.v[sl]
+        out += hs @ v[sl]
     return out
 
 
@@ -81,8 +90,8 @@ def perturbed(input_dim, seed):
     """init_model plus N(0, 0.3) on every parameter."""
     rng = np.random.default_rng(seed)
     params = init_model(input_dim, seed=seed)
-    flat = params.flatten() + rng.normal(scale=0.3, size=params.size)
-    return unflatten(flat, input_dim)
+    flat = params.flat + rng.normal(scale=0.3, size=params.flat.size)
+    return ModelParams(input_dim, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +162,7 @@ def test_off_sequence_entries_are_exactly_zero(dim, T, radius, seed):
 
 def test_zero_output_weights_give_exactly_zero_band():
     params = perturbed(4, seed=5)
-    params.v[:] = 0.0
+    params.tensors()["out.v"][:] = 0.0
     xs = np.random.default_rng(0).normal(size=(25, 4))
     assert np.all(input_jacobian_band(params, xs, 6) == 0.0)
     res = sensitivity(params, [xs, xs[:7]], radius=3)
