@@ -220,8 +220,7 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
         target_names = tuple(tcols[2:])
         if target_names != TARGET_NAMES:
             raise ValidationError(f"{tpath}: unexpected target columns {target_names}")
-        pieces.append(evaluate.Piece(stem, fdata[:, 1].copy(), fdata[:, 2:].copy(),
-                                     names, tdata[:, 2:].copy()))
+        pieces.append(evaluate.Piece(stem, fdata[:, 2:].copy(), names, tdata[:, 2:].copy()))
     if not pieces:
         raise ValidationError(f"no feature/target CSV pairs found in {corpus_dir}")
     return pieces
@@ -461,8 +460,7 @@ def cmd_eval(args) -> int:
                 a = [r_plus.per_piece_r2[pid] for pid in common]
                 b = [r_base.per_piece_r2[pid] for pid in common]
                 try:
-                    _, p_value, _ = evaluate.paired_t_test(a, b)
-                    effect = evaluate.cohens_d(a, b)
+                    p_value, effect = evaluate.paired_t_test(a, b)
                 except ValueError as exc:
                     log.warning("t-test degenerate for %s %s: %s", target, base, exc)
             rows.append((target, base or "empty", r_base.mean_r2,
@@ -516,12 +514,12 @@ def cmd_sensitivity(args) -> int:
                  for key, positive in (("feature_mean", False), ("feature_std", True)))
     pieces = load_corpus(args.corpus)
     sequences = [(evaluate.columns(p, names) - mean) / std for p in pieces]
-    result = evaluate.sensitivity(params, sequences, radius=args.radius)
-    if not result.used_positions:
-        # the matrix is a mean over no positions: undefined, not zero
-        longest = max(len(xs) for xs in sequences)
+    longest = max(len(xs) for xs in sequences)
+    if longest <= 2 * args.radius:
+        # the matrix would be a mean over no positions: undefined, not zero
         raise SettingError("radius", f"must be below half the longest piece's {longest} "
                                      f"frames to leave an interior frame, got {args.radius}")
+    result = evaluate.sensitivity(params, sequences, radius=args.radius)
 
     manifest = Manifest("sensitivity", {
         "radius": args.radius, "target": meta.get("target", ""),

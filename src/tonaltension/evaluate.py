@@ -30,7 +30,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Piece:
     id: str
-    beats: np.ndarray  # (T,)
     features: np.ndarray  # (T, F)
     feature_names: tuple[str, ...]
     targets: np.ndarray  # (T, 4), columns in TARGET_NAMES order
@@ -46,8 +45,6 @@ class _FoldModel(NamedTuple):
 
 @dataclass(frozen=True)
 class EvalResult:
-    target: str
-    feature_set: str
     per_piece_r2: dict[str, float]
     mean_r2: float
 
@@ -80,8 +77,10 @@ def r2(predicted, actual) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def paired_t_test(a, b) -> tuple[float, float, int]:
-    """Two-tailed paired t-test; p via the regularized incomplete beta."""
+def paired_t_test(a, b) -> tuple[float, float]:
+    """Two-tailed paired t-test of ``a`` against ``b``: (p, Cohen's d), p
+    via the regularized incomplete beta, d the mean paired difference over
+    its sample deviation."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     n = d.size
     if n < 2:
@@ -89,21 +88,11 @@ def paired_t_test(a, b) -> tuple[float, float, int]:
     sd = float(np.std(d, ddof=1))
     if sd == 0.0:
         raise ValueError("identical samples: paired differences have zero variance")
+    mean = float(np.mean(d))
     dof = n - 1
-    t = float(np.mean(d)) / (sd / np.sqrt(n))
+    t = mean / (sd / np.sqrt(n))
     p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
-    return t, p, dof
-
-
-def cohens_d(a, b) -> float:
-    """Paired effect size: mean difference over its sample deviation."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    if d.size < 2:
-        raise ValueError("effect size needs at least 2 pairs")
-    sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        raise ValueError("identical samples: paired differences have zero variance")
-    return float(np.mean(d)) / sd
+    return p, mean / sd
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +215,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
         raise exc.located(f"piece {folds[exc.model].data.pieces[exc.index].id}") from None
 
     results = []
-    for e, (target, feature_set) in enumerate(experiments):
+    for e, (target, _) in enumerate(experiments):
         t_idx = TARGET_NAMES.index(target)
         tests = [(params, fold.data, by_id[pid])
                  for fold, (params, _) in zip(folds, fitted) if fold.experiment == e
@@ -242,8 +231,7 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
                 log.warning("piece %r excluded from R2: %s", piece.id, exc)
         if not per_piece:
             raise ValueError("no piece produced a valid R2 score")
-        results.append(EvalResult(target, feature_set or "empty", per_piece,
-                                  float(np.mean(list(per_piece.values())))))
+        results.append(EvalResult(per_piece, float(np.mean(list(per_piece.values())))))
     return results
 
 

@@ -16,9 +16,10 @@ time (verified against central finite differences); the input Jacobian
 band behind the sensitivity analysis runs the same reverse cell step,
 batched over output steps. Training is RMSProp with one update per piece,
 global-norm gradient clipping, and early stopping on a held-out slice of
-the training pieces. All randomness flows from explicit seeds, so
-identical (seed, data, config) reproduce bit-identical parameters and
-logs.
+the training pieces. The clip norm (GRADIENT_CLIP_NORM = 5.0) and the
+held-out share (VALIDATION_FRACTION, a tenth) are fixed, not settings.
+All randomness flows from explicit seeds, so identical (seed, data,
+config) reproduce bit-identical parameters and logs.
 
 The scan, its reverse and the training loop run along a row axis that
 holds both directions of n independent models: row 2r is model r's
@@ -71,6 +72,8 @@ from .errors import SettingError, TrainingDiverged
 HIDDEN = 5
 RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
+GRADIENT_CLIP_NORM = 5.0  # global norm over a model's own gradient entries
+VALIDATION_FRACTION = 0.1  # of the training pieces, held out for early stopping
 BPTT_BLOCK = 8  # reverse steps whose recurrence-free factors are computed together
 GATE_ORDER = ("input", "forget", "output", "candidate")
 
@@ -482,10 +485,8 @@ def forward_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
-    gradient_clip_norm: float = 5.0
     seed: int = 0
     early_stop_patience: int = 20
-    validation_fraction: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -503,10 +504,10 @@ class TrainConfig:
             ("train.rmsprop_decay", repr(RMSPROP_DECAY)),
             ("train.rmsprop_epsilon", repr(RMSPROP_EPSILON)),
             ("train.epochs", str(self.epochs)),
-            ("train.gradient_clip_norm", repr(self.gradient_clip_norm)),
+            ("train.gradient_clip_norm", repr(GRADIENT_CLIP_NORM)),
             ("train.seed", str(self.seed)),
             ("train.early_stop_patience", str(self.early_stop_patience)),
-            ("train.validation_fraction", repr(self.validation_fraction)),
+            ("train.validation_fraction", repr(VALIDATION_FRACTION)),
         ]
 
 
@@ -547,7 +548,7 @@ class _Run:
         self.rng = np.random.default_rng(seed)
         n = len(dataset)
         perm = self.rng.permutation(n)
-        n_val = max(1, round(cfg.validation_fraction * n)) if n >= 2 else 0
+        n_val = max(1, round(VALIDATION_FRACTION * n)) if n >= 2 else 0
         self.train_idx = [int(i) for i in perm[n_val:]]
         self.val_idx = [int(i) for i in perm[:n_val]] or self.train_idx
         empty = [i for i in self.train_idx if self.lengths[i] == 0]
@@ -645,8 +646,8 @@ def train_many(datasets, cfg: TrainConfig,
                         continue
                     losses[m].append(loss)
                     norm = float(np.linalg.norm(grads[r, own[m]]))
-                    if norm > cfg.gradient_clip_norm > 0:
-                        grads[r] = grads[r] * (cfg.gradient_clip_norm / norm)
+                    if norm > GRADIENT_CLIP_NORM:
+                        grads[r] = grads[r] * (GRADIENT_CLIP_NORM / norm)
                 accum[rows] = (RMSPROP_DECAY * accum[rows]
                                + (1.0 - RMSPROP_DECAY) * grads * grads)
                 theta[rows] = theta[rows] - cfg.learning_rate * grads / (

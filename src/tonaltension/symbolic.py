@@ -133,7 +133,6 @@ class PerformedNote:
 @dataclass(frozen=True)
 class Performance:
     notes: tuple[PerformedNote, ...]
-    missing: tuple[str, ...] = ()  # score ids deleted in the alignment
 
     def by_score_id(self) -> dict[str, PerformedNote]:
         return {n.score_id: n for n in self.notes}
@@ -195,7 +194,12 @@ def parse_score(text: str) -> Score:
             fields = line.split()
             if len(fields) != 3 or fields[2] not in ("major", "minor"):
                 raise ParseError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
-            key = (_parse_int(fields[1], "key tpc", lineno), fields[2])
+            tonic = _parse_int(fields[1], "key tpc", lineno)
+            # -9..13 holds every real key; derived spellings then stay
+            # within -15..19, which serialize_score writes with |alter| <= 2
+            if not -9 <= tonic <= 13:
+                raise ValidationError(f"line {lineno}: key tpc {tonic} outside -9..13")
+            key = (tonic, fields[2])
         elif line.startswith("#"):
             continue  # comment
         else:
@@ -224,6 +228,8 @@ def parse_score(text: str) -> Score:
             if step not in _STEP_TPC:
                 raise ParseError(f"line {lineno}: bad step {f[4]!r}")
             alter = _parse_int(f[5], "alter", lineno)
+            if not -2 <= alter <= 2:
+                raise ValidationError(f"line {lineno}: alter {alter} outside -2..2")
             octave = _parse_int(f[6], "octave", lineno)
             implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
             if implied != midi:
@@ -303,7 +309,7 @@ def parse_performance(text: str, score: Score) -> Performance:
     if missing:
         log.warning("%d score note(s) unmatched in performance: %s",
                     len(missing), ", ".join(missing[:8]))
-    return Performance(tuple(matched.values()), missing)
+    return Performance(tuple(matched.values()))
 
 
 def serialize_performance(perf: Performance) -> str:

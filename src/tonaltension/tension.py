@@ -50,7 +50,6 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class TensionFrame:
-    frame_index: int
     t_cd: float
     t_cm: float
     t_ts: float
@@ -145,7 +144,6 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
         active = [n for n in active if n.onset + n.duration > frame.beat]
         cloud = window_cloud(active, frame, cfg, params)
         out.append(TensionFrame(
-            frame_index=frame.index,
             t_cd=cloud_diameter(cloud, params),
             t_cm=cloud_momentum(prev, cloud, params),
             t_ts=tensile_strain(cloud, key_center, params),

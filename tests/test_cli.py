@@ -276,13 +276,14 @@ class TestSensitivity:
                       for name in os.listdir(feats) if name.endswith(".features.csv"))
         capsys.readouterr()
         out = tmp_path / "sens"
-        assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
-                       "--corpus", feats, "--radius", (longest + 1) // 2,
-                       "--out-dir", out) == 1
-        line = single_error_line(capsys)
-        assert line.startswith("error: --radius must")
-        assert f" {longest} frames" in line
-        assert not out.exists()
+        # a huge radius fails before any (2 * radius + 1)-wide offset table exists
+        for radius in ((longest + 1) // 2, 10 ** 15):
+            assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
+                           "--corpus", feats, "--radius", radius, "--out-dir", out) == 1
+            line = single_error_line(capsys)
+            assert line.startswith("error: --radius must be below half")
+            assert f" {longest} frames" in line
+            assert not out.exists()
         assert run_cli("sensitivity", "--model", canonical_model(tmp_path / "m.txt"),
                        "--corpus", feats, "--radius", (longest - 1) // 2,
                        "--out-dir", out) == 0
@@ -459,6 +460,19 @@ class TestBadInputs:
         assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
         assert single_error_line(capsys) \
             == f"error: {score}: line 4: duplicate note id 'n1'"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line2,problem", [
+        (f"#key {10 ** 400} major", "key tpc"),
+        (f"n1\t0\t1\t60\tC\t{12 * 10 ** 400}\t{4 - 10 ** 400}\t0", "alter"),
+    ], ids=["huge-key", "huge-alter-offset-by-octave"])
+    def test_out_of_range_spelling_names_file_and_line(self, tmp_path, capsys, line2,
+                                                       problem):
+        score = tmp_path / "huge.score.tsv"
+        score.write_text(f"#meter 0 4 4 duple\n{line2}\nn2\t1\t1\t61\t-\t-\t-\t0\n")
+        assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {score}: line 2: {problem} ") and "outside" in line
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["", "#key 0 major\n"], ids=["meter", "meter-key"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tonaltension.errors import TrainingDiverged, ValidationError
-from tonaltension.evaluate import (Piece, cohens_d, columns, fit, fs_select,
+from tonaltension.evaluate import (Piece, columns, fit, fs_select,
                                    make_folds, mi_subset, paired_t_test, r2,
                                    run_cv, sensitivity, standardize_stats)
 from tonaltension.features import CANONICAL_ORDER
@@ -52,15 +52,14 @@ class TestR2:
 
 class TestPairedT:
     def test_worked_example(self):
-        t, p, dof = paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-        assert t == pytest.approx(3.464, abs=1e-3)
+        # t = 2 / (1 / sqrt(3)) = 3.464 on 2 degrees of freedom
+        p, _ = paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         assert p == pytest.approx(0.0742, abs=1e-3)
-        assert dof == 2
 
     def test_symmetric_differences_give_t_zero(self):
-        t, p, _ = paired_t_test([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0])
-        assert t == 0.0
+        p, d = paired_t_test([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0])
         assert p == 1.0
+        assert d == 0.0
 
     def test_constant_shift_degenerate(self):
         with pytest.raises(ValueError, match="identical"):
@@ -74,22 +73,26 @@ class TestPairedT:
         b = a + rng.normal(size=a.size)
         if np.std(a - b, ddof=1) == 0:
             return
-        _, p, _ = paired_t_test(a, b)
+        p, _ = paired_t_test(a, b)
         assert 0.0 < p <= 1.0
 
 
 class TestCohensD:
+    """The effect size that paired_t_test returns beside p."""
+
     def test_worked_example(self):
-        assert cohens_d([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]) == pytest.approx(2.0, abs=1e-9)
+        _, d = paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+        assert d == pytest.approx(2.0, abs=1e-9)
 
     def test_identical_samples_degenerate(self):
-        with pytest.raises(ValueError):
-            cohens_d([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="identical"):
+            paired_t_test([1.0, 2.0], [1.0, 2.0])
 
     def test_scale_invariant(self):
         a = np.array([0.3, 0.5, 0.9, 0.2])
         b = np.array([0.1, 0.6, 0.4, 0.25])
-        assert cohens_d(3.7 * a, 3.7 * b) == pytest.approx(cohens_d(a, b), abs=1e-12)
+        assert paired_t_test(3.7 * a, 3.7 * b)[1] == pytest.approx(paired_t_test(a, b)[1],
+                                                                   abs=1e-12)
 
 
 class TestStandardize:
@@ -117,8 +120,7 @@ def toy_corpus(n_pieces=6, frames=30, seed=0, coupled=True):
         targets = rng.normal(size=(frames, 4)) * 0.1
         if coupled:
             targets[:, 3] = 0.8 * t_cd + rng.normal(scale=0.02, size=frames)
-        pieces.append(Piece(f"p{i}", np.arange(frames, dtype=float), feats,
-                            tuple(CANONICAL_ORDER), targets))
+        pieces.append(Piece(f"p{i}", feats, tuple(CANONICAL_ORDER), targets))
     return pieces
 
 
@@ -157,7 +159,7 @@ class TestCorpusToModel:
             corpus = toy_corpus(n_pieces=4, frames=8)
             targets = corpus[bad].targets.copy()
             targets[2, 3] = np.nan
-            corpus[bad] = Piece(f"x{bad}", corpus[bad].beats, corpus[bad].features,
+            corpus[bad] = Piece(f"x{bad}", corpus[bad].features,
                                 corpus[bad].feature_names, targets)
             with pytest.raises(TrainingDiverged) as info:
                 fit(corpus, ("t_cd",), "d_vel", FAST)
@@ -169,8 +171,7 @@ class TestCorpusToModel:
     def test_mi_subset_rejects_mixed_layouts(self):
         corpus = toy_corpus(n_pieces=4)
         p = corpus[3]
-        corpus[3] = Piece(p.id, p.beats, p.features[:, :6], tuple(CANONICAL_ORDER[:6]),
-                          p.targets)
+        corpus[3] = Piece(p.id, p.features[:, :6], tuple(CANONICAL_ORDER[:6]), p.targets)
         with pytest.raises(ValidationError, match="p3"):
             mi_subset(corpus, 0.25, 3, seed=0)
 
@@ -199,7 +200,7 @@ class TestRunCv:
         for p in toy_corpus(coupled=False):
             shuffled = p.targets.copy()
             rng.shuffle(shuffled[:, 3])
-            corpus.append(Piece(p.id, p.beats, p.features, p.feature_names, shuffled))
+            corpus.append(Piece(p.id, p.features, p.feature_names, shuffled))
         cfg = TrainConfig(learning_rate=3e-3, epochs=40, early_stop_patience=40, seed=0)
         [res] = run_cv(corpus, [("d_vel", "")], cfg, seed=5)
         assert abs(res.mean_r2) < 0.1

@@ -57,7 +57,7 @@ def oracle_track(score, cfg, params):
     prev = None
     for frame in frames:
         cloud = oracle_cloud(score, frame, cfg, params)
-        out.append(TensionFrame(frame.index, cloud_diameter(cloud, params),
+        out.append(TensionFrame(cloud_diameter(cloud, params),
                                 cloud_momentum(prev, cloud, params),
                                 tensile_strain(cloud, key_center, params)))
         prev = cloud

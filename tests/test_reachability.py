@@ -1,14 +1,16 @@
 """Every public module-level function, public class and public method of
 the package has a caller that a command, a script or the benchmark can
-reach. Code that only tests call is dead code kept alive by its own
-tests.
+reach, and every annotated field of a public class is read by one. Code
+that only tests call, and data that only tests read, is dead code kept
+alive by its own tests.
 
 A name counts as referenced when it appears in ``src/``, ``scripts/`` or
 ``perfbench/`` as a bare name, an attribute or a ``from ... import``
 name, or in the benchmark tracer's SPANNED and COUNTED tables, which name
 functions as strings. References under ``tests/`` do not count. A
 method's name counts wherever it appears, whatever object it is read
-from."""
+from. A field counts as read when its name is loaded as an attribute of
+any object, so a field that shares its name with a read one passes."""
 
 import ast
 from pathlib import Path
@@ -78,3 +80,20 @@ def test_every_public_class_and_method_has_a_non_test_caller():
     names = non_test_names()
     unreached = [qual for qual, name in public_classes_and_methods() if name not in names]
     assert not unreached, f"public classes or methods with no caller outside tests/: {unreached}"
+
+
+def public_fields():
+    """The annotated fields of every public module-level class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_public_field_is_read_outside_tests():
+    read = {node.attr for path in CALLER_FILES for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [qual for qual, name in public_fields() if name not in read]
+    assert not unread, f"public fields no command, script or benchmark reads: {unread}"

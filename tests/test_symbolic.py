@@ -168,23 +168,26 @@ class TestGroupOnsets:
 
 
 class TestParsePerformance:
-    def test_full_match(self):
+    def test_full_match(self, caplog):
         score = parse_score(TRIAD)
         text = "n1\t0.0\t0.5\t60\nn2\t0.01\t0.5\t64\nn3\t0.02\t0.5\t70\n"
-        perf = parse_performance(text, score)
+        with caplog.at_level("WARNING", logger="tonaltension.symbolic"):
+            perf = parse_performance(text, score)
         assert len(perf.notes) == 3
-        assert perf.missing == ()
+        assert not caplog.records
 
     def test_unknown_id_named_in_error(self):
         score = parse_score(TRIAD)
         with pytest.raises(ValidationError, match="n99"):
             parse_performance("n99\t0\t0.5\t64\n", score)
 
-    def test_deletion_reported(self):
+    def test_deletion_reported(self, caplog):
         score = parse_score(TRIAD)
-        perf = parse_performance("n1\t0.0\t0.5\t60\nn3\t0.02\t0.5\t70\n", score)
+        with caplog.at_level("WARNING", logger="tonaltension.symbolic"):
+            perf = parse_performance("n1\t0.0\t0.5\t60\nn3\t0.02\t0.5\t70\n", score)
         assert len(perf.notes) == 2
-        assert perf.missing == ("n2",)
+        assert [r.getMessage() for r in caplog.records] \
+            == ["1 score note(s) unmatched in performance: n2"]
 
     def test_velocity_out_of_range(self):
         score = parse_score(TRIAD)
