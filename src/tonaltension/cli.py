@@ -9,10 +9,12 @@ Subcommands compose the library into a file-based pipeline:
     eval         corpus -> cross-validation results CSV
     sensitivity  trained model + corpus -> differential sensitivity CSV
 
-Every command writes a JSON run manifest; each output file carries the
-manifest digest and the relevant configuration in ``#`` header lines.
-Outputs contain no timestamps or absolute paths, so identical inputs and
-seeds reproduce byte-identical files.
+A command returns its output files and ``main`` writes them with one
+JSON run manifest, built from the parsed flags and the content of the
+files the command read; each output carries the manifest digest and the
+relevant configuration in ``#`` header lines. Outputs contain no
+timestamps or absolute paths, so identical inputs and flags reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,60 +79,39 @@ class OutputFile:
 class Manifest:
     """Run description; its digest goes into every output header.
 
-    Only content-derived fields are digested (command, config, seeds,
-    input content hashes, output basenames, tool version) -- never
-    absolute paths, so reruns in other directories stay byte-identical.
+    ``config`` holds every parsed flag except ``--out-dir`` and the flags
+    naming input files or directories; those files enter by content hash
+    in ``inputs``. The digest covers the command, config, input hashes,
+    output basenames and tool version -- never absolute paths, so reruns
+    in other directories stay byte-identical. Values derived from these
+    (a piece name, an MI subset, a generator constant) stay out of it.
     """
 
     command: str
     config: dict
-    seeds: dict
-    inputs: dict = field(default_factory=dict)
-    input_paths: dict = field(default_factory=dict)
-
-    def add_input(self, path: str) -> None:
-        self.inputs[os.path.basename(path)] = _sha256_file(path)
-        self.input_paths[os.path.basename(path)] = os.path.abspath(path)
-
-    def add_corpus(self, corpus_dir: str, pieces) -> None:
-        """Record each piece's features and targets CSV as inputs."""
-        for p in pieces:
-            self.add_input(os.path.join(corpus_dir, f"{p.id}.features.csv"))
-            self.add_input(os.path.join(corpus_dir, f"{p.id}.targets.csv"))
-
-    def digest(self, output_names) -> str:
-        core = {
-            "command": self.command,
-            "version": __version__,
-            "config": {k: _fmt(v) for k, v in sorted(self.config.items())},
-            "seeds": {k: int(v) for k, v in sorted(self.seeds.items())},
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": sorted(output_names),
-        }
-        blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+    inputs: dict  # basename -> sha256 of the content
+    input_paths: dict  # basename -> absolute path, outside the digest
 
 
 def emit_outputs(manifest: Manifest, out_dir: str, files: list[OutputFile]) -> str:
     """Write all outputs plus the manifest JSON; returns the digest."""
     os.makedirs(out_dir, exist_ok=True)
     names = [os.path.basename(f.path) for f in files]
-    digest = manifest.digest(names)
+    core = {
+        "command": manifest.command,
+        "version": __version__,
+        "config": {k: _fmt(v) for k, v in sorted(manifest.config.items())},
+        "inputs": dict(sorted(manifest.inputs.items())),
+        "outputs": sorted(names),
+    }
+    blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
     for f in files:
         lines = [f"# manifest={digest}", f"# tool=tonaltension {__version__}"]
         lines += [f"# {k}={_fmt(v)}" for k, v in f.header_items]
         _atomic_write(f.path, "\n".join(lines) + "\n" + f.body)
-    payload = {
-        "command": manifest.command,
-        "version": __version__,
-        "config": {k: _fmt(v) for k, v in sorted(manifest.config.items())},
-        "seeds": {k: int(v) for k, v in sorted(manifest.seeds.items())},
-        "inputs": manifest.inputs,
-        "input_paths": manifest.input_paths,
-        "outputs": names,
-        "output_paths": [os.path.abspath(f.path) for f in files],
-        "digest": digest,
-    }
+    payload = dict(core, outputs=names, input_paths=manifest.input_paths,
+                   output_paths=[os.path.abspath(f.path) for f in files], digest=digest)
     _atomic_write(os.path.join(out_dir, f"{manifest.command}.manifest.json"),
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return digest
@@ -195,18 +176,30 @@ def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.nd
     return data.reshape(len(rows), len(columns))
 
 
-def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
-    """Read ``<stem>.features.csv`` / ``<stem>.targets.csv`` pairs."""
+def _corpus_pairs(corpus_dir: str) -> tuple[list[tuple[str, str, str]], list[str]]:
+    """The (stem, features CSV, targets CSV) of each piece in a corpus
+    directory, and the stems whose targets CSV is missing."""
     stems = sorted(
         name[:-len(".features.csv")]
         for name in os.listdir(corpus_dir) if name.endswith(".features.csv"))
-    pieces = []
+    pairs, missing = [], []
     for stem in stems:
         fpath = os.path.join(corpus_dir, f"{stem}.features.csv")
         tpath = os.path.join(corpus_dir, f"{stem}.targets.csv")
-        if not os.path.exists(tpath):
-            log.warning("skipping %s: no targets file", stem)
-            continue
+        if os.path.exists(tpath):
+            pairs.append((stem, fpath, tpath))
+        else:
+            missing.append(stem)
+    return pairs, missing
+
+
+def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
+    """Read ``<stem>.features.csv`` / ``<stem>.targets.csv`` pairs."""
+    pairs, missing = _corpus_pairs(corpus_dir)
+    for stem in missing:
+        log.warning("skipping %s: no targets file", stem)
+    pieces = []
+    for stem, fpath, tpath in pairs:
         _, fcols, frows = read_csv(fpath)
         _, tcols, trows = read_csv(tpath)
         for path, cols in ((fpath, fcols), (tpath, tcols)):
@@ -297,7 +290,7 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> list[OutputFile]:
     groups = _parse_groups(args.groups)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
@@ -315,16 +308,11 @@ def cmd_extract(args) -> int:
             stem = stem[:-len(suffix)]
             break
 
-    manifest = Manifest("extract", {
-        "groups": ",".join(sorted(groups)), "window": args.window,
-        "onset_only": args.onset_only, "piece": stem}, {})
-    manifest.add_input(args.score)
     header = ([("piece", stem), ("groups", ",".join(sorted(groups)))]
               + spiral.header_items() + window.header_items())
 
     files = []
     if args.match:
-        manifest.add_input(args.match)
         with _naming(args.match):
             with open(args.match) as fh:
                 perf = parse_performance(fh.read(), score)
@@ -340,21 +328,15 @@ def cmd_extract(args) -> int:
         os.path.join(args.out_dir, f"{stem}.features.csv"), list(header),
         csv_body(("frame", "beat") + names,
                  [(r.frame_index, r.beat) + r.values for r in rows])))
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
+    return files
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list[OutputFile]:
     cfg = synth.SynthConfig(pieces=args.pieces, frames=args.length,
                             seed=args.seed, rule=args.rule)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
     corpus = synth.generate_corpus(cfg, spiral, window)
-    manifest = Manifest("synth", {
-        "pieces": cfg.pieces, "frames": cfg.frames, "rule": cfg.rule,
-        "tempo_gain": synth.TEMPO_GAIN, "noise": synth.NOISE,
-        "respell_prob": synth.RESPELL_PROB,
-        "base_beat_period": synth.BASE_BEAT_PERIOD}, {"seed": cfg.seed})
     header = [("rule", cfg.rule)] + spiral.header_items() + window.header_items()
     files = []
     for piece_id, score, perf in corpus:
@@ -362,23 +344,18 @@ def cmd_synth(args) -> int:
                                 list(header), serialize_score(score)))
         files.append(OutputFile(os.path.join(args.out_dir, f"{piece_id}.match.tsv"),
                                 list(header), serialize_performance(perf)))
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
+    return files
 
 
-def cmd_mi(args) -> int:
+def cmd_mi(args) -> list[OutputFile]:
     pieces = load_corpus(args.corpus)
     subset, table = evaluate.mi_subset(pieces, args.fs_fraction, args.fs_k,
                                        args.fs_seed)
     subset_ids = ",".join(sorted(p.id for p in subset))
-    manifest = Manifest("mi", {
-        "fs_fraction": args.fs_fraction, "fs_k": args.fs_k,
-        "pieces": subset_ids}, {"fs_seed": args.fs_seed})
-    manifest.add_corpus(args.corpus, subset)
     header = [("fs_fraction", args.fs_fraction), ("fs_k", args.fs_k),
               ("subset", subset_ids)]
     norm = table.normalized()
-    files = [
+    return [
         OutputFile(os.path.join(args.out_dir, "mi_raw.csv"), list(header),
                    csv_body(("feature",) + TARGET_NAMES,
                             [(n,) + tuple(table.values[i]) for i, n in enumerate(table.rows)])),
@@ -386,23 +363,14 @@ def cmd_mi(args) -> int:
                    csv_body(("feature",) + TARGET_NAMES,
                             [(n,) + tuple(norm[i]) for i, n in enumerate(table.rows)])),
     ]
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list[OutputFile]:
     pieces = load_corpus(args.corpus)
     groups = _parse_groups(args.groups)
     columns = feature_names(groups)
     cfg = _train_config(args)
     params, train_log, mean, std = evaluate.fit(pieces, columns, args.target, cfg)
-
-    manifest = Manifest("train", {
-        "target": args.target, "groups": ",".join(sorted(groups)),
-        "lr": args.lr, "epochs": args.epochs, "patience": args.patience},
-        {"seed": args.seed})
-    manifest.add_corpus(args.corpus, pieces)
-
     meta = {
         "target": args.target,
         "feature_names": ",".join(columns),
@@ -410,7 +378,7 @@ def cmd_train(args) -> int:
         "feature_std": ",".join(repr(float(v)) for v in std),
         "seed": str(args.seed),
     }
-    files = [
+    return [
         OutputFile(os.path.join(args.out_dir, args.model_name), [],
                    model_mod.dumps_model(params, meta)),
         OutputFile(
@@ -420,14 +388,12 @@ def cmd_train(args) -> int:
             csv_body(("epoch", "train_mse", "val_mse"),
                      [(e.epoch, e.train_mse, e.val_mse) for e in train_log])),
     ]
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
 
 
 _TABLE_ROWS = (("", "T"), ("P", "PT"), ("M", "MT"), ("PM", "PMT"))
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[OutputFile]:
     pieces = load_corpus(args.corpus)
     requested = [t.strip() for t in args.targets.split(",") if t.strip()]
     if not requested:
@@ -468,20 +434,12 @@ def cmd_eval(args) -> int:
         if args.include_fs:
             rows.append((target, "FS", results[(target, "FS")].mean_r2, "", "", ""))
 
-    manifest = Manifest("eval", {
-        "targets": ",".join(requested), "folds": args.folds,
-        "include_fs": args.include_fs, "lr": args.lr, "epochs": args.epochs,
-        "patience": args.patience, "fs_fraction": args.fs_fraction,
-        "fs_k": args.fs_k, "fs_count": args.fs_count}, {"seed": args.seed})
-    manifest.add_corpus(args.corpus, pieces)
     header = [("folds", args.folds), ("significance_level", 0.01)] \
         + list(cfg.header_items())
-    files = [OutputFile(
+    return [OutputFile(
         os.path.join(args.out_dir, "results.csv"), header,
         csv_body(("target", "feature_set", "mean_r2", "mean_r2_plus_T",
                   "p_value", "cohens_d"), rows))]
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
 
 
 def _standardization(path: str, meta: dict, key: str, count: int,
@@ -501,7 +459,7 @@ def _standardization(path: str, meta: dict, key: str, count: int,
     return values
 
 
-def cmd_sensitivity(args) -> int:
+def cmd_sensitivity(args) -> list[OutputFile]:
     params, meta = model_mod.load_model(args.model)
     names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
     if len(names) != params.input_dim:
@@ -520,23 +478,14 @@ def cmd_sensitivity(args) -> int:
         raise SettingError("radius", f"must be below half the longest piece's {longest} "
                                      f"frames to leave an interior frame, got {args.radius}")
     result = evaluate.sensitivity(params, sequences, radius=args.radius)
-
-    manifest = Manifest("sensitivity", {
-        "radius": args.radius, "target": meta.get("target", ""),
-        "used_positions": result.used_positions,
-        "skipped_positions": result.skipped_positions}, {})
-    manifest.add_input(args.model)
-    manifest.add_corpus(args.corpus, pieces)
     header = [("target", meta.get("target", "")), ("radius", args.radius),
               ("used_positions", result.used_positions),
               ("skipped_positions", result.skipped_positions)]
     rows = [(name, offset, result.matrix[i, j])
             for i, name in enumerate(names)
             for j, offset in enumerate(result.offsets)]
-    files = [OutputFile(os.path.join(args.out_dir, "sensitivity.csv"), header,
-                        csv_body(("feature", "offset", "value"), rows))]
-    emit_outputs(manifest, args.out_dir, files)
-    return 0
+    return [OutputFile(os.path.join(args.out_dir, "sensitivity.csv"), header,
+                       csv_body(("feature", "offset", "value"), rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +554,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags naming files or directories a command reads: they enter its
+# manifest by content, not by value
+_INPUT_FLAGS = ("score", "match", "spiral_config", "model", "corpus")
+
+
+def _manifest(args) -> Manifest:
+    """The flags of a parsed command line, and the content hashes of the
+    files it read (each features/targets pair ``load_corpus`` loads)."""
+    paths = []
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if flag == "corpus" and path:
+            paths += [p for _, fpath, tpath in _corpus_pairs(path)[0] for p in (fpath, tpath)]
+        elif path:
+            paths.append(path)
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "out_dir") + _INPUT_FLAGS}
+    return Manifest(args.command, config,
+                    {os.path.basename(p): _sha256_file(p) for p in paths},
+                    {os.path.basename(p): os.path.abspath(p) for p in paths})
+
+
 # the flag behind each library setting that a SettingError can name
 _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
           "targets": "--targets", "early_stop_patience": "--patience",
           "radius": "--radius", "width_beats": "--window", "pieces": "--pieces",
-          "frames": "--length", "groups": "--groups"}
+          "frames": "--length", "groups": "--groups", "seed": "--seed",
+          "fs_seed": "--fs-seed"}
 
 
 def main(argv=None) -> int:
@@ -618,7 +590,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files = args.func(args)
+        emit_outputs(_manifest(args), args.out_dir, files)
+        return 0
     except SettingError as exc:
         print(f"error: {_FLAGS[exc.name]} {exc.problem}", file=sys.stderr)
         return 1

@@ -155,6 +155,8 @@ def subsample_pieces(piece_ids, fraction: float, seed: int) -> list:
     ids = list(piece_ids)
     if not 0 < fraction <= 1:
         raise SettingError("fraction", f"must be in (0, 1], got {fraction!r}")
+    if seed < 0:
+        raise SettingError("fs_seed", f"must be >= 0, got {seed}")
     if not ids:
         raise ValueError("no pieces to sample from")
     count = max(1, round(fraction * len(ids)))

@@ -497,6 +497,8 @@ class TrainConfig:
         if self.early_stop_patience < 1:
             raise SettingError("early_stop_patience",
                                f"must be >= 1, got {self.early_stop_patience}")
+        if self.seed < 0:
+            raise SettingError("seed", f"must be >= 0, got {self.seed}")
 
     def header_items(self) -> list[tuple[str, str]]:
         return [

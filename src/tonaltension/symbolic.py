@@ -187,8 +187,12 @@ def parse_score(text: str) -> Score:
             mclass = fields[4]
             if mclass not in ("duple", "triple", "other"):
                 raise ParseError(f"line {lineno}: unknown meter class {mclass!r}")
-            if beats <= 0:
-                raise ParseError(f"line {lineno}: beats per bar must be positive")
+            if not (math.isfinite(start) and start >= 0):
+                raise ParseError(f"line {lineno}: meter start must be a finite number >= 0, "
+                                 f"got {fields[1]!r}")
+            if not (math.isfinite(beats) and beats > 0):
+                raise ParseError(f"line {lineno}: beats per bar must be a finite number > 0, "
+                                 f"got {fields[2]!r}")
             meter_map.append(MeterEntry(start, beats, unit, mclass))
         elif line.startswith("#key"):
             fields = line.split()

@@ -53,6 +53,8 @@ class SynthConfig:
             raise SettingError("pieces", f"must be positive, got {self.pieces}")
         if self.frames < 2:
             raise SettingError("frames", f"must be at least 2 per piece, got {self.frames}")
+        if self.seed < 0:
+            raise SettingError("seed", f"must be >= 0, got {self.seed}")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
 

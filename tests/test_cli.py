@@ -1,3 +1,6 @@
+import argparse
+import itertools
+import json
 import os
 import re
 import subprocess
@@ -484,6 +487,21 @@ class TestBadInputs:
         assert str(score) in line and "no notes" in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("meter,lineno,problem", [
+        ("#meter 0 inf 4 duple\n", 1, "beats per bar"),
+        ("#meter 0 nan 4 duple\n", 1, "beats per bar"),
+        ("#meter inf 4 4 duple\n", 1, "meter start"),
+        ("#meter -1 4 4 duple\n", 1, "meter start"),
+        ("#meter 0 4 4 duple\n#meter nan 3 4 triple\n", 2, "meter start"),
+    ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start"])
+    def test_bad_meter_names_file_and_line(self, tmp_path, capsys, meter, lineno, problem):
+        score = tmp_path / "meter.score.tsv"
+        score.write_text(meter + "n1\t0\t1\t60\tC\t0\t4\t0\nn2\t1\t1\t62\tD\t0\t4\t0\n")
+        assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {score}: line {lineno}: {problem} must be a finite")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
         feats = tmp_path / "p_only"
@@ -544,6 +562,9 @@ class TestBadInputs:
     (["train", "--target", "bpr", "--seed", "1", "--epochs", "1", "--groups", ","],
      "--groups"),
     (["eval", "--targets", "bpr,vel,bpr", "--seed", "1", "--epochs", "1"], "--targets"),
+    (["train", "--target", "bpr", "--seed", "-1", "--epochs", "1"], "--seed"),
+    (["eval", "--targets", "bpr", "--seed", "-1", "--epochs", "1"], "--seed"),
+    (["mi", "--fs-seed", "-1"], "--fs-seed"),
 ])
 def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     _, feats = make_corpus(tmp_path, pieces=5, length=10)
@@ -565,6 +586,7 @@ def test_out_of_range_setting_names_its_flag(tmp_path, capsys, argv, flag):
     (["synth", "--pieces", "2", "--length", "1", "--seed", "1"], "--length"),
     (["extract", "--groups", "X"], "--groups"),
     (["extract", "--groups", ""], "--groups"),
+    (["synth", "--pieces", "2", "--length", "5", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag):
     corpus, feats = make_corpus(tmp_path, pieces=1, length=12)
@@ -578,6 +600,99 @@ def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag)
     line = single_error_line(capsys)
     assert line.startswith(f"error: {flag} must")
     assert not (tmp_path / "out").exists()
+
+
+# flags that name a file or directory the command reads
+INPUT_FLAGS = {"score", "match", "spiral_config", "model", "corpus"}
+
+
+def test_digest_covers_every_setting_and_input(tmp_path):
+    """Setting any flag of any command, other than --out-dir and the input
+    flags, to a second valid value changes the manifest digest; so does a
+    change to the content of any input file. The cases are checked against
+    the parser, so a flag without one fails."""
+    corpus, feats = make_corpus(tmp_path, pieces=4, length=12)
+    spiral = tmp_path / "spiral.cfg"
+    spiral.write_text("spiral.r=1.0\nspiral.h=0.5\nspiral.chord_weights=0.5,0.3,0.2\n"
+                      "spiral.key_weights=0.5,0.3,0.2\n")
+    model = canonical_model(tmp_path / "m.txt")
+    base = {
+        "extract": [corpus / "piece000.score.tsv", "--match", corpus / "piece000.match.tsv",
+                    "--spiral-config", spiral],
+        "synth": ["--pieces", 2, "--length", 5, "--seed", 1, "--spiral-config", spiral],
+        "mi": ["--corpus", feats, "--fs-seed", 1],
+        "train": ["--corpus", feats, "--target", "bpr", "--seed", 1, "--epochs", 1],
+        "eval": ["--corpus", feats, "--targets", "vel", "--seed", 1, "--epochs", 1,
+                 "--folds", 2],
+        "sensitivity": ["--model", model, "--corpus", feats, "--radius", 1],
+    }
+    # appended to the base command line, where the last value of a flag wins
+    second = {
+        ("extract", "groups"): ["--groups", "P,M"],
+        ("extract", "window"): ["--window", 2.0],
+        ("extract", "onset_only"): ["--onset-only"],
+        ("synth", "pieces"): ["--pieces", 3],
+        ("synth", "length"): ["--length", 6],
+        ("synth", "rule"): ["--rule", "none"],
+        ("synth", "window"): ["--window", 2.0],
+        ("synth", "onset_only"): ["--onset-only"],
+        ("synth", "seed"): ["--seed", 2],
+        ("mi", "fs_fraction"): ["--fs-fraction", 0.5],
+        ("mi", "fs_k"): ["--fs-k", 2],
+        ("mi", "fs_seed"): ["--fs-seed", 2],
+        ("train", "target"): ["--target", "vel"],
+        ("train", "groups"): ["--groups", "P,M"],
+        ("train", "model_name"): ["--model-name", "other.txt"],
+        ("train", "epochs"): ["--epochs", 2],
+        ("train", "lr"): ["--lr", 0.01],
+        ("train", "patience"): ["--patience", 5],
+        ("train", "seed"): ["--seed", 2],
+        ("eval", "targets"): ["--targets", "bpr"],
+        ("eval", "folds"): ["--folds", 3],
+        ("eval", "include_fs"): ["--include-fs"],
+        ("eval", "fs_fraction"): ["--fs-fraction", 0.5],
+        ("eval", "fs_k"): ["--fs-k", 2],
+        ("eval", "fs_count"): ["--fs-count", 5],
+        ("eval", "epochs"): ["--epochs", 2],
+        ("eval", "lr"): ["--lr", 0.01],
+        ("eval", "patience"): ["--patience", 5],
+        ("eval", "seed"): ["--seed", 2],
+        ("sensitivity", "radius"): ["--radius", 2],
+    }
+    # the file whose content changes, for each input flag
+    edited = {"score": corpus / "piece000.score.tsv", "match": corpus / "piece000.match.tsv",
+              "spiral_config": spiral, "model": model, "corpus": feats / "piece003.targets.csv"}
+
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    flags = {(command, a.dest): a.option_strings[-1] if a.option_strings else a.dest
+             for command, p in commands.choices.items()
+             for a in p._actions if a.dest not in ("help", "out_dir")}
+    assert set(flags) == set(second) | {key for key in flags if key[1] in INPUT_FLAGS}
+
+    runs = itertools.count()
+
+    def digest(command, extra=()):
+        out = tmp_path / f"run{next(runs)}"
+        assert run_cli(command, *base[command], *extra, "--out-dir", out) == 0
+        return json.loads((out / f"{command}.manifest.json").read_text())["digest"]
+
+    unchanged = []
+    for command in base:
+        before = digest(command)
+        for (cmd, dest), name in flags.items():
+            if cmd != command:
+                continue
+            if dest in INPUT_FLAGS:
+                original = edited[dest].read_bytes()
+                edited[dest].write_bytes(original + b"# edited\n")
+                after = digest(command)
+                edited[dest].write_bytes(original)
+            else:
+                after = digest(command, second[(cmd, dest)])
+            if after == before:
+                unchanged.append(f"{command} {name}")
+    assert not unchanged, f"digest unchanged by: {', '.join(unchanged)}"
 
 
 def test_run_pipeline_script_smoke(tmp_path):
