@@ -9,12 +9,12 @@ Subcommands compose the library into a file-based pipeline:
     eval         corpus -> cross-validation results CSV
     sensitivity  trained model + corpus -> differential sensitivity CSV
 
-A command returns its output files and ``main`` writes them with one
-JSON run manifest, built from the parsed flags and the content of the
-files the command read; each output carries the manifest digest and the
-relevant configuration in ``#`` header lines. Outputs contain no
-timestamps or absolute paths, so identical inputs and flags reproduce
-byte-identical files.
+A command returns its output files, and ``main`` hands them with the
+parsed flags to ``emit_outputs``. That hashes the files the flags name,
+writes one JSON run manifest and heads each output with the manifest
+digest and the relevant configuration in ``#`` header lines. Outputs
+contain no timestamps or absolute paths, so identical inputs and flags
+reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, evaluate, model as model_mod, synth
-from .errors import ParseError, SettingError, TrainingDiverged, ValidationError
+from .errors import SettingError, TrainingDiverged
 from .features import assemble_features, feature_names
 from .spiral import SpiralParams
 from .symbolic import (group_onsets, parse_performance, parse_score,
@@ -75,33 +75,39 @@ class OutputFile:
     body: str  # everything after the # header block
 
 
-@dataclass
-class Manifest:
-    """Run description; its digest goes into every output header.
+# the flags naming files or directories a command reads: they enter its
+# manifest by content, not by value
+_INPUT_FLAGS = ("score", "match", "spiral_config", "model", "corpus")
 
-    ``config`` holds every parsed flag except ``--out-dir`` and the flags
-    naming input files or directories; those files enter by content hash
-    in ``inputs``. The digest covers the command, config, input hashes,
-    output basenames and tool version -- never absolute paths, so reruns
-    in other directories stay byte-identical. Values derived from these
-    (a piece name, an MI subset, a generator constant) stay out of it.
+
+def emit_outputs(args, files: list[OutputFile]) -> None:
+    """Write a command's outputs, each headed by the manifest digest, and
+    its JSON run manifest to ``--out-dir``.
+
+    The digest covers the command, the tool version, every parsed flag
+    except ``--out-dir`` and the input flags, the content hash of each file
+    those name (each features/targets pair ``load_corpus`` loads), and the
+    output basenames -- never absolute paths, so reruns in other
+    directories stay byte-identical. Values derived from these (a piece
+    name, an MI subset, a generator constant) stay out of it.
     """
-
-    command: str
-    config: dict
-    inputs: dict  # basename -> sha256 of the content
-    input_paths: dict  # basename -> absolute path, outside the digest
-
-
-def emit_outputs(manifest: Manifest, out_dir: str, files: list[OutputFile]) -> str:
-    """Write all outputs plus the manifest JSON; returns the digest."""
-    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if flag == "corpus" and path:
+            paths += [p for _, fpath, tpath in _corpus_pairs(path)[0] for p in (fpath, tpath)]
+        elif path:
+            paths.append(path)
+    inputs = {os.path.basename(p): _sha256_file(p) for p in paths}
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "out_dir") + _INPUT_FLAGS}
+    os.makedirs(args.out_dir, exist_ok=True)
     names = [os.path.basename(f.path) for f in files]
     core = {
-        "command": manifest.command,
+        "command": args.command,
         "version": __version__,
-        "config": {k: _fmt(v) for k, v in sorted(manifest.config.items())},
-        "inputs": dict(sorted(manifest.inputs.items())),
+        "config": {k: _fmt(v) for k, v in sorted(config.items())},
+        "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(names),
     }
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
@@ -110,11 +116,11 @@ def emit_outputs(manifest: Manifest, out_dir: str, files: list[OutputFile]) -> s
         lines = [f"# manifest={digest}", f"# tool=tonaltension {__version__}"]
         lines += [f"# {k}={_fmt(v)}" for k, v in f.header_items]
         _atomic_write(f.path, "\n".join(lines) + "\n" + f.body)
-    payload = dict(core, outputs=names, input_paths=manifest.input_paths,
+    payload = dict(core, outputs=names,
+                   input_paths={os.path.basename(p): os.path.abspath(p) for p in paths},
                    output_paths=[os.path.abspath(f.path) for f in files], digest=digest)
-    _atomic_write(os.path.join(out_dir, f"{manifest.command}.manifest.json"),
+    _atomic_write(os.path.join(args.out_dir, f"{args.command}.manifest.json"),
                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return digest
 
 
 def csv_body(columns, rows) -> str:
@@ -153,12 +159,12 @@ def read_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
 
 def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.ndarray:
     """CSV string rows -> (rows, columns) float matrix; ragged rows and
-    non-numeric or non-finite cells raise ValidationError naming the file,
+    non-numeric or non-finite cells raise ValueError naming the file,
     the frame and the column."""
     for k, row in enumerate(rows):
         if len(row) != len(columns):
-            raise ValidationError(f"{path}: data row {k + 1} (frame {row[0]}) has "
-                                  f"{len(row)} cells, expected {len(columns)}")
+            raise ValueError(f"{path}: data row {k + 1} (frame {row[0]}) has "
+                             f"{len(row)} cells, expected {len(columns)}")
     try:
         data = np.array([[float(v) for v in r] for r in rows], dtype=float)
     except ValueError:
@@ -171,8 +177,8 @@ def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.nd
                 except ValueError:
                     ok = False
                 if not ok:
-                    raise ValidationError(f"{path}: frame {row[0]}, column {name}: "
-                                          f"{cell!r} is not a finite number")
+                    raise ValueError(f"{path}: frame {row[0]}, column {name}: "
+                                     f"{cell!r} is not a finite number")
     return data.reshape(len(rows), len(columns))
 
 
@@ -204,18 +210,18 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
         _, tcols, trows = read_csv(tpath)
         for path, cols in ((fpath, fcols), (tpath, tcols)):
             if cols[:2] != ["frame", "beat"]:
-                raise ValidationError(f"{path}: header must start with frame,beat")
+                raise ValueError(f"{path}: header must start with frame,beat")
         fdata = _numeric_rows(fpath, fcols, frows)
         tdata = _numeric_rows(tpath, tcols, trows)
         if not np.array_equal(fdata[:, 0], tdata[:, 0]):
-            raise ValidationError(f"{fpath}, {tpath}: feature and target rows are not aligned")
+            raise ValueError(f"{fpath}, {tpath}: feature and target rows are not aligned")
         names = tuple(fcols[2:])
         target_names = tuple(tcols[2:])
         if target_names != TARGET_NAMES:
-            raise ValidationError(f"{tpath}: unexpected target columns {target_names}")
+            raise ValueError(f"{tpath}: unexpected target columns {target_names}")
         pieces.append(evaluate.Piece(stem, fdata[:, 2:].copy(), names, tdata[:, 2:].copy()))
     if not pieces:
-        raise ValidationError(f"no feature/target CSV pairs found in {corpus_dir}")
+        raise ValueError(f"no feature/target CSV pairs found in {corpus_dir}")
     return pieces
 
 
@@ -379,7 +385,7 @@ def cmd_train(args) -> list[OutputFile]:
         "seed": str(args.seed),
     }
     return [
-        OutputFile(os.path.join(args.out_dir, args.model_name), [],
+        OutputFile(os.path.join(args.out_dir, "model.txt"), [],
                    model_mod.dumps_model(params, meta)),
         OutputFile(
             os.path.join(args.out_dir, "training_log.csv"),
@@ -454,8 +460,8 @@ def _standardization(path: str, meta: dict, key: str, count: int,
         values = None
     if (values is None or values.shape != (count,) or not np.isfinite(values).all()
             or (positive and (values <= 0).any())):
-        raise ValidationError(f"{path}: meta {key} must hold {count} finite numbers"
-                              + (" > 0" if positive else ""))
+        raise ValueError(f"{path}: meta {key} must hold {count} finite numbers"
+                         + (" > 0" if positive else ""))
     return values
 
 
@@ -463,10 +469,10 @@ def cmd_sensitivity(args) -> list[OutputFile]:
     params, meta = model_mod.load_model(args.model)
     names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
     if len(names) != params.input_dim:
-        raise ValidationError(f"{args.model}: model file lists {len(names)} features "
-                              f"but input_dim is {params.input_dim}")
+        raise ValueError(f"{args.model}: model file lists {len(names)} features "
+                         f"but input_dim is {params.input_dim}")
     if names and not ("feature_mean" in meta and "feature_std" in meta):
-        raise ValidationError(
+        raise ValueError(
             f"{args.model}: model file lacks feature standardization metadata")
     mean, std = (_standardization(args.model, meta, key, len(names), positive)
                  for key, positive in (("feature_mean", False), ("feature_std", True)))
@@ -527,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--target", required=True, choices=TARGET_NAMES)
     p.add_argument("--groups", default="P,M,T")
-    p.add_argument("--model-name", default="model.txt")
     _add_train_flags(p)
     _add_common(p, seed_required=True)
     p.set_defaults(func=cmd_train)
@@ -554,28 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the flags naming files or directories a command reads: they enter its
-# manifest by content, not by value
-_INPUT_FLAGS = ("score", "match", "spiral_config", "model", "corpus")
-
-
-def _manifest(args) -> Manifest:
-    """The flags of a parsed command line, and the content hashes of the
-    files it read (each features/targets pair ``load_corpus`` loads)."""
-    paths = []
-    for flag in _INPUT_FLAGS:
-        path = getattr(args, flag, None)
-        if flag == "corpus" and path:
-            paths += [p for _, fpath, tpath in _corpus_pairs(path)[0] for p in (fpath, tpath)]
-        elif path:
-            paths.append(path)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("command", "func", "out_dir") + _INPUT_FLAGS}
-    return Manifest(args.command, config,
-                    {os.path.basename(p): _sha256_file(p) for p in paths},
-                    {os.path.basename(p): os.path.abspath(p) for p in paths})
-
-
 # the flag behind each library setting that a SettingError can name
 _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "fs_count": "--fs-count", "epochs": "--epochs", "learning_rate": "--lr",
@@ -590,13 +573,12 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        files = args.func(args)
-        emit_outputs(_manifest(args), args.out_dir, files)
+        emit_outputs(args, args.func(args))
         return 0
     except SettingError as exc:
         print(f"error: {_FLAGS[exc.name]} {exc.problem}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationError, TrainingDiverged, ValueError, OSError) as exc:
+    except (TrainingDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

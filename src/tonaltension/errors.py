@@ -1,14 +1,6 @@
 """Shared exception types."""
 
 
-class ParseError(ValueError):
-    """Malformed input file; message carries the offending line number."""
-
-
-class ValidationError(ValueError):
-    """Structurally parseable input that violates a data invariant."""
-
-
 class SettingError(ValueError):
     """A run setting outside its valid range; ``name`` is the parameter."""
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import betainc
 
 from . import mi as mi_mod
-from .errors import SettingError, TrainingDiverged, ValidationError
+from .errors import SettingError, TrainingDiverged
 from .features import feature_names
 from .model import (ModelParams, TrainConfig, forward_many, input_jacobian_band, train,
                     train_many)
@@ -111,7 +111,7 @@ def columns(piece: Piece, names) -> np.ndarray:
     """The piece's feature matrix restricted to ``names``, in that order."""
     missing = [n for n in names if n not in piece.feature_names]
     if missing:
-        raise ValidationError(
+        raise ValueError(
             f"piece {piece.id} has no feature column(s) {','.join(missing)}")
     return piece.features[:, [piece.feature_names.index(n) for n in names]]
 
@@ -160,7 +160,7 @@ def mi_subset(corpus: list[Piece], fraction: float, k: int,
     names = corpus[0].feature_names
     for p in corpus:
         if p.feature_names != names:
-            raise ValidationError(
+            raise ValueError(
                 f"piece {p.id!r} has feature columns {p.feature_names}, "
                 f"expected {names}; re-extract the corpus with one --groups setting")
     subset_ids = set(mi_mod.subsample_pieces([p.id for p in corpus], fraction, seed))

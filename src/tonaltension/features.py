@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import SettingError, ValidationError
+from .errors import SettingError
 from .symbolic import ONSET_TOLERANCE, OnsetFrame, Score
 from .tension import TensionFrame
 
@@ -91,7 +91,7 @@ def assemble_features(score: Score, tension: list[TensionFrame] | None,
     names = feature_names(groups)
     if "T" in groups and (tension is None or len(tension) != len(frames)):
         got = "none" if tension is None else str(len(tension))
-        raise ValidationError(f"tension track length {got} does not match {len(frames)} frames")
+        raise ValueError(f"tension track length {got} does not match {len(frames)} frames")
     rows = []
     for frame in frames:
         values: dict[str, float] = {}

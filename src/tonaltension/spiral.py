@@ -114,22 +114,26 @@ def pitch_position(tpc: int, params: SpiralParams) -> SpiralPoint:
     return SpiralPoint(params.r * math.sin(angle), params.r * math.cos(angle), tpc * params.h)
 
 
-def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
-    """Weight-normalized mean position of ``(tpc, weight)`` pairs."""
-    members = list(members)
-    if not members:
-        raise ValueError("center of effect of an empty pitch set is undefined")
-    sx = sy = sz = 0.0
-    total = 0.0
-    for tpc, w in members:
-        if not (w > 0):
-            raise ValueError(f"non-positive weight {w} for tpc {tpc}")
-        p = pitch_position(tpc, params)
+def _weighted_mean(pairs) -> SpiralPoint:
+    """Weight-normalized mean of ``(point, weight)`` pairs."""
+    sx = sy = sz = total = 0.0
+    for p, w in pairs:
         sx += w * p.x
         sy += w * p.y
         sz += w * p.z
         total += w
     return SpiralPoint(sx / total, sy / total, sz / total)
+
+
+def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
+    """Weight-normalized mean position of ``(tpc, weight)`` pairs."""
+    members = list(members)
+    if not members:
+        raise ValueError("center of effect of an empty pitch set is undefined")
+    for tpc, w in members:
+        if not (w > 0):
+            raise ValueError(f"non-positive weight {w} for tpc {tpc}")
+    return _weighted_mean((pitch_position(tpc, params), w) for tpc, w in members)
 
 
 def make_cloud(members, params: SpiralParams) -> Cloud:
@@ -165,16 +169,11 @@ def key_coe(tonic_tpc: int, mode: str, params: SpiralParams) -> SpiralPoint:
     else:
         raise ValueError(f"mode must be 'major' or 'minor', got {mode!r}")
     k1, k2, k3 = params.key_weights
-    triads = [
-        _triad_coe(tonic_tpc, minors[0], params),
-        _triad_coe(tonic_tpc + 1, minors[1], params),
-        _triad_coe(tonic_tpc - 1, minors[2], params),
-    ]
-    total = k1 + k2 + k3
-    x = (k1 * triads[0].x + k2 * triads[1].x + k3 * triads[2].x) / total
-    y = (k1 * triads[0].y + k2 * triads[1].y + k3 * triads[2].y) / total
-    z = (k1 * triads[0].z + k2 * triads[1].z + k3 * triads[2].z) / total
-    return SpiralPoint(x, y, z)
+    return _weighted_mean([
+        (_triad_coe(tonic_tpc, minors[0], params), k1),
+        (_triad_coe(tonic_tpc + 1, minors[1], params), k2),
+        (_triad_coe(tonic_tpc - 1, minors[2], params), k3),
+    ])
 
 
 def distance(a: SpiralPoint, b: SpiralPoint) -> float:

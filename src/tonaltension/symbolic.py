@@ -14,8 +14,7 @@ Two line-oriented TSV formats:
   from the match are allowed (deletions); performed notes referencing
   unknown ids are not.
 
-All values are immutable after construction; parsing different pieces can
-proceed concurrently without coordination.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-
-from .errors import ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -60,20 +57,20 @@ class ScoreNote:
 
 
 def _check_note(n: ScoreNote, seen: set[str], where: str = "") -> None:
-    """Raise a ValidationError starting with ``where`` if ``n`` breaks a
+    """Raise a ValueError starting with ``where`` if ``n`` breaks a
     per-note rule; ``seen`` holds the ids before it and gains its own."""
     if n.id in seen:
-        raise ValidationError(f"{where}duplicate note id {n.id!r}")
+        raise ValueError(f"{where}duplicate note id {n.id!r}")
     seen.add(n.id)
     # extraction sweeps notes in onset order, which needs real numbers
     if not math.isfinite(n.onset) or n.onset < 0:
-        raise ValidationError(f"{where}note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
+        raise ValueError(f"{where}note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
     if not (math.isfinite(n.duration) and n.duration > 0):
-        raise ValidationError(f"{where}note {n.id!r}: duration must be finite and > 0, got {n.duration}")
+        raise ValueError(f"{where}note {n.id!r}: duration must be finite and > 0, got {n.duration}")
     if not 0 <= n.midi_pitch <= 127:
-        raise ValidationError(f"{where}note {n.id!r}: midi pitch {n.midi_pitch} out of range")
+        raise ValueError(f"{where}note {n.id!r}: midi pitch {n.midi_pitch} out of range")
     if (7 * n.tpc - n.midi_pitch) % 12:
-        raise ValidationError(
+        raise ValueError(
             f"{where}note {n.id!r}: tpc {n.tpc} cannot spell midi pitch {n.midi_pitch}")
 
 
@@ -100,19 +97,19 @@ class Score:
 
     def _check_layout(self) -> None:
         if not self.meter_map:
-            raise ValidationError("meter map is empty")
+            raise ValueError("meter map is empty")
         if self.meter_map[0].start_beat != 0.0:
-            raise ValidationError("meter map must start at beat 0")
+            raise ValueError("meter map must start at beat 0")
         starts = [m.start_beat for m in self.meter_map]
         if starts != sorted(starts):
-            raise ValidationError("meter map entries out of order")
+            raise ValueError("meter map entries out of order")
         onsets = [n.onset for n in self.notes]
         if onsets != sorted(onsets):
-            raise ValidationError("notes not sorted by onset")
+            raise ValueError("notes not sorted by onset")
 
     def meter_at(self, beat: float) -> MeterEntry:
         if beat < self.meter_map[0].start_beat:
-            raise ValidationError(f"beat {beat} precedes the meter map")
+            raise ValueError(f"beat {beat} precedes the meter map")
         active = self.meter_map[0]
         for entry in self.meter_map:
             if entry.start_beat <= beat + ONSET_TOLERANCE:
@@ -157,14 +154,14 @@ def _parse_float(token: str, what: str, lineno: int) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
+        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
+        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
 
 
 def parse_score(text: str) -> Score:
@@ -180,42 +177,42 @@ def parse_score(text: str) -> Score:
         if line.startswith("#meter"):
             fields = line.split()
             if len(fields) != 5:
-                raise ParseError(f"line {lineno}: #meter expects 4 fields, got {len(fields) - 1}")
+                raise ValueError(f"line {lineno}: #meter expects 4 fields, got {len(fields) - 1}")
             start = _parse_float(fields[1], "meter start", lineno)
             beats = _parse_float(fields[2], "beats per bar", lineno)
             unit = _parse_int(fields[3], "beat unit", lineno)
             mclass = fields[4]
             if mclass not in ("duple", "triple", "other"):
-                raise ParseError(f"line {lineno}: unknown meter class {mclass!r}")
+                raise ValueError(f"line {lineno}: unknown meter class {mclass!r}")
             if not (math.isfinite(start) and start >= 0):
-                raise ParseError(f"line {lineno}: meter start must be a finite number >= 0, "
+                raise ValueError(f"line {lineno}: meter start must be a finite number >= 0, "
                                  f"got {fields[1]!r}")
             if not (math.isfinite(beats) and beats > 0):
-                raise ParseError(f"line {lineno}: beats per bar must be a finite number > 0, "
+                raise ValueError(f"line {lineno}: beats per bar must be a finite number > 0, "
                                  f"got {fields[2]!r}")
             meter_map.append(MeterEntry(start, beats, unit, mclass))
         elif line.startswith("#key"):
             fields = line.split()
             if len(fields) != 3 or fields[2] not in ("major", "minor"):
-                raise ParseError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
+                raise ValueError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
             tonic = _parse_int(fields[1], "key tpc", lineno)
             # -9..13 holds every real key; derived spellings then stay
             # within -15..19, which serialize_score writes with |alter| <= 2
             if not -9 <= tonic <= 13:
-                raise ValidationError(f"line {lineno}: key tpc {tonic} outside -9..13")
+                raise ValueError(f"line {lineno}: key tpc {tonic} outside -9..13")
             key = (tonic, fields[2])
         elif line.startswith("#"):
             continue  # comment
         else:
             fields = line.split("\t")
             if len(fields) != 8:
-                raise ParseError(f"line {lineno}: expected 8 tab-separated fields, got {len(fields)}")
+                raise ValueError(f"line {lineno}: expected 8 tab-separated fields, got {len(fields)}")
             raw_notes.append((lineno, fields))
 
     if not meter_map:
-        raise ValidationError("score file has no #meter line")
+        raise ValueError("score file has no #meter line")
     if not raw_notes:
-        raise ValidationError("score file has no notes")
+        raise ValueError("score file has no notes")
 
     key_tpc = key[0] if key else 0
     notes = []
@@ -230,18 +227,18 @@ def parse_score(text: str) -> Score:
         else:
             step = f[4].upper()
             if step not in _STEP_TPC:
-                raise ParseError(f"line {lineno}: bad step {f[4]!r}")
+                raise ValueError(f"line {lineno}: bad step {f[4]!r}")
             alter = _parse_int(f[5], "alter", lineno)
             if not -2 <= alter <= 2:
-                raise ValidationError(f"line {lineno}: alter {alter} outside -2..2")
+                raise ValueError(f"line {lineno}: alter {alter} outside -2..2")
             octave = _parse_int(f[6], "octave", lineno)
             implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
             if implied != midi:
-                raise ValidationError(f"line {lineno}: spelling {step} {alter} {octave} "
-                                      f"implies midi {implied}, stored {midi}")
+                raise ValueError(f"line {lineno}: spelling {step} {alter} {octave} "
+                                 f"implies midi {implied}, stored {midi}")
             tpc = _STEP_TPC[step] + 7 * alter
         if f[7] not in ("0", "1"):
-            raise ParseError(f"line {lineno}: melody flag must be 0 or 1, got {f[7]!r}")
+            raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {f[7]!r}")
         notes.append(ScoreNote(nid, onset, duration, midi, tpc, f[7] == "1"))
         _check_note(notes[-1], seen, f"line {lineno}: ")
 
@@ -292,21 +289,21 @@ def parse_performance(text: str, score: Score) -> Performance:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
+            raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
         sid = fields[0]
         if sid not in valid_ids:
-            raise ValidationError(f"line {lineno}: unknown score id {sid!r}")
+            raise ValueError(f"line {lineno}: unknown score id {sid!r}")
         if sid in matched:
-            raise ValidationError(f"line {lineno}: score id {sid!r} matched twice")
+            raise ValueError(f"line {lineno}: score id {sid!r} matched twice")
         onset = _parse_float(fields[1], "onset seconds", lineno)
         duration = _parse_float(fields[2], "duration seconds", lineno)
         velocity = _parse_int(fields[3], "velocity", lineno)
         if not (math.isfinite(onset) and onset >= 0):
-            raise ValidationError(f"line {lineno}: onset must be finite and >= 0, got {onset}")
+            raise ValueError(f"line {lineno}: onset must be finite and >= 0, got {onset}")
         if not (math.isfinite(duration) and duration > 0):
-            raise ValidationError(f"line {lineno}: duration must be finite and > 0")
+            raise ValueError(f"line {lineno}: duration must be finite and > 0")
         if not 1 <= velocity <= 127:
-            raise ValidationError(f"line {lineno}: velocity {velocity} outside 1..127")
+            raise ValueError(f"line {lineno}: velocity {velocity} outside 1..127")
         matched[sid] = PerformedNote(sid, onset, duration, velocity)
 
     missing = tuple(n.id for n in score.notes if n.id not in matched)

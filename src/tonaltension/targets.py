@@ -19,9 +19,9 @@ on it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .symbolic import OnsetFrame, Performance
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ def _mean_onsets(kept) -> list[float]:
     onsets = [sum(n.onset_sec for n in notes) / len(notes) for _, notes in kept]
     for i in range(1, len(onsets)):
         if onsets[i] <= onsets[i - 1]:
-            raise ValidationError(
+            raise ValueError(
                 f"averaged onsets not increasing at frame {kept[i][0].index} "
                 f"({onsets[i - 1]} -> {onsets[i]}); alignment is defective")
     return onsets
@@ -86,8 +86,13 @@ def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
         if not gap > 0:
             raise ValueError(f"beats not strictly increasing at index {i}")
         bp.append((onsets_sec[i + 1] - onsets_sec[i]) / gap)
+        if not bp[-1] > 0:
+            raise ValueError(f"beat period at index {i} is {bp[-1]!r}, not > 0")
     bp.append(bp[-1])
-    mean = sum(bp) / n
+    total = sum(bp)
+    if not math.isfinite(total):
+        raise ValueError(f"beat periods sum to {total!r}, not a finite number")
+    mean = total / n
     return [b / mean for b in bp]
 
 

@@ -502,6 +502,18 @@ class TestBadInputs:
         assert line.startswith(f"error: {score}: line {lineno}: {problem} must be a finite")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_beat_periods_name_the_match_file(self, tmp_path, capsys):
+        # the periods are finite, but their sum overflows: bpr would be 0.0
+        score = tmp_path / "wide.score.tsv"
+        score.write_text("#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\n"
+                         "n2\t1\t1\t62\tD\t0\t4\t0\nn3\t2\t1\t64\tE\t0\t4\t0\n")
+        match = tmp_path / "wide.match.tsv"
+        match.write_text("n1\t0\t0.5\t64\nn2\t1e308\t0.5\t64\nn3\t1.7e308\t0.5\t64\n")
+        assert run_cli("extract", score, "--match", match, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: {match}: ") and "beat periods" in line
+        assert not (tmp_path / "out").exists()
+
     def test_missing_model_column_names_piece_and_column(self, tmp_path, capsys):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=12)
         feats = tmp_path / "p_only"
@@ -642,7 +654,6 @@ def test_digest_covers_every_setting_and_input(tmp_path):
         ("mi", "fs_seed"): ["--fs-seed", 2],
         ("train", "target"): ["--target", "vel"],
         ("train", "groups"): ["--groups", "P,M"],
-        ("train", "model_name"): ["--model-name", "other.txt"],
         ("train", "epochs"): ["--epochs", 2],
         ("train", "lr"): ["--lr", 0.01],
         ("train", "patience"): ["--patience", 5],

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tonaltension.errors import ValidationError
 from tonaltension.features import (CANONICAL_ORDER, assemble_features,
                                    feature_names, metrical_features,
                                    pitch_features, vertical_intervals)
@@ -149,7 +148,7 @@ class TestAssemble:
         score = self.score()
         frames = group_onsets(score)
         track = tension_track(score, WindowConfig(), SpiralParams(), frames)
-        with pytest.raises(ValidationError, match="match"):
+        with pytest.raises(ValueError, match="match"):
             assemble_features(score, track[:-1], {"T"}, frames)
 
     def test_unknown_group_rejected(self):

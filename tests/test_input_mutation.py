@@ -3,9 +3,9 @@
 Hypothesis edits the text of a model file, of a features or targets CSV,
 and of a score or match file: characters replaced, deleted or inserted (digits, signs, separators,
 letters of nan/inf, newlines), lines deleted or duplicated. Loading the
-result must succeed or raise ValueError (ValidationError is one); a
-command on it must exit 0, or exit 1 printing exactly one ``error:``
-line and no traceback. When the file does not load, that line names it.
+result must succeed or raise ValueError; a command on it must exit 0, or
+exit 1 printing exactly one ``error:`` line and no traceback. When the
+file does not load, that line names it.
 """
 
 import contextlib

@@ -1,17 +1,22 @@
-"""The README's ``## Library`` example runs as written, on a synthetic piece
-named as the example names it."""
+"""The README's examples run as written: the ``## Library`` block on a
+synthetic piece named as the example names it, and each command of the
+``## Command line`` block through ``cli.main``, at a reduced size."""
 
 import re
+import shlex
 from pathlib import Path
 
 from tonaltension import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# the corpus and training sizes of the command-line block, reduced
+SMALLER = {"--pieces": "5", "--length": "24", "--epochs": "1"}
 
-def library_block() -> str:
-    section = README.read_text().split("\n## Library\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+def code_block(section: str, language: str) -> str:
+    text = README.read_text().split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
 
 
 def test_library_example_runs(tmp_path, monkeypatch):
@@ -23,6 +28,28 @@ def test_library_example_runs(tmp_path, monkeypatch):
     match.rename(tmp_path / "piece.match.tsv")
     monkeypatch.chdir(tmp_path)
     scope = {}
-    exec(library_block(), scope)
+    exec(code_block("Library", "python"), scope)
     assert len(scope["track"]) == len(scope["frames"]) > 0
     assert len(scope["rows"]) > 0
+
+
+def test_command_line_example_runs(tmp_path, monkeypatch):
+    """The block's ``extract`` line shows one piece; as its comment says,
+    it runs once for each piece of the corpus."""
+    monkeypatch.chdir(tmp_path)
+    block = code_block("Command line", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert [argv[0] for argv in commands] == ["tonaltension"] * len(commands)
+    assert {argv[1] for argv in commands} == {"synth", "extract", "mi", "eval", "train",
+                                              "sensitivity"}
+    for _, *argv in commands:
+        argv = [SMALLER.get(prev, arg) for prev, arg in zip([None] + argv, argv)]
+        if argv[0] == "extract":
+            stems = sorted(p.name[:-len(".score.tsv")]
+                           for p in Path("corpus").glob("*.score.tsv"))
+            runs = [[a.replace("piece000", stem) for a in argv] for stem in stems]
+        else:
+            runs = [argv]
+        for run in runs:
+            assert cli.main(run) == 0, run

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tonaltension.errors import ParseError, ValidationError
 from tonaltension.symbolic import (ONSET_TOLERANCE, Score, derive_tpc, group_onsets,
                                    parse_performance, parse_score,
                                    serialize_performance, serialize_score)
@@ -64,14 +63,14 @@ class TestParseScore:
         assert score.key is None
 
     def test_zero_duration_rejected(self):
-        with pytest.raises(ValidationError, match="duration"):
+        with pytest.raises(ValueError, match="duration"):
             parse_score("#meter 0 4 4 duple\nn1\t0\t0\t60\tC\t0\t4\t0\n")
 
     @pytest.mark.parametrize("onset,duration,field", [
         ("nan", "1", "onset"), ("inf", "1", "onset"),
         ("0", "inf", "duration"), ("0", "nan", "duration")])
     def test_non_finite_time_rejected(self, onset, duration, field):
-        with pytest.raises(ValidationError, match=field):
+        with pytest.raises(ValueError, match=field):
             parse_score(f"#meter 0 4 4 duple\nn1\t{onset}\t{duration}\t60\tC\t0\t4\t0\n")
 
     def test_triad_shares_onset(self):
@@ -83,16 +82,16 @@ class TestParseScore:
 
     def test_duplicate_id_rejected(self):
         text = ONE_NOTE + "n1\t1\t1\t62\tD\t0\t4\t0\n"
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             parse_score(text)
 
     def test_missing_meter_rejected(self):
-        with pytest.raises(ValidationError, match="meter"):
+        with pytest.raises(ValueError, match="meter"):
             parse_score("n1\t0\t1\t60\tC\t0\t4\t0\n")
 
     def test_malformed_line_reports_number(self):
         text = "#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\nn2\tbroken\t1\t62\tD\t0\t4\t0\n"
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             parse_score(text)
 
     def test_unspelled_note_gets_key_aware_tpc(self):
@@ -101,11 +100,11 @@ class TestParseScore:
 
     def test_spelling_midi_mismatch_rejected(self):
         text = "#meter 0 4 4 duple\nn1\t0\t1\t61\tC\t0\t4\t0\n"
-        with pytest.raises(ValidationError, match="implies midi"):
+        with pytest.raises(ValueError, match="implies midi"):
             parse_score(text)
 
     def test_tpc_midi_mismatch_rejected_in_memory(self):
-        with pytest.raises(ValidationError, match="cannot spell midi pitch 61"):
+        with pytest.raises(ValueError, match="cannot spell midi pitch 61"):
             build_score([note("n1", 0.0, 1.0, tpc=0, midi=61)])
 
     def test_notes_sorted_by_onset_then_pitch(self):
@@ -178,7 +177,7 @@ class TestParsePerformance:
 
     def test_unknown_id_named_in_error(self):
         score = parse_score(TRIAD)
-        with pytest.raises(ValidationError, match="n99"):
+        with pytest.raises(ValueError, match="n99"):
             parse_performance("n99\t0\t0.5\t64\n", score)
 
     def test_deletion_reported(self, caplog):
@@ -191,19 +190,19 @@ class TestParsePerformance:
 
     def test_velocity_out_of_range(self):
         score = parse_score(TRIAD)
-        with pytest.raises(ValidationError, match="velocity"):
+        with pytest.raises(ValueError, match="velocity"):
             parse_performance("n1\t0\t0.5\t128\n", score)
 
     @pytest.mark.parametrize("onset,duration", [
         ("nan", "0.5"), ("inf", "0.5"), ("-0.1", "0.5"), ("0", "nan"), ("0", "inf"), ("0", "0")])
     def test_non_finite_or_negative_times_rejected(self, onset, duration):
         score = parse_score(TRIAD)
-        with pytest.raises(ValidationError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_performance(f"n1\t{onset}\t{duration}\t64\n", score)
 
     def test_double_match_rejected(self):
         score = parse_score(TRIAD)
-        with pytest.raises(ValidationError, match="twice"):
+        with pytest.raises(ValueError, match="twice"):
             parse_performance("n1\t0\t0.5\t64\nn1\t0.1\t0.5\t64\n", score)
 
     def test_round_trip(self):

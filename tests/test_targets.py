@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tonaltension.errors import ValidationError
 from tonaltension.symbolic import Performance, PerformedNote, group_onsets
 from tonaltension.targets import average_onsets, compute_bpr, derivative, targets
 
@@ -39,7 +38,7 @@ class TestAverageOnsets:
 
     def test_non_increasing_rejected_with_frame(self):
         p = perf(("a", 0.0, 0.4, 64), ("b", 0.5, 0.4, 64), ("c", 0.5, 0.4, 64))
-        with pytest.raises(ValidationError, match="frame 2"):
+        with pytest.raises(ValueError, match="frame 2"):
             average_onsets(p, group_onsets(three_frame_score()))
 
     def test_empty_frames_dropped(self):
