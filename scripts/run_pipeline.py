@@ -51,10 +51,9 @@ def main() -> None:
        "--seed", args.seed, "--rule", "t_cd-slow", "--out-dir", corpus)
     stems = sorted(f[:-len(".score.tsv")] for f in os.listdir(corpus)
                    if f.endswith(".score.tsv"))
-    for stem in stems:
-        sh("extract", os.path.join(corpus, f"{stem}.score.tsv"),
-           "--match", os.path.join(corpus, f"{stem}.match.tsv"),
-           "--out-dir", feats)
+    sh("extract", *(os.path.join(corpus, f"{stem}.score.tsv") for stem in stems),
+       "--match", *(os.path.join(corpus, f"{stem}.match.tsv") for stem in stems),
+       "--out-dir", feats)
 
     sh("mi", "--corpus", feats, "--fs-seed", args.seed, "--out-dir", results)
     sh("eval", "--corpus", feats, "--targets", args.targets,

@@ -3,7 +3,7 @@
 Subcommands compose the library into a file-based pipeline:
 
     synth        generate a synthetic corpus of score + match files
-    extract      score (+ match) -> feature CSV (+ target CSV)
+    extract      scores (+ matches) -> a feature (+ target) CSV per score
     mi           corpus of feature/target CSVs -> mutual-information CSVs
     train        corpus -> one trained model file + training log
     eval         corpus -> cross-validation results CSV
@@ -96,6 +96,8 @@ def emit_outputs(args, files: list[OutputFile]) -> None:
         path = getattr(args, flag, None)
         if flag == "corpus" and path:
             paths += [p for _, fpath, tpath in _corpus_pairs(path)[0] for p in (fpath, tpath)]
+        elif isinstance(path, list):  # extract's scores and match files
+            paths += path
         elif path:
             paths.append(path)
     inputs = {os.path.basename(p): _sha256_file(p) for p in paths}
@@ -296,42 +298,70 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _stem(score_path: str) -> str:
+    stem = os.path.basename(score_path)
+    for suffix in (".score.tsv", ".tsv", ".txt"):
+        if stem.endswith(suffix):
+            return stem[:-len(suffix)]
+    return stem
+
+
+def _unique(paths: list[str], key, what: str) -> None:
+    """Fail naming the first path whose ``key`` repeats an earlier one's."""
+    seen: dict[str, str] = {}
+    for path in paths:
+        if key(path) in seen:
+            raise ValueError(f"{path}: same {what} as {seen[key(path)]}")
+        seen[key(path)] = path
+
+
 def cmd_extract(args) -> list[OutputFile]:
+    """Each score, with the match file at its position in ``--match``,
+    -> ``<stem>.features.csv`` (+ ``<stem>.targets.csv``)."""
     groups = _parse_groups(args.groups)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
+    matches = args.match or [None] * len(args.score)
+    if len(matches) != len(args.score):
+        raise SettingError("match", f"must name one file per score ({len(args.score)}), "
+                                    f"got {len(matches)}")
+    # stems name the outputs, and base names key the manifest's inputs
+    _unique(args.score, _stem, "output stem")
+    _unique(args.score + (args.match or []), os.path.basename, "file name")
+    files = []
+    for score_path, match_path in zip(args.score, matches):
+        files += _extract_piece(score_path, match_path, groups, spiral, window, args.out_dir)
+    return files
+
+
+def _extract_piece(score_path, match_path, groups, spiral, window, out_dir) -> list[OutputFile]:
     names = feature_names(groups)
-    with _naming(args.score):
-        with open(args.score) as fh:
+    with _naming(score_path):
+        with open(score_path) as fh:
             score = parse_score(fh.read())
         frames = group_onsets(score)
         track = tension_track(score, window, spiral, frames) if "T" in groups else None
         rows = assemble_features(score, track, groups, frames)
 
-    stem = os.path.basename(args.score)
-    for suffix in (".score.tsv", ".tsv", ".txt"):
-        if stem.endswith(suffix):
-            stem = stem[:-len(suffix)]
-            break
-
+    stem = _stem(score_path)
     header = ([("piece", stem), ("groups", ",".join(sorted(groups)))]
               + spiral.header_items() + window.header_items())
 
     files = []
-    if args.match:
-        with _naming(args.match):
-            with open(args.match) as fh:
+    if match_path:
+        with _naming(match_path):
+            with open(match_path) as fh:
                 perf = parse_performance(fh.read(), score)
             target_rows = extract_targets(perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
         files.append(OutputFile(
-            os.path.join(args.out_dir, f"{stem}.targets.csv"), list(header),
+            os.path.join(out_dir, f"{stem}.targets.csv"), list(header),
             csv_body(("frame", "beat") + TARGET_NAMES,
                      [(t.frame_index, t.beat, t.bpr, t.d_bpr, t.vel, t.d_vel)
                       for t in target_rows])))
     files.insert(0, OutputFile(
-        os.path.join(args.out_dir, f"{stem}.features.csv"), list(header),
+        os.path.join(out_dir, f"{stem}.features.csv"), list(header),
         csv_body(("frame", "beat") + names,
                  [(r.frame_index, r.beat) + r.values for r in rows])))
     return files
@@ -505,9 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="compute feature (and target) CSVs for one piece")
-    p.add_argument("score", help="path to a .score.tsv file")
-    p.add_argument("--match", default=None, help="path to the aligned .match.tsv file")
+    p = sub.add_parser("extract", help="compute feature (and target) CSVs for each piece")
+    p.add_argument("score", nargs="+", help="paths of .score.tsv files")
+    p.add_argument("--match", nargs="+", default=None,
+                   help="the aligned .match.tsv file of each score, in score order")
     p.add_argument("--groups", default="P,M,T", help="feature groups, e.g. P,M,T")
     _add_feature_flags(p)
     _add_common(p)
@@ -565,7 +596,7 @@ _FLAGS = {"k": "--folds", "fraction": "--fs-fraction", "mi_k": "--fs-k",
           "targets": "--targets", "early_stop_patience": "--patience",
           "radius": "--radius", "width_beats": "--window", "pieces": "--pieces",
           "frames": "--length", "groups": "--groups", "seed": "--seed",
-          "fs_seed": "--fs-seed"}
+          "fs_seed": "--fs-seed", "match": "--match"}
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc
 
 from . import mi as mi_mod
 from .errors import SettingError, TrainingDiverged
@@ -81,6 +80,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
     """Two-tailed paired t-test of ``a`` against ``b``: (p, Cohen's d), p
     via the regularized incomplete beta, d the mean paired difference over
     its sample deviation."""
+    from scipy.special import betainc  # here: synth and extract load no scipy
+
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     n = d.size
     if n < 2:

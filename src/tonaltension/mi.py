@@ -20,8 +20,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import SettingError
 
@@ -43,14 +41,18 @@ def _jittered(values: np.ndarray, seed: int) -> np.ndarray:
     return values + JITTER_AMPLITUDE * std * rng.uniform(-1.0, 1.0, size=values.shape)
 
 
-def _strict_count(tree: cKDTree, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Points strictly inside each radius, the query point excluded."""
+def _strict_count(tree, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Points of the cKDTree ``tree`` strictly inside each radius, the
+    query point excluded."""
     counts = tree.query_ball_point(points, radii * (1.0 - 1e-12),
                                    p=np.inf, return_length=True)
     return np.asarray(counts, dtype=float) - 1.0
 
 
 def _mi_continuous(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    from scipy.spatial import cKDTree  # here: synth and extract load no scipy
+    from scipy.special import digamma
+
     n = x.size
     xy = np.column_stack([x, y])
     joint = cKDTree(xy)
@@ -64,6 +66,9 @@ def _mi_continuous(x: np.ndarray, y: np.ndarray, k: int) -> float:
 def _mi_discrete_continuous(d: np.ndarray, c: np.ndarray, k: int) -> float:
     """Conditioned variant: k-neighbor radii within each discrete class,
     neighbor counts over the full continuous sample."""
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     n = d.size
     c2 = c[:, None]
     full_tree = cKDTree(c2)

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import SettingError, TrainingDiverged
 
@@ -224,6 +223,8 @@ def _scan(d: _Gates, seqs, spans) -> dict:
     and the cell and hidden states "C" and "H" with the zero initial state
     at index 0 and step t at index t + 1. BPTT recomputes U h bit for bit
     rather than keeping it."""
+    from scipy.special import expit as sigmoid  # here: synth and extract load no scipy
+
     P = _project(d, seqs)
     T, n, _, G = P.shape
     H = G // 4

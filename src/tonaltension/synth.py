@@ -12,10 +12,20 @@ whose tempo curve optionally follows a tension-to-tempo rule:
 Velocities follow a smooth random walk in both cases. Everything is
 driven by one seed; the generator's other settings are the constants
 ``TEMPO_GAIN``, ``NOISE``, ``RESPELL_PROB`` and ``BASE_BEAT_PERIOD``.
+
+The per-note loops draw scalars and compute in Python ints and floats.
+They consume the Generator stream exactly as ``rng.choice`` would:
+``seq[rng.integers(len(seq))]`` for a uniform choice, and ``bisect_right``
+of ``rng.random()`` on the normalized cumulative sum for a weighted one.
+Per-frame arrays (beat periods, velocity walk) are computed whole and read
+as lists. The corpus is byte-identical to the one that numpy scalar
+draws give (``tests/test_golden.py`` pins its digests), for a third of
+the per-note cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,11 @@ _METERS = (
     MeterEntry(0.0, 6.0, 8, "duple"),
 )
 _CHORD_INTERVALS = (3, 4, 7, 8, 9, 10, 14, 16)
+_CHORD_SIZES = (1, 2, 3, 4)
+# rng.choice(_CHORD_SIZES, p=...) draws rng.random() and bisects this
+# normalized cumulative sum; the loop does the same with Python floats
+_SIZE_CDF = np.cumsum((0.35, 0.2, 0.3, 0.15))
+_SIZE_CDF = (_SIZE_CDF / _SIZE_CDF[-1]).tolist()
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class SynthConfig:
 def _respell(tpc: int, rng: np.random.Generator) -> int:
     if rng.random() >= RESPELL_PROB:
         return tpc
-    shifted = tpc + int(rng.choice((-12, 12)))
+    shifted = tpc + (-12, 12)[rng.integers(2)]
     # keep accidentals readable (|alter| <= 2)
     return shifted if abs((shifted + 1) // 7) <= 2 else tpc
 
@@ -76,12 +91,12 @@ def generate_score(rng: np.random.Generator, frames: int) -> Score:
     beat = 0.0
     center = int(rng.integers(55, 75))
     for fi in range(frames):
-        step = float(rng.choice(step_choices))
-        size = int(rng.choice((1, 2, 3, 4), p=(0.35, 0.2, 0.3, 0.15)))
-        center = int(np.clip(center + rng.integers(-4, 5), 40, 84))
+        step = step_choices[rng.integers(len(step_choices))]
+        size = _CHORD_SIZES[bisect_right(_SIZE_CDF, rng.random())]
+        center = min(max(center + int(rng.integers(-4, 5)), 40), 84)
         midis = {center}
         while len(midis) < size:
-            midis.add(center + int(rng.choice(_CHORD_INTERVALS)))
+            midis.add(center + _CHORD_INTERVALS[rng.integers(len(_CHORD_INTERVALS))])
         # occasional chromatic neighbor widens the pitch cloud
         if rng.random() < 0.3:
             midis.add(max(midis) + 1)
@@ -102,7 +117,6 @@ def generate_performance(rng: np.random.Generator, score: Score,
                          window: WindowConfig) -> Performance:
     """Performance realizing the configured tempo rule plus noise."""
     frames = group_onsets(score)
-    beats = np.array([f.beat for f in frames])
     if cfg.rule == "t_cd-slow":
         t_cd = np.array([t.t_cd for t in tension_track(score, window, spiral, frames)])
         shape = 1.0 + TEMPO_GAIN * (t_cd - t_cd.mean())
@@ -111,14 +125,15 @@ def generate_performance(rng: np.random.Generator, score: Score,
         shape = 1.0 + (walk - walk.mean())
     bp = BASE_BEAT_PERIOD * shape
     bp += rng.normal(0.0, NOISE * BASE_BEAT_PERIOD, size=len(frames))
-    bp = np.maximum(bp, 0.1 * BASE_BEAT_PERIOD)
+    bp = np.maximum(bp, 0.1 * BASE_BEAT_PERIOD).tolist()
 
-    onset_sec = np.zeros(len(frames))
+    beats = [f.beat for f in frames]
+    onset_sec = [0.0]
     for i in range(1, len(frames)):
-        onset_sec[i] = onset_sec[i - 1] + bp[i - 1] * (beats[i] - beats[i - 1])
+        onset_sec.append(onset_sec[i - 1] + bp[i - 1] * (beats[i] - beats[i - 1]))
 
     vel_walk = np.clip(np.round(
-        72 + np.cumsum(rng.normal(0.0, 2.0, size=len(frames)))), 30, 110).astype(int)
+        72 + np.cumsum(rng.normal(0.0, 2.0, size=len(frames)))), 30, 110).astype(int).tolist()
 
     frame_of = {}
     for frame in frames:
@@ -127,9 +142,9 @@ def generate_performance(rng: np.random.Generator, score: Score,
     performed = []
     for n in score.notes:
         fi = frame_of[n.id]
-        dur = float(max(0.05, 0.9 * n.duration * bp[fi]))
-        vel = int(np.clip(vel_walk[fi] + rng.integers(-3, 4), 1, 127))
-        performed.append(PerformedNote(n.id, float(onset_sec[fi]), dur, vel))
+        dur = max(0.05, 0.9 * n.duration * bp[fi])
+        vel = min(max(vel_walk[fi] + int(rng.integers(-3, 4)), 1), 127)
+        performed.append(PerformedNote(n.id, onset_sec[fi], dur, vel))
     return Performance(tuple(performed))
 
 

@@ -16,6 +16,12 @@ once: a forward pointer admits notes that start before the window ends,
 and an active list drops notes that end before the window starts (frame
 beats only increase). The sweep costs O(notes + frames x cloud size),
 not O(notes x frames).
+
+Spiral points come from a position table: ``SpiralParams.position``
+builds each tpc's point once and returns it after that, so a cloud's
+center of effect and diameter build no point per member. The numbers are
+those of building every point anew: the same float operations run in
+the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 from .errors import SettingError
 from .spiral import Cloud, SpiralParams, SpiralPoint
 from .spiral import distance, enharmonic_unit, key_coe, make_cloud as _merge_cloud
-from .spiral import pitch_position
 from .symbolic import OnsetFrame, Score, ScoreNote
 
 
@@ -85,7 +90,7 @@ def window_cloud(candidates, frame: OnsetFrame, cfg: WindowConfig,
 def cloud_diameter(cloud: Cloud, params: SpiralParams) -> float:
     """Max pairwise member distance over the enharmonic unit; 0 for a
     single merged pitch class."""
-    pts = [pitch_position(tpc, params) for tpc, _ in cloud.members]
+    pts = [params.position(tpc) for tpc, _ in cloud.members]
     best = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):

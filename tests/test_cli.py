@@ -142,6 +142,88 @@ class TestExtract:
         assert "error:" in bad.stderr
         assert bad.stdout == ""
 
+    def test_one_call_extracts_every_piece_with_one_manifest(self, tmp_path):
+        corpus, feats = make_corpus(tmp_path, pieces=3, length=12)
+        scores = [corpus / f"piece{i:03d}.score.tsv" for i in range(3)]
+        matches = [corpus / f"piece{i:03d}.match.tsv" for i in range(3)]
+        out = tmp_path / "once"
+        assert run_cli("extract", *scores, "--match", *matches, "--out-dir", out) == 0
+        manifest = json.loads((out / "extract.manifest.json").read_text())
+        outputs = sorted(f"piece{i:03d}.{kind}.csv" for i in range(3)
+                         for kind in ("features", "targets"))
+        assert sorted(manifest["inputs"]) == sorted(p.name for p in scores + matches)
+        assert manifest["outputs"] == outputs
+        for name in outputs:
+            # the same bytes as one call per piece, bar the manifest digest
+            once, per_piece = ((d / name).read_text().split("\n", 1) for d in (out, feats))
+            assert once[0] == f"# manifest={manifest['digest']}" != per_piece[0]
+            assert once[1] == per_piece[1]
+
+    def test_match_count_must_equal_score_count(self, tmp_path, capsys):
+        corpus, _ = make_corpus(tmp_path, pieces=2, length=8)
+        capsys.readouterr()
+        assert run_cli("extract", corpus / "piece000.score.tsv", corpus / "piece001.score.tsv",
+                       "--match", corpus / "piece000.match.tsv",
+                       "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys).startswith("error: --match must name one file per score")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("other", ["piece000.score.tsv", "piece000.tsv",
+                                       "copy/piece000.score.tsv"],
+                             ids=["same-path", "suffix", "dir"])
+    def test_repeated_output_stem_names_the_second_score(self, tmp_path, capsys, other):
+        corpus, _ = make_corpus(tmp_path, pieces=1, length=8)
+        second = corpus / other
+        second.parent.mkdir(exist_ok=True)
+        second.write_bytes((corpus / "piece000.score.tsv").read_bytes())
+        capsys.readouterr()
+        assert run_cli("extract", corpus / "piece000.score.tsv", second,
+                       "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys) == (
+            f"error: {second}: same output stem as {corpus / 'piece000.score.tsv'}")
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_match_file_name_names_the_second(self, tmp_path, capsys):
+        # two inputs with one base name would share one manifest inputs key
+        corpus, _ = make_corpus(tmp_path, pieces=2, length=8)
+        second = tmp_path / "copy" / "piece000.match.tsv"
+        second.parent.mkdir()
+        second.write_bytes((corpus / "piece001.match.tsv").read_bytes())
+        capsys.readouterr()
+        assert run_cli("extract", corpus / "piece000.score.tsv", corpus / "piece001.score.tsv",
+                       "--match", corpus / "piece000.match.tsv", second,
+                       "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys) == (
+            f"error: {second}: same file name as {corpus / 'piece000.match.tsv'}")
+
+    def test_synth_and_extract_load_no_scipy(self, tmp_path):
+        """The score side of the pipeline imports no scipy module; train,
+        in the same process afterwards, still runs."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        code = """if True:
+            import glob, json, sys
+            from tonaltension import cli
+            corpus, feats, results = sys.argv[1:]
+            codes = [cli.main(["synth", "--pieces", "3", "--length", "12", "--seed", "1",
+                               "--out-dir", corpus])]
+            codes.append(cli.main(["extract", *sorted(glob.glob(corpus + "/*.score.tsv")),
+                                   "--match", *sorted(glob.glob(corpus + "/*.match.tsv")),
+                                   "--out-dir", feats]))
+            scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+            codes.append(cli.main(["train", "--corpus", feats, "--target", "bpr",
+                                   "--seed", "1", "--epochs", "1", "--out-dir", results]))
+            print(json.dumps({"codes": codes, "scipy": scipy}))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code] + [str(tmp_path / d) for d in ("c", "f", "r")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["scipy"] == []
+        assert report["codes"] == [0, 0, 0]
+        assert len(list((tmp_path / "f").glob("*.features.csv"))) == 3
+
 
 class TestSynth:
     def test_deterministic_given_seed(self, tmp_path):

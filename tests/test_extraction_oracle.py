@@ -1,8 +1,12 @@
 """The one-pass extraction against the whole-score scans it replaced.
 
 The oracle below is the per-frame code as it stood before the sweep: every
-frame rescans every note of the score. Outputs must be equal, not close,
-because the sweep keeps the overlap expression and the merge order.
+frame rescans every note of the score, and every cloud builds the spiral
+point of each member again for its center of effect and its diameter,
+where the package reads points it has already built and reuses the
+diameter of a pitch set it has already seen. Outputs must be equal, not
+close, because the sweep keeps the overlap expression, the merge order
+and the float operations of each distance and mean.
 """
 
 import pytest
@@ -12,12 +16,13 @@ from tonaltension import cli
 from tonaltension.features import (METRICAL_FEATURES, PITCH_FEATURES,
                                    assemble_features, feature_names,
                                    metrical_features)
-from tonaltension.spiral import SpiralParams, key_coe, make_cloud as merge_cloud
+from tonaltension.spiral import (Cloud, SpiralParams, SpiralPoint, distance,
+                                 enharmonic_unit, key_coe, pitch_position)
 from tonaltension.symbolic import group_onsets, parse_performance, parse_score
 from tonaltension.targets import compute_bpr, derivative
-from tonaltension.tension import (TensionFrame, WindowConfig, cloud_diameter,
-                                  cloud_momentum, estimate_key, tension_track,
-                                  tensile_strain, window_cloud)
+from tonaltension.tension import (TensionFrame, WindowConfig, cloud_momentum,
+                                  estimate_key, tension_track, tensile_strain,
+                                  window_cloud)
 
 from conftest import build_score, note
 
@@ -26,6 +31,36 @@ P = SpiralParams()
 
 # ---------------------------------------------------------------------------
 # reference oracle: whole-score scans per frame
+
+
+def merge_cloud(members, params):
+    """Equal tpcs merged, tpc order, and the weighted mean of freshly built
+    member points as the center of effect."""
+    merged = {}
+    for tpc, w in members:
+        merged[tpc] = merged.get(tpc, 0.0) + w
+    items = tuple(sorted(merged.items()))
+    sx = sy = sz = total = 0.0
+    for tpc, w in items:
+        p = pitch_position(tpc, params)
+        sx += w * p.x
+        sy += w * p.y
+        sz += w * p.z
+        total += w
+    return Cloud(items, SpiralPoint(sx / total, sy / total, sz / total))
+
+
+def cloud_diameter(cloud, params):
+    """Max pairwise distance of freshly built member points, over the
+    enharmonic unit."""
+    pts = [pitch_position(tpc, params) for tpc, _ in cloud.members]
+    best = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = distance(pts[i], pts[j])
+            if d > best:
+                best = d
+    return best / enharmonic_unit(params)
 
 
 def oracle_cloud(score, frame, cfg, params):

@@ -2,6 +2,7 @@
 synthetic piece named as the example names it, and each command of the
 ``## Command line`` block through ``cli.main``, at a reduced size."""
 
+import glob
 import re
 import shlex
 from pathlib import Path
@@ -34,8 +35,8 @@ def test_library_example_runs(tmp_path, monkeypatch):
 
 
 def test_command_line_example_runs(tmp_path, monkeypatch):
-    """The block's ``extract`` line shows one piece; as its comment says,
-    it runs once for each piece of the corpus."""
+    """Each command runs once, its ``*`` patterns expanded and sorted as
+    the shell does."""
     monkeypatch.chdir(tmp_path)
     block = code_block("Command line", "sh").replace("\\\n", " ")
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
@@ -45,11 +46,6 @@ def test_command_line_example_runs(tmp_path, monkeypatch):
                                               "sensitivity"}
     for _, *argv in commands:
         argv = [SMALLER.get(prev, arg) for prev, arg in zip([None] + argv, argv)]
-        if argv[0] == "extract":
-            stems = sorted(p.name[:-len(".score.tsv")]
-                           for p in Path("corpus").glob("*.score.tsv"))
-            runs = [[a.replace("piece000", stem) for a in argv] for stem in stems]
-        else:
-            runs = [argv]
-        for run in runs:
-            assert cli.main(run) == 0, run
+        argv = [p for arg in argv for p in (sorted(glob.glob(arg)) if "*" in arg else [arg])]
+        assert cli.main(argv) == 0, argv
+    assert len(list(Path("features").glob("*.features.csv"))) == int(SMALLER["--pieces"])
