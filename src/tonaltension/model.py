@@ -39,21 +39,28 @@ each model flattened at the common input width, with zero W columns
 past its own input_dim. A model (``ModelParams``) is its input width and
 its flat parameter vector at that width, in the one layout that
 ``_shapes`` names; ``tensors()`` views that vector by tensor name, and
-model files store the same tensors in the same order. Rows are ordered longest sequence first (a model's two
-rows have one length), so a step only advances the leading rows still
-inside their sequence and every sum over time covers a row's own steps.
+model files store the same tensors in the same order. Rows are ordered
+longest sequence first (a model's two rows have one length), so a step
+only advances the leading rows still inside their sequence and every sum
+over time covers a row's own steps.
 
-The reverse scan does per step only the work that depends on the
-carried gradient (dh, dc). Everything else is a function of the forward
-cache and the parameters alone: the recurrent projections U h, the
-derivatives alpha p + beta1 and alpha q + beta2, tanh(c) and
-1 - tanh(c)^2, and the gate-derivative factors [g, c_prev, o, i] and
-[1 - i, 1 - f, 1 - o, 1 - g^2] (``_factors``). These are computed with
-whole-array operations over blocks of BPTT_BLOCK steps before the steps
-of a block run, which bounds the extra memory. Each entry still gets the
-same floating-point operations in the same order as in a step-by-step
-reverse, and the parameter-gradient sums still run step by step from a
-row's last step, so the gradients (and the sensitivity band, which
+Each Python time step of the scan and of its reverse runs only the
+recurrence, on contiguous operands; everything free of it runs as
+whole-array operations over a block of steps. The scan hoists alpha P and
+beta2 P over a block and lays each step's gate blocks out contiguously.
+The reverse computes, before a block's steps run, everything that is a
+function of the forward cache and the parameters alone: the recurrent
+projections U h, the derivatives alpha p + beta1 and alpha q + beta2,
+1 - tanh(c)^2 and the gate-derivative factors (``_factors``). Its steps
+then carry only (dh, dc) and store each step's gate gradient da. After
+the steps, the six parameter-gradient terms of the block are formed in
+bulk and added to the running sums slab by slab, from the block's last
+step down (``_scan_grad``). A block holds BLOCK_ROW_STEPS row-steps, so
+one model's two rows take a whole piece of up to 360 steps at once, while
+a stack of 45 models keeps blocks of 8 steps. Each entry still gets
+the same floating-point operations in the same order as in a
+step-by-step reverse, and each sum over time still runs from a row's last
+step down to step 0, so the gradients (and the sensitivity band, which
 reverses with the same factors) are bit-identical to it; this is what
 keeps trained models, and so every output, byte-identical.
 """
@@ -73,7 +80,7 @@ RMSPROP_DECAY = 0.9
 RMSPROP_EPSILON = 1e-8
 GRADIENT_CLIP_NORM = 5.0  # global norm over a model's own gradient entries
 VALIDATION_FRACTION = 0.1  # of the training pieces, held out for early stopping
-BPTT_BLOCK = 8  # reverse steps whose recurrence-free factors are computed together
+BLOCK_ROW_STEPS = 720  # rows x steps per block of a scan: 360 steps at 2 rows, 8 at 90
 GATE_ORDER = ("input", "forget", "output", "candidate")
 
 _FILE_MAGIC = "tonaltension-model"
@@ -218,17 +225,18 @@ def _scan(d: _Gates, seqs, spans) -> dict:
     sequence, rows ordered longest first; over each span of ``spans`` only
     its leading rows advance. Per-step arrays are (m, 1, .) row vectors,
     so ``h @ U^T`` is one gemv per row, the one ``U @ h`` runs for that
-    row alone. Returns the input projections "P" and the per-step caches,
-    all (T, n, 1, .) and zero past a row's length: the gate activations,
-    and the cell and hidden states "C" and "H" with the zero initial state
-    at index 0 and step t at index t + 1. BPTT recomputes U h bit for bit
-    rather than keeping it."""
+    row alone. Returns the input projections "P" (T, n, 1, 4H) and the
+    per-step caches, zero past a row's length: the gate activations
+    "gates" (T, 4, n, 1, H), with the i, f, o and g blocks on axis 1, and
+    the cell and hidden states "C" and "H"
+    (T + 1, n, 1, H) with the zero initial state at index 0 and step t at
+    index t + 1. BPTT recomputes U h bit for bit rather than keeping it."""
     from scipy.special import expit as sigmoid  # here: synth and extract load no scipy
 
     P = _project(d, seqs)
     T, n, _, G = P.shape
     H = G // 4
-    gates = np.zeros((T, n, 1, G))  # i, f, o, g blocks after nonlinearity
+    gates = np.zeros((T, 4, n, 1, H))  # i, f, o, g after nonlinearity
     C = np.zeros((T + 1, n, 1, H))
     Hs = np.zeros((T + 1, n, 1, H))
     h = Hs[0]
@@ -237,83 +245,120 @@ def _scan(d: _Gates, seqs, spans) -> dict:
         U_T = d.U[:m].swapaxes(1, 2)
         alpha, beta1, beta2, bias = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2, d.bias))
         h, c = h[:m], c[:m]
-        for t in range(start, stop):
-            p = P[t, :m]
-            q = h @ U_T
-            a = alpha * p * q + beta1 * q + beta2 * p + bias
-            ifo = sigmoid(a[..., :3 * H], out=gates[t, :m, :, :3 * H])
-            g = np.tanh(a[..., 3 * H:], out=gates[t, :m, :, 3 * H:])
-            c = np.add(ifo[..., H:2 * H] * c, ifo[..., :H] * g, out=C[t + 1, :m])
-            h = np.multiply(ifo[..., 2 * H:], np.tanh(c), out=Hs[t + 1, :m])
+        # each step's pre-activations a, then its gate blocks laid out
+        # contiguously (a transposed copy), nonlinearities applied in place
+        a, tmp = np.empty((2, m, 1, G))
+        blocks = np.empty((4, m, 1, H))
+        a_blocks = a.reshape(m, 1, 4, H).transpose(2, 0, 1, 3)
+        ifo, (i, f, o, g) = blocks[:3], blocks
+        fc, ig = np.empty((2, m, 1, H))
+        step = _block_steps(m)
+        for begin in range(start, stop, step):
+            end = min(stop, begin + step)
+            p = P[begin:end, :m]
+            steps = zip(alpha * p, beta2 * p, gates[begin:end, :, :m],
+                        C[begin + 1:end + 1, :m], Hs[begin + 1:end + 1, :m])
+            for alpha_p, beta2_p, out, c_out, h_out in steps:
+                q = h @ U_T
+                # ((alpha p) q + beta1 q) + beta2 p + bias, the one order of the sums
+                np.multiply(alpha_p, q, out=a)
+                a += np.multiply(beta1, q, out=tmp)
+                a += beta2_p
+                a += bias
+                np.copyto(blocks, a_blocks)
+                sigmoid(ifo, out=ifo)
+                np.tanh(g, out=g)
+                c = np.add(np.multiply(f, c, out=fc), np.multiply(i, g, out=ig), out=c_out)
+                h = np.multiply(o, np.tanh(c, out=fc), out=h_out)
+                out[...] = blocks
     return {"P": P, "gates": gates, "C": C, "H": Hs}
 
 
 class _Factors(NamedTuple):
     """The recurrence-free factors of reverse cell steps: functions of the
     forward cache and the parameters only, for a stack of steps with any
-    leading axes. ``_cell_grad`` indexes them along the leading axis."""
+    leading axes. ``_cell_grad`` reads all but the last."""
 
-    tc: np.ndarray  # tanh(c)
     dtc: np.ndarray  # 1 - tanh(c)^2
     o: np.ndarray  # output gate
     f: np.ndarray  # forget gate
-    M: np.ndarray  # [g, c_prev, o, i]
-    N: np.ndarray  # [i, f, 1, 1]
+    M: np.ndarray  # [g, c_prev, tanh(c), i]
+    N: np.ndarray  # [i, f, o, 1]
     K: np.ndarray  # [1 - i, 1 - f, 1 - o, 1 - g^2]
     dq_da: np.ndarray  # alpha * p + beta1
     dp_da: np.ndarray  # alpha * q + beta2
 
 
 def _factors(gates, c, c_prev, p, q, alpha, beta1, beta2) -> _Factors:
-    """Factors of the steps with cached activations ``gates``, cell state
-    ``c`` (and ``c_prev`` before it), input projection ``p`` and recurrent
-    projection ``q``; the gate parameters broadcast against them."""
-    H = c.shape[-1]
-    i, f, o, g = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    """Factors of the steps with cached activations ``gates`` (the i, f,
+    o and g blocks, each shaped like ``c``), cell state ``c`` (and
+    ``c_prev`` before it), input projection ``p`` and recurrent projection
+    ``q``; the gate parameters broadcast against them."""
+    i, f, o, g = gates
     tc = np.tanh(c)
-    ones = np.ones_like(c)
-    return _Factors(tc, 1.0 - tc * tc, o, f, np.concatenate([g, c_prev, o, i], axis=-1),
-                    np.concatenate([i, f, ones, ones], axis=-1),  # x * 1.0 is x exactly
-                    1.0 - np.concatenate([gates[..., :3 * H], g * g], axis=-1),
+    return _Factors(1.0 - tc * tc, o, f, np.concatenate([g, c_prev, tc, i], axis=-1),
+                    np.concatenate([i, f, o, np.ones_like(c)], axis=-1),  # x * 1.0 is x exactly
+                    1.0 - np.concatenate([i, f, o, g * g], axis=-1),
                     alpha * p + beta1, alpha * q + beta2)
 
 
-def _cell_grad(fac: _Factors, j, dh, dc):
-    """Reverse the cell steps at index ``j`` of ``fac`` on stacks of rows.
+def _cell_grad(fac, dh, dc, out=None):
+    """Reverse the cell steps whose factors are ``fac``: the fields of a
+    ``_Factors`` but the last (dp_da), for one step or a stack of steps.
 
     ``dh``/``dc`` are the gradient arriving at the hidden and cell state.
-    Returns (da, dp, dq, dc_prev), da the gradient of the gate
-    pre-activations and dp/dq of the input and recurrent projections; the
+    Returns (da, dq, dc_prev), da the gradient of the gate pre-activations
+    (written to ``out`` when given) and dq of the recurrent projection; the
     caller carries dq back through U. Each entry of da is
     ((dc * g) * i) * (1 - i), ((dc * c_prev) * f) * (1 - f),
-    (do * o) * (1 - o) or (dc * i) * (1 - g^2), by block.
+    ((dh * tanh(c)) * o) * (1 - o) or ((dc * i) * 1) * (1 - g^2), by block.
     """
-    do = dh * fac.tc[j]
-    dc = dc + dh * fac.o[j] * fac.dtc[j]
-    da = np.concatenate([dc, dc, do, dc], axis=-1)
-    da *= fac.M[j]
-    da *= fac.N[j]
-    da *= fac.K[j]
-    return da, da * fac.dp_da[j], da * fac.dq_da[j], dc * fac.f[j]
+    dtc, o, f, M, N, K, dq_da = fac
+    dc = dc + dh * o * dtc
+    da = np.concatenate([dc, dc, dh, dc], axis=-1, out=out)
+    da *= M
+    da *= N
+    da *= K
+    return da, da * dq_da, dc * f
+
+
+def _block_steps(m: int) -> int:
+    """Steps per block of the scan and its reverse for m rows:
+    BLOCK_ROW_STEPS // m, at least 1. A block's whole-array operations
+    then touch a bounded amount of memory, whatever the row count."""
+    return max(1, BLOCK_ROW_STEPS // m)
 
 
 def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
                width: int) -> _Gates:
     """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
     is the loss gradient injected at each step's hidden state. Returns the
-    rows' parameter gradients. Every sum over time runs from a
-    row's own last step down to step 0, as for that row alone; W gradients
-    are (n, 4H, width), a narrower row filling only its own columns. The
-    steps of a span are reversed in blocks of BPTT_BLOCK, each block's
-    factors computed before its steps run."""
+    rows' parameter gradients; W gradients are (n, 4H, width), a narrower
+    row filling only its own columns.
+
+    The steps of a span are reversed in blocks of ``_block_steps(m)``,
+    last block first. A block first computes its factors (``_factors``),
+    in descending step order, then runs its steps: each does only the
+    recurrence (da, dc and dh = dq U) and stores da. After the steps, the
+    block's six parameter-gradient terms are formed with whole-array
+    products into buffers whose slab 0 holds the running sum and slab k
+    the term of the block's k-th step from its end; one
+    ``np.add.reduce`` over the slabs, which adds them one by one, then
+    continues each sum. So every sum over time still runs from a row's
+    own last step down to step 0, as for that row alone."""
     P, gates, C, Hs = (cache[k] for k in ("P", "gates", "C", "H"))
     T, n, _, G = P.shape
     H = G // 4
-    X = np.zeros((T, n, 1, width))  # the scanned inputs, zero-padded
+    X = np.zeros((T, n, width))  # the scanned inputs, zero-padded
     for r, xs in enumerate(seqs):
-        X[:len(xs), r, 0, :xs.shape[1]] = xs
-    grads = _Gates(np.zeros((n, G, width)), np.zeros((n, G, H)),
+        X[:len(xs), r, :xs.shape[1]] = xs
+    # the W and U sums are kept transposed, (n, width, 4H) and (n, H, 4H)
+    grads = _Gates(np.zeros((n, width, G)), np.zeros((n, H, G)),
                    *(np.zeros((n, 1, G)) for _ in range(4)))
+    # each tensor's block buffer, allocated once for the largest block
+    size = max(((min(stop - start, _block_steps(m)) + 1) * m for start, stop, m in spans),
+               default=0)
+    stores = [np.empty((size,) + t.shape[1:]) for t in grads]
     dh = np.zeros((0, 1, H))
     dc = np.zeros((0, 1, H))
     for start, stop, m in reversed(spans):
@@ -323,24 +368,35 @@ def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
         U = d.U[:m]
         U_T = U.swapaxes(1, 2)
         alpha, beta1, beta2 = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2))
-        g_W, g_U, g_alpha, g_beta1, g_beta2, g_bias = (t[:m] for t in grads)
-        for end in range(stop, start, -BPTT_BLOCK):
-            block = slice(max(start, end - BPTT_BLOCK), end)
-            p, h_prev, x, dH = P[block, :m], Hs[block, :m], X[block, :m], dH_out[block, :m]
+        sums = [t[:m] for t in grads]
+        step = _block_steps(m)
+        for end in range(stop, start, -step):
+            begin = max(start, end - step)
+            slabs = end - begin + 1
+            # the block's steps in descending order, its last step first
+            p, dH = P[begin:end, :m][::-1], dH_out[begin:end, :m][::-1]
+            h_prev = np.ascontiguousarray(Hs[begin:end, :m][::-1])
+            x = np.ascontiguousarray(X[begin:end, :m][::-1])
             q = h_prev @ U_T  # one gemv per row and step, as in the scan
-            fac = _factors(gates[block, :m], C[block.start + 1:end + 1, :m], C[block, :m],
+            fac = _factors(np.moveaxis(gates[begin:end, :, :m][::-1], 1, 0),
+                           C[begin + 1:end + 1, :m][::-1], C[begin:end, :m][::-1],
                            p, q, alpha, beta1, beta2)
-            for j in range(end - block.start - 1, -1, -1):
-                da, dp, dq, dc = _cell_grad(fac, j, dH[j] + dh, dc)
+            bufs = _Gates(*(s[:slabs * m].reshape((slabs, m) + s.shape[1:]) for s in stores))
+            da = bufs.bias[1:]  # a step's bias term is its da
+            for step_fac, dH_t, out in zip(zip(*fac[:-1]), dH, da):
+                _, dq, dc = _cell_grad(step_fac, dh + dH_t, dc, out)
                 dh = dq @ U
-                dap = da * p[j]
-                g_alpha += dap * q[j]
-                g_beta1 += da * q[j]
-                g_beta2 += dap
-                g_bias += da
-                g_W += dp[:, 0, :, None] * x[j]
-                g_U += dq[:, 0, :, None] * h_prev[j]
-    return grads
+            dap = np.multiply(da, p, out=bufs.beta2[1:])
+            np.multiply(dap, q, out=bufs.alpha[1:])
+            np.multiply(da, q, out=bufs.beta1[1:])
+            # outer products dp x^T and dq h_prev^T: no summed index, so only products
+            np.einsum("tmg,tmw->tmwg", (da * fac.dp_da)[:, :, 0], x, out=bufs.W[1:])
+            np.einsum("tmg,tmw->tmwg", (da * fac.dq_da)[:, :, 0], h_prev[:, :, 0],
+                      out=bufs.U[1:])
+            for acc, buf in zip(sums, bufs):
+                buf[0] = acc
+                np.add.reduce(buf, axis=0, out=acc)  # slab by slab, slab 0 first
+    return grads._replace(W=grads.W.swapaxes(1, 2), U=grads.U.swapaxes(1, 2))
 
 
 def _prediction(Hs: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
@@ -412,18 +468,19 @@ def _band_sweep(d: _Gates, cache: dict, row: int, v: np.ndarray,
     the sweep that just reached step 0 is dropped. Returns (T, radius+1, D)
     in the row's scan order, with entry [tau, k] zero where tau - k < 0.
     """
-    P, gates, C, Hs = (cache[k][:, row, 0] for k in ("P", "gates", "C", "H"))
+    P, C, Hs = (cache[k][:, row, 0] for k in ("P", "C", "H"))
     W, U, alpha, beta1, beta2, _ = (t[row] for t in d)
     T = P.shape[0]
     Q = (Hs[:-1, None] @ U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
-    fac = _factors(gates, C[1:], C[:-1], P, Q, alpha, beta1, beta2)
+    fac = _factors(np.moveaxis(cache["gates"][:, :, row, 0], 1, 0), C[1:], C[:-1], P, Q,
+                   alpha, beta1, beta2)
     band = np.zeros((T, radius + 1, W.shape[1]))
     dh = np.tile(v, (T, 1))
     dc = np.zeros((T, C.shape[1]))
     for k in range(min(radius + 1, T)):
         n = T - k
-        _, dp, dq, dc = _cell_grad(fac, slice(n), dh, dc)
-        band[k:, k] = dp @ W
+        da, dq, dc = _cell_grad([t[:n] for t in fac[:-1]], dh, dc)
+        band[k:, k] = (da * fac.dp_da[:n]) @ W
         dh, dc = (dq @ U)[1:], dc[1:]
     return band
 
@@ -732,12 +789,14 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
         raise ValueError(f"unsupported model file version line {lines[0]!r}, "
                          f"expected '{_FILE_MAGIC} v{_FILE_VERSION}'")
     meta: dict[str, str] = {}
-    header: dict[str, str] = {}
+    header: dict[str, str] = {_FILE_MAGIC: lines[0]}
     tensors: dict[str, tuple[str, list[str]]] = {}
     for line in lines[1:]:
         kind, _, rest = line.partition(" ")
         if kind == "meta":
             key, _, value = rest.partition(" ")
+            if key in meta:
+                raise ValueError(f"meta key {key!r} appears more than once")
             meta[key] = value
         elif kind == "tensor":
             name, _, body = rest.partition(" ")
@@ -745,8 +804,12 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
                 raise ValueError(f"tensor {name} appears more than once")
             shape, *cells = body.split(" ")
             tensors[name] = (shape, cells)
-        else:
+        elif kind in header:
+            raise ValueError(f"'{kind}' header line appears more than once")
+        elif kind in ("input_dim", "hidden", "gate_order"):
             header[kind] = rest
+        else:
+            raise ValueError(f"unknown header line {line!r}")
     dims = {}
     for key in ("input_dim", "hidden"):
         if key not in header:

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
+from tonaltension import model as model_mod
 from tonaltension.errors import TrainingDiverged
 from tonaltension.evaluate import (Piece, columns, make_folds, r2, run_cv,
                                    standardize_stats)
@@ -314,15 +315,18 @@ def two_piece_validation():
 
 
 def across_time_blocks():
-    """Pieces 33-47 frames long: each reverse scan runs through several
-    time blocks of BPTT_BLOCK steps, and rows of different lengths cross
-    block edges at different steps."""
+    """45 models, as many as eval trains, so an update slot stacks 90 rows
+    and the reverse scan runs in the short blocks of that row count. Pieces
+    are 17-47 frames long: each span of 90 rows runs through two or more
+    blocks, and rows of different lengths cross block edges at different
+    steps."""
     rng = np.random.default_rng(5)
-    lengths = ((33, 41, 47, 38), (47, 35, 40), (36, 44, 33, 45))
-    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n)) for n in ns]
-                for width, ns in zip((0, 3, 13), lengths)]
+    assert 2 * model_mod._block_steps(90) < 17
+    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n))
+                 for n in rng.integers(17, 48, size=4)]
+                for width in (0, 3, 13) * 15]
     cfg = TrainConfig(learning_rate=3e-2, epochs=3, early_stop_patience=2)
-    return datasets, cfg, [4, 5, 6]
+    return datasets, cfg, list(range(4, 49))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -361,9 +365,14 @@ def test_run_cv_matches_fold_by_fold(case):
                                   list(per_piece.values()), equal_nan=True)
 
 
+ONE_MODEL_BLOCK = model_mod._block_steps(2)  # reverse steps per block of one model's rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(WIDTHS), st.lists(st.integers(0, 40), min_size=1, max_size=3),
        st.integers(0, 6), st.integers(0, 2 ** 16))
+@example(13, [ONE_MODEL_BLOCK - 1, ONE_MODEL_BLOCK, ONE_MODEL_BLOCK + 1], 3, 11)
+@example(4, [2 * ONE_MODEL_BLOCK + 1], 1, 12)
 def test_one_model_paths_match(width, lengths, radius, seed):
     rng = np.random.default_rng(seed)
     params = init_model(width, seed=seed % 100)

@@ -154,6 +154,36 @@ class TestGradient:
             train([(np.zeros((3, 2)), np.zeros(4))], TrainConfig())
 
 
+class TestReduceOrder:
+    """``_scan_grad`` continues each parameter-gradient sum with one
+    ``np.add.reduce(buf, axis=0, out=acc)`` over a block buffer: slab 0
+    the running sum (which starts at +0.0), slab k the term of the block's
+    k-th step from its end. That must add the slabs one by one, in order,
+    bit for bit, as ``acc += term`` per step does."""
+
+    @pytest.mark.parametrize("m", [2, 90])
+    @pytest.mark.parametrize("steps", [1, 8, 250])
+    @pytest.mark.parametrize("tail", [(13, 4 * HIDDEN), (HIDDEN, 4 * HIDDEN),
+                                      (1, 4 * HIDDEN)])
+    def test_reduce_matches_slab_by_slab_sum(self, m, steps, tail):
+        rng = np.random.default_rng(steps * m + tail[0])
+        acc = np.zeros((m,) + tail)
+        expected = acc.copy()
+        buf = np.empty((steps + 1, m) + tail)
+        for _ in range(2):  # two blocks: the second starts from the first's sum
+            buf[0] = acc
+            for term in buf[1:]:
+                # magnitudes over 16 decades, so that any other order of the
+                # additions rounds differently; one column 0.0, one -0.0
+                term[...] = rng.normal(size=term.shape) * 10.0 ** rng.integers(-8, 9, term.shape)
+                term[..., 0] = 0.0
+                term[..., -1] = -0.0
+                expected += term
+            np.add.reduce(buf, axis=0, out=acc)
+            assert np.array_equal(acc, expected)
+            assert np.array_equal(np.signbit(acc), np.signbit(expected))
+
+
 class TestFusedDirections:
     """Both directions of a model are two rows of one scan."""
 
@@ -312,6 +342,21 @@ class TestModelFile:
         for message, case in cases.items():
             with pytest.raises(ValueError, match=message):
                 loads_model("\n".join(case))
+
+    @pytest.mark.parametrize("extra, message", [
+        ("input_dim 2", "'input_dim' header line appears more than once"),
+        ("hidden 5", "'hidden' header line appears more than once"),
+        ("gate_order input,forget,output,candidate",
+         "'gate_order' header line appears more than once"),
+        ("tonaltension-model v1", "'tonaltension-model' header line appears more than once"),
+        ("meta target vel", "meta key 'target' appears more than once"),
+        ("foo bar", "unknown header line 'foo bar'"),
+    ])
+    def test_repeated_and_unknown_header_lines_rejected(self, extra, message):
+        lines = dumps_model(init_model(2, seed=0), {"target": "bpr"}).splitlines()
+        for at in (1, len(lines)):  # after the magic line, and after the tensors
+            with pytest.raises(ValueError, match=message):
+                loads_model("\n".join(lines[:at] + [extra] + lines[at:]))
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
     def test_non_finite_value_rejected(self, bad):
