@@ -210,9 +210,11 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
     for stem, fpath, tpath in pairs:
         _, fcols, frows = read_csv(fpath)
         _, tcols, trows = read_csv(tpath)
-        for path, cols in ((fpath, fcols), (tpath, tcols)):
+        for path, cols, rows in ((fpath, fcols, frows), (tpath, tcols, trows)):
             if cols[:2] != ["frame", "beat"]:
                 raise ValueError(f"{path}: header must start with frame,beat")
+            if not rows:
+                raise ValueError(f"{path}: no data rows")
         fdata = _numeric_rows(fpath, fcols, frows)
         tdata = _numeric_rows(tpath, tcols, trows)
         if not np.array_equal(fdata[:, 0], tdata[:, 0]):
@@ -507,7 +509,7 @@ def cmd_sensitivity(args) -> list[OutputFile]:
     mean, std = (_standardization(args.model, meta, key, len(names), positive)
                  for key, positive in (("feature_mean", False), ("feature_std", True)))
     pieces = load_corpus(args.corpus)
-    sequences = [(evaluate.columns(p, names) - mean) / std for p in pieces]
+    sequences = [evaluate.standardized(p, names, mean, std) for p in pieces]
     longest = max(len(xs) for xs in sequences)
     if longest <= 2 * args.radius:
         # the matrix would be a mean over no positions: undefined, not zero

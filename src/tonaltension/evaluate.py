@@ -35,11 +35,14 @@ class Piece:
 
 
 class _FoldModel(NamedTuple):
-    """One cross-validation model: its experiment, held-out pieces and
-    training data."""
+    """One cross-validation model: its experiment, held-out pieces,
+    training pieces, feature columns and their standardization."""
     experiment: int
     test_ids: tuple[str, ...]
-    data: _StandardizedPieces
+    pieces: list[Piece]
+    names: tuple[str, ...]
+    mean: np.ndarray
+    std: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,27 +120,21 @@ def columns(piece: Piece, names) -> np.ndarray:
     return piece.features[:, [piece.feature_names.index(n) for n in names]]
 
 
-class _StandardizedPieces:
-    """A training dataset: each piece's ``names`` columns standardized with
-    the statistics of all the pieces, paired with its ``target`` column.
-    Pieces are computed when read, so the many fold models of a lockstep
-    run do not each hold a copy."""
+def standardized(piece: Piece, names, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """The piece's ``names`` columns, standardized with ``mean`` and ``std``."""
+    return (columns(piece, names) - mean) / std
 
-    def __init__(self, pieces: list[Piece], names, target: str):
-        if not pieces:
-            raise ValueError("empty training dataset")
-        self.pieces = pieces
-        self.names = names
-        self.mean, self.std = standardize_stats(np.vstack([columns(p, names)
-                                                           for p in pieces]))
-        self.t_idx = TARGET_NAMES.index(target)
 
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        p = self.pieces[i]
-        return (columns(p, self.names) - self.mean) / self.std, p.targets[:, self.t_idx]
+def _training_set(pieces: list[Piece], names, target: str):
+    """Each piece's ``names`` columns standardized with the statistics of
+    all the pieces, paired with its ``target`` column; returns those
+    (xs, ys) pairs and the (mean, std)."""
+    if not pieces:
+        raise ValueError("empty training dataset")
+    mean, std = standardize_stats(np.vstack([columns(p, names) for p in pieces]))
+    t_idx = TARGET_NAMES.index(target)
+    dataset = [(standardized(p, names, mean, std), p.targets[:, t_idx]) for p in pieces]
+    return dataset, mean, std
 
 
 def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
@@ -145,12 +142,12 @@ def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
     standardize them with these pieces' statistics and train on
     ``target``. Returns (params, log, mean, std); a divergence is
     re-raised naming the piece it happened on."""
-    dataset = _StandardizedPieces(pieces, names, target)
+    dataset, mean, std = _training_set(pieces, names, target)
     try:
         params, train_log = train(dataset, cfg)
     except TrainingDiverged as exc:
         raise exc.located(f"piece {pieces[exc.index].id}") from None
-    return params, train_log, dataset.mean, dataset.std
+    return params, train_log, mean, std
 
 
 def mi_subset(corpus: list[Piece], fraction: float, k: int,
@@ -172,12 +169,14 @@ def mi_subset(corpus: list[Piece], fraction: float, k: int,
     return subset, table
 
 
-def fs_select(corpus: list[Piece], target: str, seed: int,
-              fraction: float = 0.2, k: int = 3, count: int = 10) -> tuple[str, ...]:
-    """Univariate selection: top features by MI with the target, estimated
-    on a seeded random subset of pieces."""
+def fs_select(corpus: list[Piece], targets, seed: int, fraction: float = 0.2,
+              k: int = 3, count: int = 10) -> dict[str, tuple[str, ...]]:
+    """Univariate selection: for each of ``targets``, the top features by
+    MI with it, all read from one MI table estimated on a seeded random
+    subset of pieces."""
     _, table = mi_subset(corpus, fraction, k, seed)
-    return tuple(mi_mod.select_features(table, target, min(count, len(table.rows))))
+    n = min(count, len(table.rows))
+    return {t: tuple(mi_mod.select_features(table, t, n)) for t in targets}
 
 
 def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int = 5,
@@ -193,37 +192,40 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     the one reported. Each experiment's test pieces are predicted by
     their fold models in one ``forward_many`` call.
     """
+    for target, _ in experiments:
+        if target not in TARGET_NAMES:
+            raise ValueError(f"unknown target {target!r}")
+    fs_targets = [target for target, feature_set in experiments if feature_set == "FS"]
+    selected = fs_select(corpus, fs_targets, seed, fs_fraction, fs_k,
+                         fs_count) if fs_targets else {}
     fold_ids = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
     folds: list[_FoldModel] = []
+    datasets = []
     seeds = []
     for e, (target, feature_set) in enumerate(experiments):
-        if target not in TARGET_NAMES:
-            raise ValueError(f"unknown target {target!r}")
-        if feature_set == "FS":
-            names = fs_select(corpus, target, seed, fs_fraction, fs_k, fs_count)
-        else:
-            names = feature_names(set(feature_set))
+        names = selected[target] if feature_set == "FS" else feature_names(set(feature_set))
         for fold_i, test_ids in enumerate(fold_ids):
             test_set = set(test_ids)
-            data = _StandardizedPieces([p for p in corpus if p.id not in test_set],
-                                      names, target)
-            folds.append(_FoldModel(e, test_ids, data))
+            pieces = [p for p in corpus if p.id not in test_set]
+            dataset, mean, std = _training_set(pieces, names, target)
+            folds.append(_FoldModel(e, test_ids, pieces, names, mean, std))
+            datasets.append(dataset)
             seeds.append(cfg.seed + fold_i)
     try:
-        fitted = train_many([fold.data for fold in folds], cfg, seeds)
+        fitted = train_many(datasets, cfg, seeds)
     except TrainingDiverged as exc:
-        raise exc.located(f"piece {folds[exc.model].data.pieces[exc.index].id}") from None
+        raise exc.located(f"piece {folds[exc.model].pieces[exc.index].id}") from None
 
     results = []
     for e, (target, _) in enumerate(experiments):
         t_idx = TARGET_NAMES.index(target)
-        tests = [(params, fold.data, by_id[pid])
+        tests = [(params, fold, by_id[pid])
                  for fold, (params, _) in zip(folds, fitted) if fold.experiment == e
                  for pid in fold.test_ids]
         preds = forward_many([params for params, _, _ in tests],
-                             [(columns(piece, data.names) - data.mean) / data.std
-                              for _, data, piece in tests])
+                             [standardized(piece, fold.names, fold.mean, fold.std)
+                              for _, fold, piece in tests])
         per_piece: dict[str, float] = {}
         for (_, _, piece), pred in zip(tests, preds):
             try:

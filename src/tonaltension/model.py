@@ -578,40 +578,34 @@ class TrainLogEntry:
     val_mse: float
 
 
-def _check_dims(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError(f"sequences must be 2-D (T, features), got shape {xs.shape}")
-    return xs
-
-
 class _Run:
-    """One model's training: its pieces and their split, its RNG, early
-    stopping state and log. Pieces are read from the dataset when used, so
-    a dataset may compute them on demand."""
+    """One model's training: its pieces as (xs, ys) arrays and their
+    split, its RNG, early stopping state and log."""
 
     def __init__(self, dataset, cfg: TrainConfig, seed: int):
         if not dataset:
             raise ValueError("empty training dataset")
-        self.dataset = dataset
-        self.lengths = []
-        for i in range(len(dataset)):
-            xs, ys = self.piece(i)
+        self.pieces = []
+        for i, (xs, ys) in enumerate(dataset):
+            xs = np.asarray(xs, dtype=float)
+            ys = np.asarray(ys, dtype=float).ravel()
+            if xs.ndim != 2:
+                raise ValueError(f"sequences must be 2-D (T, features), got shape {xs.shape}")
             if i == 0:
                 self.input_dim = xs.shape[1]
             if xs.shape[1] != self.input_dim or len(ys) != len(xs):
                 raise ValueError(f"dataset item {i}: sequence shape {xs.shape} with "
                                  f"{len(ys)} targets, expected input_dim {self.input_dim} "
                                  f"and one target per step")
-            self.lengths.append(len(xs))
+            self.pieces.append((xs, ys))
         self.seed = seed
         self.rng = np.random.default_rng(seed)
-        n = len(dataset)
+        n = len(self.pieces)
         perm = self.rng.permutation(n)
         n_val = max(1, round(VALIDATION_FRACTION * n)) if n >= 2 else 0
         self.train_idx = [int(i) for i in perm[n_val:]]
         self.val_idx = [int(i) for i in perm[:n_val]] or self.train_idx
-        empty = [i for i in self.train_idx if self.lengths[i] == 0]
+        empty = [i for i in self.train_idx if len(self.pieces[i][0]) == 0]
         if cfg.epochs and empty:
             raise ValueError(f"dataset item {empty[0]} has no time steps")
         self.best_val = np.inf
@@ -619,10 +613,6 @@ class _Run:
         self.stopped = False
         self.log: list[TrainLogEntry] = []
         self.error: TrainingDiverged | None = None
-
-    def piece(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = self.dataset[i]
-        return _check_dims(xs), np.asarray(ys, dtype=float).ravel()
 
 
 def _own_entries(input_dim: int, width: int) -> np.ndarray:
@@ -635,7 +625,8 @@ def _own_entries(input_dim: int, width: int) -> np.ndarray:
 
 
 def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
-    """RMSProp over seeded-shuffled pieces, one update per piece.
+    """RMSProp over the seeded-shuffled pieces of ``dataset``, a list of
+    (xs (T, F), ys (T,)) pairs, one update per piece.
 
     A tenth of the pieces (at least one, when two or more exist) is held
     out for early stopping; the returned parameters are the best seen on
@@ -694,7 +685,7 @@ def train_many(datasets, cfg: TrainConfig,
                 if not slot:
                     break
                 items = {m: runs[m].train_idx[orders[m][j]] for m in slot}
-                pieces = {m: runs[m].piece(items[m]) for m in slot}
+                pieces = {m: runs[m].pieces[items[m]] for m in slot}
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
                 slot_losses, grads = loss_and_gradient(theta[rows], width,
@@ -744,16 +735,16 @@ def _validation(theta, width, runs, models) -> dict[int, tuple[float, int]]:
     steps = {m: 0 for m in models}
     culprit = {m: -1 for m in models}
     for k in range(max((len(runs[m].val_idx) for m in models), default=0)):
-        pieces = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
-        rows = sorted(pieces, key=lambda m: -runs[m].lengths[pieces[m]])
-        seqs = [runs[m].piece(pieces[m]) for m in rows]
+        items = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
+        rows = sorted(items, key=lambda m: -len(runs[m].pieces[items[m]][0]))
+        seqs = [runs[m].pieces[items[m]] for m in rows]
         preds = _predict_rows(theta[rows], width, [xs for xs, _ in seqs])
         for m, (_, ys), pred in zip(rows, seqs, preds):
             err = pred - ys
             sse[m] += float(err @ err)
             steps[m] += len(err)
             if culprit[m] < 0 and not np.isfinite(sse[m]):
-                culprit[m] = pieces[m]
+                culprit[m] = items[m]
     return {m: (sse[m] / steps[m] if steps[m] else 0.0, culprit[m]) for m in models}
 
 

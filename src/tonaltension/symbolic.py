@@ -166,7 +166,7 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 def parse_score(text: str) -> Score:
     """Parse ``.score.tsv`` content into a validated Score."""
-    meter_map: list[MeterEntry] = []
+    meters: dict[int, MeterEntry] = {}  # by line number
     key: tuple[int, str] | None = None
     raw_notes: list[tuple[int, list[str]]] = []
 
@@ -190,7 +190,11 @@ def parse_score(text: str) -> Score:
             if not (math.isfinite(beats) and beats > 0):
                 raise ValueError(f"line {lineno}: beats per bar must be a finite number > 0, "
                                  f"got {fields[2]!r}")
-            meter_map.append(MeterEntry(start, beats, unit, mclass))
+            for earlier, entry in meters.items():
+                if abs(start - entry.start_beat) <= ONSET_TOLERANCE:
+                    raise ValueError(f"line {lineno}: meter start {fields[1]!r} repeats "
+                                     f"the start of line {earlier}")
+            meters[lineno] = MeterEntry(start, beats, unit, mclass)
         elif line.startswith("#key"):
             fields = line.split()
             if len(fields) != 3 or fields[2] not in ("major", "minor"):
@@ -209,7 +213,7 @@ def parse_score(text: str) -> Score:
                 raise ValueError(f"line {lineno}: expected 8 tab-separated fields, got {len(fields)}")
             raw_notes.append((lineno, fields))
 
-    if not meter_map:
+    if not meters:
         raise ValueError("score file has no #meter line")
     if not raw_notes:
         raise ValueError("score file has no notes")
@@ -243,7 +247,7 @@ def parse_score(text: str) -> Score:
         _check_note(notes[-1], seen, f"line {lineno}: ")
 
     notes.sort(key=lambda n: (n.onset, n.midi_pitch))
-    score = Score(tuple(notes), tuple(sorted(meter_map, key=lambda m: m.start_beat)), key)
+    score = Score(tuple(notes), tuple(sorted(meters.values(), key=lambda m: m.start_beat)), key)
     score._check_layout()
     return score
 

@@ -426,6 +426,22 @@ class TestBadInputs:
             line = single_error_line(capsys)
             assert str(path) in line and f"missing tensor {name}" in line
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_header_only_pair_fails_at_load(self, tmp_path, capsys, command):
+        _, feats = make_corpus(tmp_path, pieces=3, length=12)
+        csv_path = feats / "piece001.features.csv"
+        for path in (csv_path, feats / "piece001.targets.csv"):
+            lines = path.read_text().splitlines()
+            header = next(i for i, ln in enumerate(lines) if ln.startswith("frame,"))
+            path.write_text("\n".join(lines[:header + 1]) + "\n")
+        argv = {"train": ["train", "--target", "bpr", "--epochs", 0],
+                "eval": ["eval", "--folds", 2, "--epochs", 1]}[command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--corpus", feats, "--seed", 1,
+                       "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys) == f"error: {csv_path}: no data rows"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "sensitivity"])
     def test_non_finite_feature_cell_fails_at_load(self, tmp_path, capsys, command):
         _, feats = make_corpus(tmp_path, pieces=2, length=12)
@@ -570,18 +586,21 @@ class TestBadInputs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("meter,lineno,problem", [
-        ("#meter 0 inf 4 duple\n", 1, "beats per bar"),
-        ("#meter 0 nan 4 duple\n", 1, "beats per bar"),
-        ("#meter inf 4 4 duple\n", 1, "meter start"),
-        ("#meter -1 4 4 duple\n", 1, "meter start"),
-        ("#meter 0 4 4 duple\n#meter nan 3 4 triple\n", 2, "meter start"),
-    ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start"])
+        ("#meter 0 inf 4 duple\n", 1, "beats per bar must be a finite"),
+        ("#meter 0 nan 4 duple\n", 1, "beats per bar must be a finite"),
+        ("#meter inf 4 4 duple\n", 1, "meter start must be a finite"),
+        ("#meter -1 4 4 duple\n", 1, "meter start must be a finite"),
+        ("#meter 0 4 4 duple\n#meter nan 3 4 triple\n", 2, "meter start must be a finite"),
+        ("#meter 0 4 4 duple\n#meter 0 3 4 triple\n", 2,
+         "meter start '0' repeats the start of line 1"),
+    ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start",
+            "repeated-start"])
     def test_bad_meter_names_file_and_line(self, tmp_path, capsys, meter, lineno, problem):
         score = tmp_path / "meter.score.tsv"
         score.write_text(meter + "n1\t0\t1\t60\tC\t0\t4\t0\nn2\t1\t1\t62\tD\t0\t4\t0\n")
         assert run_cli("extract", score, "--out-dir", tmp_path / "out") == 1
         line = single_error_line(capsys)
-        assert line.startswith(f"error: {score}: line {lineno}: {problem} must be a finite")
+        assert line.startswith(f"error: {score}: line {lineno}: {problem}")
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_beat_periods_name_the_match_file(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tonaltension import mi as mi_mod
 from tonaltension.errors import TrainingDiverged
 from tonaltension.evaluate import (Piece, columns, fit, fs_select,
                                    make_folds, mi_subset, paired_t_test, r2,
@@ -224,12 +225,29 @@ class TestRunCv:
 
     def test_fs_uses_top_ranked_columns(self):
         corpus = toy_corpus(n_pieces=8, frames=60)
-        cols = fs_select(corpus, "d_vel", seed=2, fraction=0.5, count=3)
+        cols = fs_select(corpus, ["d_vel"], seed=2, fraction=0.5, count=3)["d_vel"]
         assert len(cols) == 3
         assert "t_cd" in cols  # the target is a function of t_cd
         [res] = run_cv(corpus, [("d_vel", "FS")], FAST, seed=2, fs_count=3,
                        fs_fraction=0.5)
         assert set(res.per_piece_r2) == {p.id for p in corpus}
+
+    def test_fs_targets_share_one_mi_table(self, monkeypatch):
+        corpus = toy_corpus(n_pieces=8, frames=60)
+        experiments = [("bpr", "FS"), ("vel", "FS")]
+        alone = [run_cv(corpus, [exp], FAST, seed=2, fs_count=3, fs_fraction=0.5)[0]
+                 for exp in experiments]
+        tables = []
+        inner = mi_mod.mi_table
+
+        def counted(*args, **kwargs):
+            tables.append(inner(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(mi_mod, "mi_table", counted)
+        both = run_cv(corpus, experiments, FAST, seed=2, fs_count=3, fs_fraction=0.5)
+        assert len(tables) == 1
+        assert both == alone
 
 
 class TestSensitivity:
