@@ -126,9 +126,23 @@ def emit_outputs(args, files: list[OutputFile]) -> None:
 
 
 def csv_body(columns, rows) -> str:
+    """Header line and one line per row, each cell written by ``_fmt``.
+
+    A float's repr costs ten times a dict lookup, and most feature columns
+    repeat a few values, so each nonzero float is formatted once per call
+    (0.0 and -0.0 are equal keys with different reprs)."""
+    texts: dict[float, str] = {}
+
+    def fmt(value) -> str:
+        if isinstance(value, float) and value:
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = _fmt(value)
+            return text
+        return _fmt(value)
+
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,15 +1,17 @@
 """Low-level score features per onset frame: pitch group (P), vertical
 interval classes, and metrical group (M); assembly with the tension
 group (T) into model input rows. The onset frames come from the caller,
-which groups the score once for all of extraction."""
+which groups the score once for all of extraction. Frame beats only
+increase, so assembly walks the meter map alongside the frames instead
+of searching it for each frame."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SettingError
-from .symbolic import ONSET_TOLERANCE, OnsetFrame, Score
+from .symbolic import ONSET_TOLERANCE, MeterEntry, OnsetFrame, Score
 from .tension import TensionFrame
 
 PITCH_FEATURES = ("pitch_h", "pitch_l", "pitch_m", "vic1", "vic2", "vic3")
@@ -20,8 +22,7 @@ CANONICAL_ORDER = PITCH_FEATURES + METRICAL_FEATURES + TENSION_FEATURES
 GROUPS = {"P": PITCH_FEATURES, "M": METRICAL_FEATURES, "T": TENSION_FEATURES}
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     frame_index: int
     beat: float
     values: tuple[float, ...]  # aligned with the group subset's columns
@@ -50,16 +51,15 @@ def pitch_features(frame: OnsetFrame) -> tuple[float, float, float]:
 def vertical_intervals(frame: OnsetFrame) -> tuple[float, float, float]:
     """Up to three distinct interval classes above the frame's bass note,
     octaves and unisons excluded, each divided by 11; zero-padded."""
-    midis = sorted(n.midi_pitch for n in frame.notes)
-    bass = midis[0]
-    classes = sorted({(m - bass) % 12 for m in midis[1:]} - {0})
-    vic = [c / 11.0 for c in classes[:3]]
-    vic += [0.0] * (3 - len(vic))
-    return tuple(vic)
+    midis = [n.midi_pitch for n in frame.notes]
+    bass = min(midis)
+    classes = sorted({(m - bass) % 12 for m in midis})  # classes[0] is the bass's 0
+    return (tuple([c / 11.0 for c in classes[1:4]]) + (0.0, 0.0, 0.0))[:3]
 
 
-def metrical_features(frame: OnsetFrame, score: Score) -> tuple[float, float, float, float]:
-    """(b_phi, b_d, b_s, b_w): position within the bar as a fraction, and
+def metrical_features(beat: float, meter: MeterEntry) -> tuple[float, float, float, float]:
+    """(b_phi, b_d, b_s, b_w) at ``beat`` under ``meter``, the meter map
+    entry active there: position within the bar as a fraction, and
     one-hot metrical strength (downbeat / secondary strong / weak).
 
     Bar position is measured from the active meter segment's start so the
@@ -67,9 +67,8 @@ def metrical_features(frame: OnsetFrame, score: Score) -> tuple[float, float, fl
     B/2 in duple meters (beat 3 of 4/4; with 6/8 encoded as six eighth
     beats, eighth 4).
     """
-    meter = score.meter_at(frame.beat)
     bar_len = meter.beats_per_bar
-    pos = math.fmod(frame.beat - meter.start_beat, bar_len)
+    pos = math.fmod(beat - meter.start_beat, bar_len)
     if pos < 0:
         pos += bar_len
     if bar_len - pos < ONSET_TOLERANCE:
@@ -86,24 +85,35 @@ def assemble_features(score: Score, tension: list[TensionFrame] | None,
                       groups, frames: list[OnsetFrame]) -> list[FeatureRow]:
     """Stack the requested feature groups into rows, one per frame of
     ``frames`` (the caller's ``group_onsets(score)``), in canonical column
-    order; excluded groups contribute no columns."""
+    order; excluded groups contribute no columns.
+
+    The active meter of a frame is the last map entry starting no later
+    than ONSET_TOLERANCE after its beat."""
     groups = set(groups)
-    names = feature_names(groups)
-    if "T" in groups and (tension is None or len(tension) != len(frames)):
+    feature_names(groups)  # rejects unknown groups
+    want_p, want_m, want_t = "P" in groups, "M" in groups, "T" in groups
+    if want_t and (tension is None or len(tension) != len(frames)):
         got = "none" if tension is None else str(len(tension))
         raise ValueError(f"tension track length {got} does not match {len(frames)} frames")
+    meters = score.meter_map
+    if want_m and frames and frames[0].beat < meters[0].start_beat:
+        raise ValueError(f"beat {frames[0].beat} precedes the meter map")
+    active = 0
     rows = []
     for frame in frames:
-        values: dict[str, float] = {}
-        if "P" in groups:
-            p = pitch_features(frame)
-            v = vertical_intervals(frame)
-            values.update(zip(PITCH_FEATURES, p + v))
-        if "M" in groups:
-            values.update(zip(METRICAL_FEATURES, metrical_features(frame, score)))
-        if "T" in groups:
+        # canonical order is P, then M, then T, so each group's block
+        # follows the one before
+        values: tuple[float, ...] = ()
+        if want_p:
+            values = pitch_features(frame) + vertical_intervals(frame)
+        if want_m:
+            beat = frame.beat
+            while (active + 1 < len(meters)
+                   and meters[active + 1].start_beat <= beat + ONSET_TOLERANCE):
+                active += 1
+            values += metrical_features(beat, meters[active])
+        if want_t:
             t = tension[frame.index]
-            values.update(t_cd=t.t_cd, t_cm=t.t_cm, t_ts=t.t_ts)
-        rows.append(FeatureRow(frame.index, frame.beat,
-                               tuple(values[n] for n in names)))
+            values += (t.t_cd, t.t_cm, t.t_ts)
+        rows.append(FeatureRow(frame.index, frame.beat, values))
     return rows

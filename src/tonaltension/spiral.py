@@ -108,18 +108,6 @@ class SpiralPoint:
             raise ValueError(f"non-finite spiral coordinates: {self}")
 
 
-@dataclass(frozen=True)
-class Cloud:
-    """Weighted pitch-class set with its cached center of effect.
-
-    ``members`` maps line-of-fifths indices to strictly positive weights;
-    equal indices have already been merged.
-    """
-
-    members: tuple[tuple[int, float], ...]
-    coe: SpiralPoint
-
-
 def pitch_position(tpc: int, params: SpiralParams) -> SpiralPoint:
     """Position of line-of-fifths index ``tpc`` on the helix."""
     angle = tpc * HALF_PI
@@ -148,13 +136,14 @@ def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
     return _weighted_mean((params.position(tpc), w) for tpc, w in members)
 
 
-def make_cloud(members, params: SpiralParams) -> Cloud:
-    """Merge duplicate tpcs by summing weights and cache the CoE."""
+def cloud_coe(members, params: SpiralParams) -> SpiralPoint:
+    """Center of effect of a pitch cloud: ``(tpc, weight)`` pairs whose
+    equal tpcs are first merged by summing their weights in the order
+    given, then weighted in tpc order."""
     merged: dict[int, float] = {}
     for tpc, w in members:
         merged[tpc] = merged.get(tpc, 0.0) + w
-    items = tuple(sorted(merged.items()))
-    return Cloud(members=items, coe=center_of_effect(items, params))
+    return center_of_effect(sorted(merged.items()), params)
 
 
 def _triad_coe(root_tpc: int, minor: bool, params: SpiralParams) -> SpiralPoint:

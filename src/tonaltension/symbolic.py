@@ -14,14 +14,24 @@ Two line-oriented TSV formats:
   from the match are allowed (deletions); performed notes referencing
   unknown ids are not.
 
-All values are immutable after construction.
+All values are immutable after construction. The records made once per
+note or per frame (``ScoreNote``, ``PerformedNote``, ``OnsetFrame``) are
+named tuples, which cost about a third of a frozen dataclass to build.
+The parsers convert a line's numbers (a note's onset, duration and MIDI
+pitch; a performed note's times and velocity; a meter's three numbers)
+in one ``try`` and work out which field is bad only when that fails.
+``parse_score`` keeps the ``#meter`` entries sorted by start as it reads
+them, so a repeated start is found among a line's neighbours there.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +56,7 @@ def derive_tpc(midi_pitch: int, key_tpc: int = 0) -> int:
     return cand
 
 
-@dataclass(frozen=True)
-class ScoreNote:
+class ScoreNote(NamedTuple):
     id: str
     onset: float
     duration: float
@@ -56,22 +65,26 @@ class ScoreNote:
     is_melody: bool = False
 
 
-def _check_note(n: ScoreNote, seen: set[str], where: str = "") -> None:
-    """Raise a ValueError starting with ``where`` if ``n`` breaks a
-    per-note rule; ``seen`` holds the ids before it and gains its own."""
-    if n.id in seen:
-        raise ValueError(f"{where}duplicate note id {n.id!r}")
-    seen.add(n.id)
+def _check_note(nid: str, onset: float, duration: float, midi: int, tpc: int,
+                seen: set[str], lineno: int | None = None) -> None:
+    """Raise a ValueError, naming line ``lineno`` when given, if the note's
+    fields break a per-note rule; ``seen`` holds the ids before it and
+    gains its own."""
+    if nid in seen:
+        problem = f"duplicate note id {nid!r}"
     # extraction sweeps notes in onset order, which needs real numbers
-    if not math.isfinite(n.onset) or n.onset < 0:
-        raise ValueError(f"{where}note {n.id!r}: onset must be finite and >= 0, got {n.onset}")
-    if not (math.isfinite(n.duration) and n.duration > 0):
-        raise ValueError(f"{where}note {n.id!r}: duration must be finite and > 0, got {n.duration}")
-    if not 0 <= n.midi_pitch <= 127:
-        raise ValueError(f"{where}note {n.id!r}: midi pitch {n.midi_pitch} out of range")
-    if (7 * n.tpc - n.midi_pitch) % 12:
-        raise ValueError(
-            f"{where}note {n.id!r}: tpc {n.tpc} cannot spell midi pitch {n.midi_pitch}")
+    elif not math.isfinite(onset) or onset < 0:
+        problem = f"note {nid!r}: onset must be finite and >= 0, got {onset}"
+    elif not (math.isfinite(duration) and duration > 0):
+        problem = f"note {nid!r}: duration must be finite and > 0, got {duration}"
+    elif not 0 <= midi <= 127:
+        problem = f"note {nid!r}: midi pitch {midi} out of range"
+    elif (7 * tpc - midi) % 12:
+        problem = f"note {nid!r}: tpc {tpc} cannot spell midi pitch {midi}"
+    else:
+        seen.add(nid)
+        return
+    raise ValueError(problem if lineno is None else f"line {lineno}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ class Score:
         """Check a score built in memory (parse_score checks notes per line)."""
         seen: set[str] = set()
         for n in self.notes:
-            _check_note(n, seen)
+            _check_note(n.id, n.onset, n.duration, n.midi_pitch, n.tpc, seen)
         self._check_layout()
 
     def _check_layout(self) -> None:
@@ -107,20 +120,8 @@ class Score:
         if onsets != sorted(onsets):
             raise ValueError("notes not sorted by onset")
 
-    def meter_at(self, beat: float) -> MeterEntry:
-        if beat < self.meter_map[0].start_beat:
-            raise ValueError(f"beat {beat} precedes the meter map")
-        active = self.meter_map[0]
-        for entry in self.meter_map:
-            if entry.start_beat <= beat + ONSET_TOLERANCE:
-                active = entry
-            else:
-                break
-        return active
 
-
-@dataclass(frozen=True)
-class PerformedNote:
+class PerformedNote(NamedTuple):
     score_id: str
     onset_sec: float
     duration_sec: float
@@ -135,8 +136,7 @@ class Performance:
         return {n.score_id: n for n in self.notes}
 
 
-@dataclass(frozen=True)
-class OnsetFrame:
+class OnsetFrame(NamedTuple):
     index: int
     beat: float
     notes: tuple[ScoreNote, ...]  # in score order
@@ -150,37 +150,61 @@ class OnsetFrame:
 # score file
 
 
-def _parse_float(token: str, what: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
+def _bad_number(lineno: int, *fields) -> str:
+    """The message for the first ``(token, what, convert)`` of ``fields``,
+    in line order, whose token ``convert`` rejects. Called when converting
+    the same tokens in one ``try`` failed, so one of them is rejected."""
+    for token, what, convert in fields:
+        try:
+            convert(token)
+        except ValueError:
+            break
+    return f"line {lineno}: bad {what} {token!r}"
 
 
-def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
+def _repeated_line(meters: list[tuple[float, int, MeterEntry]], i: int,
+                   start: float) -> int | None:
+    """The first line of ``meters``, ``(start, line, entry)`` sorted by
+    start, whose start lies within ONSET_TOLERANCE of ``start``, which
+    sorts in at index ``i``; None if there is none. The starts in
+    ``meters`` are more than the tolerance apart (a repeat fails at once),
+    so only the few neighbours of index ``i`` are compared."""
+    close = []
+    k = i - 1
+    while k >= 0 and start - meters[k][0] <= ONSET_TOLERANCE:
+        close.append(meters[k][1])
+        k -= 1
+    k = i
+    while k < len(meters) and meters[k][0] - start <= ONSET_TOLERANCE:
+        close.append(meters[k][1])
+        k += 1
+    return min(close, default=None)
 
 
 def parse_score(text: str) -> Score:
     """Parse ``.score.tsv`` content into a validated Score."""
-    meters: dict[int, MeterEntry] = {}  # by line number
+    meters: list[tuple[float, int, MeterEntry]] = []  # (start, line, entry) by start
     key: tuple[int, str] | None = None
     raw_notes: list[tuple[int, list[str]]] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#meter"):
+        if not line.startswith("#"):
+            if line.strip():
+                fields = line.split("\t")
+                if len(fields) != 8:
+                    raise ValueError(f"line {lineno}: expected 8 tab-separated fields, "
+                                     f"got {len(fields)}")
+                raw_notes.append((lineno, fields))
+        elif line.startswith("#meter"):
             fields = line.split()
             if len(fields) != 5:
                 raise ValueError(f"line {lineno}: #meter expects 4 fields, got {len(fields) - 1}")
-            start = _parse_float(fields[1], "meter start", lineno)
-            beats = _parse_float(fields[2], "beats per bar", lineno)
-            unit = _parse_int(fields[3], "beat unit", lineno)
+            try:
+                start, beats, unit = float(fields[1]), float(fields[2]), int(fields[3])
+            except ValueError:
+                raise ValueError(_bad_number(lineno, (fields[1], "meter start", float),
+                                             (fields[2], "beats per bar", float),
+                                             (fields[3], "beat unit", int))) from None
             mclass = fields[4]
             if mclass not in ("duple", "triple", "other"):
                 raise ValueError(f"line {lineno}: unknown meter class {mclass!r}")
@@ -190,28 +214,26 @@ def parse_score(text: str) -> Score:
             if not (math.isfinite(beats) and beats > 0):
                 raise ValueError(f"line {lineno}: beats per bar must be a finite number > 0, "
                                  f"got {fields[2]!r}")
-            for earlier, entry in meters.items():
-                if abs(start - entry.start_beat) <= ONSET_TOLERANCE:
-                    raise ValueError(f"line {lineno}: meter start {fields[1]!r} repeats "
-                                     f"the start of line {earlier}")
-            meters[lineno] = MeterEntry(start, beats, unit, mclass)
+            i = bisect_left(meters, (start,))
+            earlier = _repeated_line(meters, i, start)
+            if earlier is not None:
+                raise ValueError(f"line {lineno}: meter start {fields[1]!r} repeats "
+                                 f"the start of line {earlier}")
+            meters.insert(i, (start, lineno, MeterEntry(start, beats, unit, mclass)))
         elif line.startswith("#key"):
             fields = line.split()
             if len(fields) != 3 or fields[2] not in ("major", "minor"):
                 raise ValueError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
-            tonic = _parse_int(fields[1], "key tpc", lineno)
+            try:
+                tonic = int(fields[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad key tpc {fields[1]!r}") from None
             # -9..13 holds every real key; derived spellings then stay
             # within -15..19, which serialize_score writes with |alter| <= 2
             if not -9 <= tonic <= 13:
                 raise ValueError(f"line {lineno}: key tpc {tonic} outside -9..13")
             key = (tonic, fields[2])
-        elif line.startswith("#"):
-            continue  # comment
-        else:
-            fields = line.split("\t")
-            if len(fields) != 8:
-                raise ValueError(f"line {lineno}: expected 8 tab-separated fields, got {len(fields)}")
-            raw_notes.append((lineno, fields))
+        # any other line starting with "#" is a comment
 
     if not meters:
         raise ValueError("score file has no #meter line")
@@ -222,32 +244,41 @@ def parse_score(text: str) -> Score:
     notes = []
     seen: set[str] = set()
     for lineno, f in raw_notes:
-        nid = f[0]
-        onset = _parse_float(f[1], "onset", lineno)
-        duration = _parse_float(f[2], "duration", lineno)
-        midi = _parse_int(f[3], "midi pitch", lineno)
-        if f[4] == "-" or f[5] == "-" or f[6] == "-":
+        nid, onset, duration, midi, spelled_step, alter, octave, melody = f
+        try:
+            onset, duration, midi = float(onset), float(duration), int(midi)
+        except ValueError:
+            raise ValueError(_bad_number(lineno, (onset, "onset", float),
+                                         (duration, "duration", float),
+                                         (midi, "midi pitch", int))) from None
+        if spelled_step == "-" or alter == "-" or octave == "-":
             tpc = derive_tpc(midi, key_tpc)
         else:
-            step = f[4].upper()
+            step = spelled_step.upper()
             if step not in _STEP_TPC:
-                raise ValueError(f"line {lineno}: bad step {f[4]!r}")
-            alter = _parse_int(f[5], "alter", lineno)
+                raise ValueError(f"line {lineno}: bad step {spelled_step!r}")
+            try:
+                alter = int(alter)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad alter {alter!r}") from None
             if not -2 <= alter <= 2:
                 raise ValueError(f"line {lineno}: alter {alter} outside -2..2")
-            octave = _parse_int(f[6], "octave", lineno)
+            try:
+                octave = int(octave)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad octave {octave!r}") from None
             implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
             if implied != midi:
                 raise ValueError(f"line {lineno}: spelling {step} {alter} {octave} "
                                  f"implies midi {implied}, stored {midi}")
             tpc = _STEP_TPC[step] + 7 * alter
-        if f[7] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {f[7]!r}")
-        notes.append(ScoreNote(nid, onset, duration, midi, tpc, f[7] == "1"))
-        _check_note(notes[-1], seen, f"line {lineno}: ")
+        if melody not in ("0", "1"):
+            raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {melody!r}")
+        _check_note(nid, onset, duration, midi, tpc, seen, lineno)
+        notes.append(ScoreNote(nid, onset, duration, midi, tpc, melody == "1"))
 
-    notes.sort(key=lambda n: (n.onset, n.midi_pitch))
-    score = Score(tuple(notes), tuple(sorted(meters.values(), key=lambda m: m.start_beat)), key)
+    notes.sort(key=itemgetter(1, 3))  # (onset, midi_pitch)
+    score = Score(tuple(notes), tuple(entry for _, _, entry in meters), key)
     score._check_layout()
     return score
 
@@ -299,9 +330,12 @@ def parse_performance(text: str, score: Score) -> Performance:
             raise ValueError(f"line {lineno}: unknown score id {sid!r}")
         if sid in matched:
             raise ValueError(f"line {lineno}: score id {sid!r} matched twice")
-        onset = _parse_float(fields[1], "onset seconds", lineno)
-        duration = _parse_float(fields[2], "duration seconds", lineno)
-        velocity = _parse_int(fields[3], "velocity", lineno)
+        try:
+            onset, duration, velocity = float(fields[1]), float(fields[2]), int(fields[3])
+        except ValueError:
+            raise ValueError(_bad_number(lineno, (fields[1], "onset seconds", float),
+                                         (fields[2], "duration seconds", float),
+                                         (fields[3], "velocity", int))) from None
         if not (math.isfinite(onset) and onset >= 0):
             raise ValueError(f"line {lineno}: onset must be finite and >= 0, got {onset}")
         if not (math.isfinite(duration) and duration > 0):
@@ -310,7 +344,7 @@ def parse_performance(text: str, score: Score) -> Performance:
             raise ValueError(f"line {lineno}: velocity {velocity} outside 1..127")
         matched[sid] = PerformedNote(sid, onset, duration, velocity)
 
-    missing = tuple(n.id for n in score.notes if n.id not in matched)
+    missing = [n.id for n in score.notes if n.id not in matched]
     if missing:
         log.warning("%d score note(s) unmatched in performance: %s",
                     len(missing), ", ".join(missing[:8]))
@@ -338,10 +372,11 @@ def group_onsets(score: Score) -> list[OnsetFrame]:
     score.
     """
     groups: list[list[ScoreNote]] = []
+    anchor = 0.0
     for n in score.notes:  # already sorted by onset
-        if groups and n.onset - groups[-1][0].onset <= ONSET_TOLERANCE:
+        if groups and n.onset - anchor <= ONSET_TOLERANCE:
             groups[-1].append(n)
         else:
+            anchor = n.onset
             groups.append([n])
     return [OnsetFrame(i, g[0].onset, tuple(g)) for i, g in enumerate(groups)]
-

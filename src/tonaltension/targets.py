@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .symbolic import OnsetFrame, Performance
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TargetRow:
+class TargetRow(NamedTuple):
     frame_index: int
     beat: float
     bpr: float
@@ -43,11 +42,11 @@ TARGET_NAMES = ("bpr", "d_bpr", "vel", "d_vel")
 def _matched_frames(performance: Performance, frames: list[OnsetFrame]):
     """Frames paired with their matched performed notes, in score order;
     empty frames dropped with one warning."""
-    by_id = performance.by_score_id()
+    performed = performance.by_score_id().get
     kept = []
     dropped = []
     for frame in frames:
-        notes = [by_id[n.id] for n in frame.notes if n.id in by_id]
+        notes = [p for n in frame.notes if (p := performed(n.id)) is not None]
         if notes:
             kept.append((frame, notes))
         else:
@@ -59,12 +58,12 @@ def _matched_frames(performance: Performance, frames: list[OnsetFrame]):
 
 
 def _mean_onsets(kept) -> list[float]:
-    onsets = [sum(n.onset_sec for n in notes) / len(notes) for _, notes in kept]
-    for i in range(1, len(onsets)):
-        if onsets[i] <= onsets[i - 1]:
+    onsets = [sum([n.onset_sec for n in notes]) / len(notes) for _, notes in kept]
+    for i, (before, after) in enumerate(zip(onsets, onsets[1:]), start=1):
+        if after <= before:
             raise ValueError(
                 f"averaged onsets not increasing at frame {kept[i][0].index} "
-                f"({onsets[i - 1]} -> {onsets[i]}); alignment is defective")
+                f"({before} -> {after}); alignment is defective")
     return onsets
 
 
@@ -81,13 +80,14 @@ def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
     if n < 2:
         raise ValueError("beat period ratio needs at least 2 frames")
     bp = []
-    for i in range(n - 1):
-        gap = beats[i + 1] - beats[i]
+    for i, (b0, b1, t0, t1) in enumerate(zip(beats, beats[1:], onsets_sec, onsets_sec[1:])):
+        gap = b1 - b0
         if not gap > 0:
             raise ValueError(f"beats not strictly increasing at index {i}")
-        bp.append((onsets_sec[i + 1] - onsets_sec[i]) / gap)
-        if not bp[-1] > 0:
-            raise ValueError(f"beat period at index {i} is {bp[-1]!r}, not > 0")
+        period = (t1 - t0) / gap
+        if not period > 0:
+            raise ValueError(f"beat period at index {i} is {period!r}, not > 0")
+        bp.append(period)
     bp.append(bp[-1])
     total = sum(bp)
     if not math.isfinite(total):
@@ -100,10 +100,8 @@ def derivative(series: list[float], beats: list[float]) -> list[float]:
     """Backward difference with respect to score position; 0 at index 0."""
     if len(series) != len(beats):
         raise ValueError(f"length mismatch: {len(series)} values vs {len(beats)} beats")
-    out = [0.0]
-    for i in range(1, len(series)):
-        out.append((series[i] - series[i - 1]) / (beats[i] - beats[i - 1]))
-    return out
+    return [0.0] + [(s1 - s0) / (b1 - b0) for s0, s1, b0, b1
+                    in zip(series, series[1:], beats, beats[1:])]
 
 
 def targets(performance: Performance, frames: list[OnsetFrame]) -> list[TargetRow]:
@@ -114,10 +112,8 @@ def targets(performance: Performance, frames: list[OnsetFrame]) -> list[TargetRo
         raise ValueError("target extraction needs at least 2 matched frames")
     beats = [frame.beat for frame, _ in kept]
     bpr = compute_bpr(_mean_onsets(kept), beats)
-    vel = [max(n.velocity for n in notes) / 127.0 for _, notes in kept]
+    vel = [max([n.velocity for n in notes]) / 127.0 for _, notes in kept]
     d_bpr = derivative(bpr, beats)
     d_vel = derivative(vel, beats)
-    return [
-        TargetRow(frame.index, frame.beat, bpr[i], d_bpr[i], vel[i], d_vel[i])
-        for i, (frame, _) in enumerate(kept)
-    ]
+    return list(map(TargetRow, [frame.index for frame, _ in kept], beats,
+                    bpr, d_bpr, vel, d_vel))

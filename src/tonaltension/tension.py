@@ -11,27 +11,31 @@ commensurate with the other score features:
 * tensile strain: distance from the key's center of effect.
 
 ``tension_track`` takes the onset frames from its caller, which groups
-the score once for all of extraction. It sweeps the onset-sorted notes
-once: a forward pointer admits notes that start before the window ends,
-and an active list drops notes that end before the window starts (frame
-beats only increase). The sweep costs O(notes + frames x cloud size),
-not O(notes x frames).
+the score once for all of extraction, and computes all three in one loop
+over the frames. A forward pointer admits notes that start before the
+window ends, and an active list drops notes that end before the window
+starts (frame beats only increase), so the sweep costs
+O(notes + frames x cloud size), not O(notes x frames).
 
-Spiral points come from a position table: ``SpiralParams.position``
-builds each tpc's point once and returns it after that, so a cloud's
-center of effect and diameter build no point per member. The numbers are
-those of building every point anew: the same float operations run in
-the same order.
+Each frame's cloud, center of effect and distances are computed inline
+on plain coordinate tuples, one per tpc, taken from
+``SpiralParams.position``. They run the float operations of
+``spiral.cloud_coe`` and ``spiral.distance`` in the same order, so the
+numbers are identical. The diameter is the square root of the largest
+squared pair distance, which equals the largest distance bit for bit
+because the square root is correctly rounded and monotone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SettingError
-from .spiral import Cloud, SpiralParams, SpiralPoint
-from .spiral import distance, enharmonic_unit, key_coe, make_cloud as _merge_cloud
-from .symbolic import OnsetFrame, Score, ScoreNote
+from .spiral import SpiralParams, SpiralPoint
+from .spiral import cloud_coe, distance, enharmonic_unit, key_coe
+from .symbolic import OnsetFrame, Score
 
 
 @dataclass(frozen=True)
@@ -53,63 +57,10 @@ class WindowConfig:
         ]
 
 
-@dataclass(frozen=True)
-class TensionFrame:
+class TensionFrame(NamedTuple):
     t_cd: float
     t_cm: float
     t_ts: float
-
-
-def window_cloud(candidates, frame: OnsetFrame, cfg: WindowConfig,
-                 params: SpiralParams) -> Cloud:
-    """Duration-weighted pitch cloud for the window starting at the frame.
-
-    ``candidates`` must hold, in score order, every note that overlaps the
-    window (all of ``score.notes`` will do). A note contributes the length
-    of its overlap with ``[frame.beat, frame.beat + width)``; with
-    ``include_held`` off only notes starting inside the window count.
-    Equal tpcs merge.
-    """
-    w_start = frame.beat
-    w_end = frame.beat + cfg.width_beats
-    members = []
-    for n in candidates:
-        if not cfg.include_held and n.onset < w_start - 1e-12:
-            continue
-        overlap = min(n.onset + n.duration, w_end) - max(n.onset, w_start)
-        if overlap > 0:
-            members.append((n.tpc, overlap))
-    if not members:
-        # reached only when the width or the anchor note's duration is
-        # lost in rounding against the frame's beat
-        members = [(n.tpc, min(n.duration, cfg.width_beats))
-                   for n in sorted(frame.notes, key=lambda n: n.id)]
-    return _merge_cloud(members, params)
-
-
-def cloud_diameter(cloud: Cloud, params: SpiralParams) -> float:
-    """Max pairwise member distance over the enharmonic unit; 0 for a
-    single merged pitch class."""
-    pts = [params.position(tpc) for tpc, _ in cloud.members]
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best / enharmonic_unit(params)
-
-
-def cloud_momentum(prev: Cloud | None, cur: Cloud, params: SpiralParams) -> float:
-    """Distance between consecutive centers of effect; 0 at the first frame."""
-    if prev is None:
-        return 0.0
-    return distance(prev.coe, cur.coe) / enharmonic_unit(params)
-
-
-def tensile_strain(cloud: Cloud, key_center: SpiralPoint, params: SpiralParams) -> float:
-    """Distance from the cloud's center of effect to the key's."""
-    return distance(cloud.coe, key_center) / enharmonic_unit(params)
 
 
 def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
@@ -118,11 +69,11 @@ def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
     both modes; ties pick the lower tonic, major first."""
     if not score.notes:
         raise ValueError("cannot estimate a key for an empty score")
-    whole = _merge_cloud([(n.tpc, n.duration) for n in score.notes], params)
+    whole = cloud_coe([(n.tpc, n.duration) for n in score.notes], params)
     best = None
     for tonic in range(-6, 7):
         for mode in ("major", "minor"):
-            d = distance(whole.coe, key_coe(tonic, mode, params))
+            d = distance(whole, key_coe(tonic, mode, params))
             if best is None or d < best[0]:
                 best = (d, tonic, mode)
     return best[1], best[2]
@@ -131,27 +82,85 @@ def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
 def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
                   frames: list[OnsetFrame]) -> list[TensionFrame]:
     """One TensionFrame per frame of ``frames``, the caller's
-    ``group_onsets(score)``, in frame order."""
+    ``group_onsets(score)``, in frame order.
+
+    A note contributes to a frame's cloud the length of its overlap with
+    ``[beat, beat + width)``; with ``include_held`` off only notes
+    starting inside the window count. Equal tpcs merge, summed in score
+    order. When rounding against a huge beat leaves no overlap, the
+    frame's own notes are weighted by ``min(duration, width)`` instead,
+    merged in id order.
+    """
     if not frames:
         return []
     tonic, mode = score.key if score.key is not None else estimate_key(score, params)
     key_center = key_coe(tonic, mode, params)
-    notes = score.notes
+    kx, ky, kz = key_center.x, key_center.y, key_center.z
+    unit = enharmonic_unit(params)
+    width = cfg.width_beats
+    held = cfg.include_held
+
+    coords: dict[int, tuple[float, float, float]] = {}
+    # (onset, end, tpc) in score order, so clouds merge in that order
+    spans = [(n.onset, n.onset + n.duration, n.tpc) for n in score.notes]
     admitted = 0
-    active: list[ScoreNote] = []  # score order, so clouds merge in that order
+    active: list[tuple[float, float, int]] = []
     out = []
-    prev: Cloud | None = None
+    prev = None  # previous frame's center of effect
     for frame in frames:
-        w_end = frame.beat + cfg.width_beats
-        while admitted < len(notes) and notes[admitted].onset < w_end:
-            active.append(notes[admitted])
+        beat = frame.beat
+        w_end = beat + width
+        while admitted < len(spans) and spans[admitted][0] < w_end:
+            active.append(spans[admitted])
             admitted += 1
-        active = [n for n in active if n.onset + n.duration > frame.beat]
-        cloud = window_cloud(active, frame, cfg, params)
+        kept = []
+        merged: dict[int, float] = {}
+        for span in active:
+            onset, end, tpc = span
+            if end > beat:
+                kept.append(span)
+                if held or not onset < beat - 1e-12:
+                    # min(end, w_end) - max(onset, beat), as the builtins pick
+                    overlap = ((w_end if w_end < end else end)
+                               - (beat if beat > onset else onset))
+                    if overlap > 0:
+                        merged[tpc] = merged.get(tpc, 0.0) + overlap
+        active = kept
+        if not merged:
+            for n in sorted(frame.notes, key=lambda n: n.id):
+                merged[n.tpc] = merged.get(n.tpc, 0.0) + min(n.duration, width)
+
+        # center of effect: weighted mean of member points in tpc order
+        points = []
+        sx = sy = sz = total = 0.0
+        for tpc in sorted(merged):
+            w = merged[tpc]
+            point = coords.get(tpc)
+            if point is None:
+                p = params.position(tpc)
+                point = coords[tpc] = (p.x, p.y, p.z)
+            points.append(point)
+            sx += w * point[0]
+            sy += w * point[1]
+            sz += w * point[2]
+            total += w
+        cx, cy, cz = sx / total, sy / total, sz / total
+        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(cz)):
+            SpiralPoint(cx, cy, cz)  # raises the non-finite coordinates error
+
+        widest = 0.0  # largest squared distance between two members
+        for i, (ax, ay, az) in enumerate(points):
+            for bx, by, bz in points[i + 1:]:
+                d2 = (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
+                if d2 > widest:
+                    widest = d2
+        if prev is None:
+            t_cm = 0.0
+        else:
+            px, py, pz = prev
+            t_cm = math.sqrt((px - cx) ** 2 + (py - cy) ** 2 + (pz - cz) ** 2) / unit
         out.append(TensionFrame(
-            t_cd=cloud_diameter(cloud, params),
-            t_cm=cloud_momentum(prev, cloud, params),
-            t_ts=tensile_strain(cloud, key_center, params),
-        ))
-        prev = cloud
+            math.sqrt(widest) / unit, t_cm,
+            math.sqrt((cx - kx) ** 2 + (cy - ky) ** 2 + (cz - kz) ** 2) / unit))
+        prev = (cx, cy, cz)
     return out

@@ -17,11 +17,11 @@ from tonaltension.features import (CANONICAL_ORDER, assemble_features,
                                    vertical_intervals, pitch_features)
 from tonaltension.mi import estimate_mi, mi_table, select_features
 from tonaltension.model import TrainConfig, init_model, loss_and_gradient, train
-from tonaltension.spiral import SpiralParams, enharmonic_unit, make_cloud
+from tonaltension.spiral import SpiralParams, enharmonic_unit
 from tonaltension.symbolic import group_onsets
 from tonaltension.synth import SynthConfig, generate_corpus
 from tonaltension.targets import targets as extract_targets
-from tonaltension.tension import WindowConfig, cloud_diameter, tension_track
+from tonaltension.tension import WindowConfig, tension_track
 
 from conftest import build_score, metronomic_performance, note
 
@@ -79,8 +79,8 @@ def test_criterion_2_geometry_suite():
 
         # single-tpc clouds have exactly zero diameter
         for tpc in range(-12, 13):
-            cloud = make_cloud([(tpc, 1.0), (tpc, 0.5)], P)
-            assert cloud_diameter(cloud, P) == 0.0
+            score = build_score([note("a", 0.0, 1.0, tpc, 3), note("b", 0.0, 0.5, tpc, 4)])
+            assert tension_track(score, CFG, P, group_onsets(score))[0].t_cd == 0.0
 
         # tension features invariant under global fifth transposition
         base_notes = [note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 4),

@@ -1,13 +1,17 @@
 """The one-pass extraction against the whole-score scans it replaced.
 
 The oracle below is the per-frame code as it stood before the sweep: every
-frame rescans every note of the score, and every cloud builds the spiral
-point of each member again for its center of effect and its diameter,
-where the package reads points it has already built and reuses the
-diameter of a pitch set it has already seen. Outputs must be equal, not
-close, because the sweep keeps the overlap expression, the merge order
-and the float operations of each distance and mean.
+frame rescans every note of the score and the whole meter map, and every
+cloud is a ``Cloud`` whose center of effect is a ``SpiralPoint`` built
+from freshly built member points. The oracle keeps its own copies of that
+record, of the per-frame helpers that ``tension_track`` now does inline
+(the window cloud, its diameter, momentum and strain) and of the meter
+map search. Outputs must be equal, not close, because the sweep keeps
+the overlap expression, the merge order, the float operations of each
+distance and mean, and the meter search's tolerance.
 """
+
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +20,13 @@ from tonaltension import cli
 from tonaltension.features import (METRICAL_FEATURES, PITCH_FEATURES,
                                    assemble_features, feature_names,
                                    metrical_features)
-from tonaltension.spiral import (Cloud, SpiralParams, SpiralPoint, distance,
+from tonaltension.spiral import (SpiralParams, SpiralPoint, distance,
                                  enharmonic_unit, key_coe, pitch_position)
-from tonaltension.symbolic import group_onsets, parse_performance, parse_score
+from tonaltension.symbolic import (ONSET_TOLERANCE, MeterEntry, group_onsets,
+                                   parse_performance, parse_score)
 from tonaltension.targets import compute_bpr, derivative
-from tonaltension.tension import (TensionFrame, WindowConfig, cloud_momentum,
-                                  estimate_key, tension_track, tensile_strain,
-                                  window_cloud)
+from tonaltension.tension import (TensionFrame, WindowConfig, estimate_key,
+                                  tension_track)
 
 from conftest import build_score, note
 
@@ -31,6 +35,14 @@ P = SpiralParams()
 
 # ---------------------------------------------------------------------------
 # reference oracle: whole-score scans per frame
+
+
+class Cloud(NamedTuple):
+    """Merged ``(tpc, weight)`` members in tpc order, and their center of
+    effect."""
+
+    members: tuple[tuple[int, float], ...]
+    coe: SpiralPoint
 
 
 def merge_cloud(members, params):
@@ -61,6 +73,32 @@ def cloud_diameter(cloud, params):
             if d > best:
                 best = d
     return best / enharmonic_unit(params)
+
+
+def cloud_momentum(prev, cur, params):
+    """Distance between consecutive centers of effect; 0 at the first frame."""
+    if prev is None:
+        return 0.0
+    return distance(prev.coe, cur.coe) / enharmonic_unit(params)
+
+
+def tensile_strain(cloud, key_center, params):
+    """Distance from the cloud's center of effect to the key's."""
+    return distance(cloud.coe, key_center) / enharmonic_unit(params)
+
+
+def meter_at(score, beat):
+    """The last meter map entry starting no later than ONSET_TOLERANCE
+    after ``beat``, by a scan of the whole map."""
+    if beat < score.meter_map[0].start_beat:
+        raise ValueError(f"beat {beat} precedes the meter map")
+    active = score.meter_map[0]
+    for entry in score.meter_map:
+        if entry.start_beat <= beat + ONSET_TOLERANCE:
+            active = entry
+        else:
+            break
+    return active
 
 
 def oracle_cloud(score, frame, cfg, params):
@@ -124,7 +162,8 @@ def oracle_features(score, track):
     for frame in group_onsets(score):
         values = dict(zip(PITCH_FEATURES, oracle_pitch(frame, score)
                           + oracle_intervals(frame, score)))
-        values.update(zip(METRICAL_FEATURES, metrical_features(frame, score)))
+        values.update(zip(METRICAL_FEATURES,
+                          metrical_features(frame.beat, meter_at(score, frame.beat))))
         t = track[frame.index]
         values.update(t_cd=t.t_cd, t_cm=t.t_cm, t_ts=t.t_ts)
         rows.append((frame.index, frame.beat) + tuple(values[n] for n in names))
@@ -154,6 +193,8 @@ def oracle_targets(score, performance):
 
 _JITTER = (0.0, 0.0, 0.0, 1e-12, 5e-7, 1e-6, 1.0000001e-6, 2e-6, 1e-3)
 _DURATIONS = (0.05, 0.25, 0.5, 1.0, 1.5, 3.0, 7.75, 16.0)
+_METER_OFFSETS = (0.0, 0.0, 0.125, -2e-6, -1e-6, -5e-7, 5e-7, 1e-6, 1.0000001e-6)
+_BAR_LENGTHS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)
 
 
 @st.composite
@@ -170,7 +211,14 @@ def scores(draw):
                           melody=draw(st.booleans())))
     key = draw(st.none() | st.tuples(st.integers(-6, 6),
                                      st.sampled_from(("major", "minor"))))
-    return build_score(notes, key=key)
+    # later meter entries start on, near or between the onset grid's beats
+    starts = sorted({g * 0.25 + draw(st.sampled_from(_METER_OFFSETS))
+                     for g in draw(st.lists(st.integers(1, grid + 2), max_size=5))})
+    meters = tuple(MeterEntry(start, draw(st.sampled_from(_BAR_LENGTHS)),
+                              draw(st.sampled_from((4, 8))),
+                              draw(st.sampled_from(("duple", "triple", "other"))))
+                   for start in [0.0] + starts)
+    return build_score(notes, meter=meters, key=key)
 
 
 windows = st.builds(WindowConfig, width_beats=st.floats(0.1, 8.0),
@@ -179,14 +227,17 @@ windows = st.builds(WindowConfig, width_beats=st.floats(0.1, 8.0),
 
 class TestSweepMatchesOracle:
     @settings(max_examples=150, deadline=None)
-    @given(scores(), windows)
-    def test_tension_and_features_equal(self, score, cfg):
+    @given(scores(), windows, st.sets(st.sampled_from("PMT"), min_size=1))
+    def test_tension_and_features_equal(self, score, cfg, groups):
         frames = group_onsets(score)
         track = tension_track(score, cfg, P, frames)
         assert track == oracle_track(score, cfg, P)
-        rows = assemble_features(score, track, {"P", "M", "T"}, frames)
+        names = feature_names(groups)
+        columns = [2 + feature_names({"P", "M", "T"}).index(n) for n in names]
+        rows = assemble_features(score, track, groups, frames)
         assert [(r.frame_index, r.beat) + r.values for r in rows] \
-            == oracle_features(score, track)
+            == [row[:2] + tuple(row[c] for c in columns)
+                for row in oracle_features(score, track)]
 
     def test_fallback_when_window_rounds_away(self):
         # at beat 2**60 adding a one-beat width or a short duration is lost
@@ -199,8 +250,8 @@ class TestSweepMatchesOracle:
                              note("d", beat, 0.5, 1, octave=5)])
         assert [n.id for n in score.notes] == ["c", "b", "a", "d"]
         frames = group_onsets(score)
-        assert window_cloud(score.notes, frames[0], WindowConfig(), P) \
-            == oracle_cloud(score, frames[0], WindowConfig(), P)
+        assert oracle_cloud(score, frames[0], WindowConfig(), P).members \
+            == ((0, 0.1 + 0.2 + 0.3), (1, 0.5))
         assert tension_track(score, WindowConfig(), P, frames) \
             == oracle_track(score, WindowConfig(), P)
 

@@ -71,8 +71,7 @@ class TestVerticalIntervals:
 
 class TestMetricalFeatures:
     def make(self, beat, meter):
-        score = build_score([note("x", beat, 1.0, 0)], meter=meter)
-        return metrical_features(group_onsets(score)[0], score)
+        return metrical_features(beat, meter)
 
     def test_downbeat(self):
         assert self.make(0.0, METER_44) == (0.0, 1.0, 0.0, 0.0)
@@ -99,8 +98,8 @@ class TestMetricalFeatures:
         meters = (MeterEntry(0.0, 4.0, 4, "duple"), MeterEntry(8.0, 3.0, 4, "triple"))
         score = build_score([note("a", 0.0, 1.0, 0), note("b", 9.0, 1.0, 0)],
                             meter=meters)
-        frames = group_onsets(score)
-        b_phi, b_d, b_s, b_w = metrical_features(frames[1], score)
+        rows = assemble_features(score, None, {"M"}, group_onsets(score))
+        b_phi, b_d, b_s, b_w = rows[1].values
         # beat 9 is one beat into the 3/4 segment that starts at beat 8
         assert b_phi == pytest.approx(1 / 3)
         assert (b_d, b_s, b_w) == (0.0, 0.0, 1.0)
@@ -109,9 +108,7 @@ class TestMetricalFeatures:
            st.sampled_from([(4.0, 4, "duple"), (3.0, 4, "triple"),
                             (6.0, 8, "duple"), (2.0, 4, "duple")]))
     def test_exactly_one_strength_flag(self, eighths, meter):
-        entry = MeterEntry(0.0, *meter)
-        score = build_score([note("x", eighths / 2.0, 1.0, 0)], meter=entry)
-        b_phi, b_d, b_s, b_w = metrical_features(group_onsets(score)[0], score)
+        b_phi, b_d, b_s, b_w = metrical_features(eighths / 2.0, MeterEntry(0.0, *meter))
         assert b_d + b_s + b_w == 1.0
         assert {b_d, b_s, b_w} <= {0.0, 1.0}
         assert 0.0 <= b_phi < 1.0

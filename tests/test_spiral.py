@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from tonaltension.spiral import (DEFAULT_H, SpiralParams, center_of_effect,
                                  distance, enharmonic_unit, key_coe,
-                                 make_cloud, pitch_position)
+                                 cloud_coe, pitch_position)
 
 P = SpiralParams()
 
@@ -199,5 +199,5 @@ class TestSpiralParams:
         assert SpiralParams.from_header_items(items) == P
 
     def test_cloud_merges_duplicate_tpcs(self):
-        cloud = make_cloud([(0, 1.0), (0, 2.0), (4, 1.0)], P)
-        assert cloud.members == ((0, 3.0), (4, 1.0))
+        coe = cloud_coe([(4, 1.0), (0, 1.0), (0, 2.0)], P)
+        assert coe == center_of_effect([(0, 3.0), (4, 1.0)], P)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tonaltension.symbolic import (ONSET_TOLERANCE, Score, derive_tpc, group_onsets,
                                    parse_performance, parse_score,
@@ -93,6 +93,35 @@ class TestParseScore:
         text = "#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\nn2\tbroken\t1\t62\tD\t0\t4\t0\n"
         with pytest.raises(ValueError, match="line 3"):
             parse_score(text)
+
+    @given(st.lists(st.sampled_from((0.0, 5e-7, 1e-6, 2e-6, 3.9999995, 4.0, 4.000001,
+                                     4.0000015, 8.0)), min_size=1, max_size=8),
+           st.booleans())
+    @example([0.0, 2e-6, 1e-6], False)  # line 3 repeats both earlier starts
+    def test_repeated_meter_start_names_the_first_repeat(self, starts, bad_last_line):
+        # the first line whose start lies within ONSET_TOLERANCE of an
+        # earlier line's, and the first such earlier line, by a scan of
+        # every earlier line; a fault on a later line comes second
+        repeat = next(((later, earlier) for later, s in enumerate(starts)
+                       for earlier, e in enumerate(starts[:later])
+                       if abs(s - e) <= ONSET_TOLERANCE), None)
+        text = "".join(f"#meter {s!r} 4 4 duple\n" for s in starts) + "n1\t0\t1\t60\tC\t0\t4\t0\n"
+        if bad_last_line:
+            text += "n2\tbroken\n"
+        if repeat is None and 0.0 in starts and not bad_last_line:
+            assert [m.start_beat for m in parse_score(text).meter_map] == sorted(starts)
+            return
+        with pytest.raises(ValueError) as err:
+            parse_score(text)
+        if repeat is not None:
+            later, earlier = repeat
+            assert str(err.value) == (f"line {later + 1}: meter start {repr(starts[later])!r} "
+                                      f"repeats the start of line {earlier + 1}")
+        elif bad_last_line:
+            assert str(err.value) == (f"line {len(starts) + 2}: expected 8 tab-separated "
+                                      f"fields, got 2")
+        else:
+            assert str(err.value) == "meter map must start at beat 0"
 
     def test_unspelled_note_gets_key_aware_tpc(self):
         text = "#meter 0 4 4 duple\n#key 3 major\nn1\t0\t1\t61\t-\t-\t-\t0\n"

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tonaltension.spiral import (SpiralParams, distance, enharmonic_unit,
-                                 key_coe, make_cloud as cloud_of,
-                                 pitch_position)
-from tonaltension.tension import (WindowConfig, cloud_diameter, cloud_momentum,
-                                  estimate_key, tensile_strain, tension_track,
-                                  window_cloud)
+from tonaltension.spiral import (SpiralParams, center_of_effect, distance,
+                                 enharmonic_unit, key_coe, pitch_position)
+from tonaltension.tension import WindowConfig, estimate_key, tension_track
 from tonaltension.symbolic import group_onsets
 
 from conftest import build_score, note
@@ -18,48 +15,60 @@ P = SpiralParams()
 CFG = WindowConfig()
 
 
-def weights_of(cloud):
-    return dict(cloud.members)
+def track(notes, cfg=CFG, key=(0, "major")):
+    score = build_score(notes, key=key)
+    return tension_track(score, cfg, P, group_onsets(score))
+
+
+def strain_of(weights, key=(0, "major")):
+    """t_ts of a cloud with these merged tpc weights: the distance from its
+    center of effect to the key's, over the enharmonic unit."""
+    return (distance(center_of_effect(sorted(weights.items()), P), key_coe(*key, P))
+            / enharmonic_unit(P))
 
 
 class TestMakeCloud:
+    """A frame's cloud weights, seen through its tensile strain: the sweep
+    merges the same weights in the same order as ``center_of_effect`` of
+    the expected weights, so the strain is equal, not close."""
+
     def test_isolated_whole_note(self):
-        score = build_score([note("a", 0.0, 1.0, tpc=0)])
-        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
-        assert weights_of(cloud) == {0: 1.0}
+        t = track([note("a", 0.0, 1.0, tpc=0)])[0]
+        assert (t.t_cd, t.t_ts) == (0.0, strain_of({0: 1.0}))
 
     def test_triad_of_quarters_equal_weights(self):
-        score = build_score([note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 1),
-                             note("c", 0.0, 1.0, 4)])
-        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
-        assert weights_of(cloud) == {0: 1.0, 1: 1.0, 4: 1.0}
+        t = track([note("a", 0.0, 1.0, 0), note("b", 0.0, 1.0, 1), note("c", 0.0, 1.0, 4)])[0]
+        assert t.t_ts == strain_of({0: 1.0, 1: 1.0, 4: 1.0})
 
     def test_held_bass_weighted_by_overlap(self):
         # bass starts at 0 with duration 1.5: overlaps [1, 2) by 0.5
-        score = build_score([note("bass", 0.0, 1.5, 0, octave=2),
-                             note("top", 1.0, 1.0, 1)])
-        frames = group_onsets(score)
-        cloud = window_cloud(score.notes, frames[1], CFG, P)
+        t = track([note("bass", 0.0, 1.5, 0, octave=2), note("top", 1.0, 1.0, 1)])[1]
         # oracle: interval intersection arithmetic
-        assert weights_of(cloud) == {0: min(1.5, 2.0) - 1.0, 1: 1.0}
+        assert t.t_ts == strain_of({0: min(1.5, 2.0) - 1.0, 1: 1.0})
 
     def test_onset_only_excludes_held_notes(self):
-        score = build_score([note("bass", 0.0, 4.0, 0), note("top", 1.0, 1.0, 1)])
-        frames = group_onsets(score)
-        cloud = window_cloud(score.notes, frames[1], WindowConfig(include_held=False), P)
-        assert weights_of(cloud) == {1: 1.0}
+        notes = [note("bass", 0.0, 4.0, 0), note("top", 1.0, 1.0, 1)]
+        onset_only = track(notes, WindowConfig(include_held=False))[1]
+        assert (onset_only.t_cd, onset_only.t_ts) == (0.0, strain_of({1: 1.0}))
+        assert track(notes)[1].t_ts == strain_of({0: 1.0, 1: 1.0})
 
     def test_duplicate_tpcs_merge(self):
-        score = build_score([note("a", 0.0, 1.0, 0, octave=3),
-                             note("b", 0.0, 1.0, 0, octave=4)])
-        cloud = window_cloud(score.notes, group_onsets(score)[0], CFG, P)
-        assert weights_of(cloud) == {0: 2.0}
+        t = track([note("a", 0.0, 1.0, 0, octave=3), note("b", 0.0, 1.0, 0, octave=4)])[0]
+        assert (t.t_cd, t.t_ts) == (0.0, strain_of({0: 2.0}))
 
     def test_window_shorter_than_notes(self):
-        score = build_score([note("a", 0.0, 2.0, 0)])
-        cloud = window_cloud(score.notes, group_onsets(score)[0],
-                             WindowConfig(width_beats=0.5), P)
-        assert weights_of(cloud) == {0: 0.5}
+        notes = [note("a", 0.0, 2.0, 0), note("b", 0.0, 0.25, 4)]
+        assert track(notes, WindowConfig(width_beats=0.5))[0].t_ts \
+            == strain_of({0: 0.5, 4: 0.25})
+        assert track(notes)[0].t_ts == strain_of({0: 1.0, 4: 0.25})
+
+    def test_overflowing_weights_fail_as_non_finite_center(self):
+        # notes ending past the largest float under an infinite window
+        # weigh inf, and the weighted mean is nan
+        notes = [note("a", 1e308, 1e308, 0), note("b", 1e308, 1e308, 4)]
+        with pytest.raises(ValueError, match=r"^non-finite spiral coordinates: "
+                                             r"SpiralPoint\(x=nan, y=nan, z=nan\)$"):
+            track(notes, WindowConfig(width_beats=math.inf))
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
@@ -68,57 +77,77 @@ class TestMakeCloud:
 
 class TestCloudDiameter:
     def test_singleton_zero(self):
-        assert cloud_diameter(cloud_of([(3, 1.0)], P), P) == 0.0
+        assert track([note("a", 0.0, 1.0, 3)])[0].t_cd == 0.0
 
     def test_merged_unison_zero(self):
-        assert cloud_diameter(cloud_of([(0, 1.0), (0, 2.0)], P), P) == 0.0
+        assert track([note("a", 0.0, 1.0, 0, octave=3),
+                      note("b", 0.0, 2.0, 0, octave=4)])[0].t_cd == 0.0
 
     def test_major_triad_matches_pairwise_oracle(self):
-        members = [(0, 1.0), (1, 1.0), (4, 1.0)]
+        tpcs = (0, 1, 4)
         pts = [np.array([P.r * math.sin(t * math.pi / 2),
-                         P.r * math.cos(t * math.pi / 2), t * P.h]) for t, _ in members]
+                         P.r * math.cos(t * math.pi / 2), t * P.h]) for t in tpcs]
         oracle = max(np.linalg.norm(pts[i] - pts[j])
                      for i in range(3) for j in range(i + 1, 3)) / (12 * P.h)
-        assert cloud_diameter(cloud_of(members, P), P) == pytest.approx(oracle, abs=1e-12)
+        t = track([note(f"n{t}", 0.0, 1.0, t) for t in tpcs])[0]
+        assert t.t_cd == pytest.approx(oracle, abs=1e-12)
 
+    @settings(deadline=None)
     @given(st.integers(min_value=-12, max_value=12),
            st.lists(st.floats(min_value=0.1, max_value=4.0), min_size=1, max_size=5))
     def test_single_tpc_cloud_is_exactly_zero(self, tpc, ws):
-        assert cloud_diameter(cloud_of([(tpc, w) for w in ws], P), P) == 0.0
+        notes = [note(f"n{i}", 0.0, w, tpc, octave=2 + i) for i, w in enumerate(ws)]
+        assert track(notes)[0].t_cd == 0.0
 
 
 class TestCloudMomentum:
     def test_first_frame_zero(self):
-        assert cloud_momentum(None, cloud_of([(0, 1.0)], P), P) == 0.0
+        assert track([note("a", 0.0, 1.0, 0)])[0].t_cm == 0.0
 
     def test_identical_clouds_zero(self):
-        c = cloud_of([(0, 1.0), (4, 0.5)], P)
-        assert cloud_momentum(c, c, P) == 0.0
+        chord = [(0, 1.0), (4, 0.5)]
+        notes = [note(f"n{beat}{tpc}", float(beat), w, tpc)
+                 for beat in (0, 1) for tpc, w in chord]
+        assert track(notes)[1].t_cm == 0.0
 
     def test_c_to_g_matches_formula(self):
-        c0 = cloud_of([(0, 1.0)], P)
-        c1 = cloud_of([(1, 1.0)], P)
+        t = track([note("c", 0.0, 1.0, 0), note("g", 1.0, 1.0, 1)])[1]
         oracle = math.sqrt(2 * P.r ** 2 + P.h ** 2) / (12 * P.h)
-        assert cloud_momentum(c0, c1, P) == pytest.approx(oracle, abs=1e-12)
+        assert t.t_cm == pytest.approx(oracle, abs=1e-12)
+
+
+def key_weights(tonic):
+    """The weight of each tpc in the center of effect of the major key on
+    ``tonic``: key weight times chord weight, summed over the tonic,
+    dominant and subdominant triads, each as (root, fifth, third)."""
+    (k1, k2, k3), (c1, c2, c3) = P.key_weights, P.chord_weights
+    weights = {}
+    for k, root in ((k1, tonic), (k2, tonic + 1), (k3, tonic - 1)):
+        for c, tpc in ((c1, root), (c2, root + 1), (c3, root + 4)):
+            weights[tpc] = weights.get(tpc, 0.0) + k * c
+    return weights
 
 
 class TestTensileStrain:
     def test_zero_when_cloud_sits_on_key_center(self):
-        cloud = cloud_of([(0, 1.0), (4, 1.0)], P)
-        assert tensile_strain(cloud, cloud.coe, P) == 0.0
+        # one note per tpc, held for its weight in the major key's center
+        notes = [note(f"n{tpc}", 0.0, w, tpc) for tpc, w in key_weights(0).items()]
+        assert track(notes)[0].t_ts == pytest.approx(0.0, abs=1e-12)
 
     def test_c_cloud_against_c_major_key(self):
-        cloud = cloud_of([(0, 1.0)], P)
         oracle = distance(pitch_position(0, P), key_coe(0, "major", P)) / enharmonic_unit(P)
-        assert tensile_strain(cloud, key_coe(0, "major", P), P) == pytest.approx(oracle, abs=1e-12)
+        assert track([note("c", 0.0, 1.0, 0)])[0].t_ts == pytest.approx(oracle, abs=1e-12)
 
+    @settings(deadline=None)
     @given(st.integers(min_value=-6, max_value=6))
     def test_invariant_when_cloud_and_key_move_together(self, shift):
         members = [(0, 1.0), (2, 0.5), (4, 0.25)]
-        base = tensile_strain(cloud_of(members, P), key_coe(0, "major", P), P)
-        moved = tensile_strain(cloud_of([(t + shift, w) for t, w in members], P),
-                               key_coe(shift, "major", P), P)
-        assert moved == pytest.approx(base, abs=1e-9)
+
+        def strain(s):
+            return track([note(f"n{t}", 0.0, w, t + s) for t, w in members],
+                         key=(s, "major"))[0].t_ts
+
+        assert strain(shift) == pytest.approx(strain(0), abs=1e-9)
 
 
 def two_chord_score():
@@ -146,16 +175,23 @@ class TestTensionTrack:
 
     def test_two_chord_progression_composes_per_op_oracles(self):
         score = two_chord_score()
-        frames = group_onsets(score)
-        c0 = window_cloud(score.notes, frames[0], CFG, P)
-        c1 = window_cloud(score.notes, frames[1], CFG, P)
-        key_center = key_coe(0, "major", P)
-        track = tension_track(score, CFG, P, frames)
-        assert track[0].t_cd == pytest.approx(cloud_diameter(c0, P), abs=1e-12)
-        assert track[1].t_cd == pytest.approx(cloud_diameter(c1, P), abs=1e-12)
-        assert track[0].t_cm == 0.0
-        assert track[1].t_cm == pytest.approx(cloud_momentum(c0, c1, P), abs=1e-12)
-        assert track[1].t_ts == pytest.approx(tensile_strain(c1, key_center, P), abs=1e-12)
+        unit = enharmonic_unit(P)
+        # each chord fills its one-beat window alone, every note weighing 1
+        tpcs0, tpcs1 = (0, 1, 4), (1, 2, 5)
+        coe0 = center_of_effect([(t, 1.0) for t in tpcs0], P)
+        coe1 = center_of_effect([(t, 1.0) for t in tpcs1], P)
+
+        def diameter(tpcs):
+            pts = [pitch_position(t, P) for t in tpcs]
+            return max(distance(a, b) for i, a in enumerate(pts) for b in pts[i + 1:]) / unit
+
+        got = tension_track(score, CFG, P, group_onsets(score))
+        assert got[0].t_cd == pytest.approx(diameter(tpcs0), abs=1e-12)
+        assert got[1].t_cd == pytest.approx(diameter(tpcs1), abs=1e-12)
+        assert got[0].t_cm == 0.0
+        assert got[1].t_cm == pytest.approx(distance(coe0, coe1) / unit, abs=1e-12)
+        assert got[1].t_ts == pytest.approx(
+            distance(coe1, key_coe(0, "major", P)) / unit, abs=1e-12)
 
     def test_track_length_matches_frames(self):
         score = two_chord_score()
