@@ -14,7 +14,7 @@ is plain Euclidean distance in this space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HALF_PI = math.pi / 2.0
 
@@ -39,17 +39,13 @@ def _check_weights(name: str, w: tuple[float, float, float]) -> None:
 
 @dataclass(frozen=True)
 class SpiralParams:
-    """Helix calibration plus chord/key weighting triples.
-
-    ``position`` keeps each tpc's ``pitch_position`` once computed, so a
-    cloud or a key reads its members' points without building them again.
-    """
+    """Helix calibration plus chord/key weighting triples; a frozen value
+    that holds no cache."""
 
     r: float = DEFAULT_R
     h: float = DEFAULT_H
     chord_weights: tuple[float, float, float] = DEFAULT_CHORD_WEIGHTS
-    key_weights: tuple[float, float, float] = field(default_factory=lambda: DEFAULT_KEY_WEIGHTS)
-    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    key_weights: tuple[float, float, float] = DEFAULT_KEY_WEIGHTS
 
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
@@ -58,13 +54,6 @@ class SpiralParams:
             raise ValueError(f"rise per fifth must be positive, got {self.h}")
         _check_weights("chord_weights", tuple(self.chord_weights))
         _check_weights("key_weights", tuple(self.key_weights))
-
-    def position(self, tpc: int) -> SpiralPoint:
-        """``pitch_position(tpc, self)``, computed on the first call per tpc."""
-        point = self._positions.get(tpc)
-        if point is None:
-            point = self._positions[tpc] = pitch_position(tpc, self)
-        return point
 
     def header_items(self) -> list[tuple[str, str]]:
         """Flat key=value pairs for embedding in CSV comment headers."""
@@ -133,7 +122,7 @@ def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
     for tpc, w in members:
         if not (w > 0):
             raise ValueError(f"non-positive weight {w} for tpc {tpc}")
-    return _weighted_mean((params.position(tpc), w) for tpc, w in members)
+    return _weighted_mean((pitch_position(tpc, params), w) for tpc, w in members)
 
 
 def cloud_coe(members, params: SpiralParams) -> SpiralPoint:

@@ -14,6 +14,9 @@ Two line-oriented TSV formats:
   from the match are allowed (deletions); performed notes referencing
   unknown ids are not.
 
+``parse_score`` is the one place where a score is checked. A ``Score``
+built in memory, as ``synth`` builds its scores, is trusted as it is.
+
 All values are immutable after construction. The records made once per
 note or per frame (``ScoreNote``, ``PerformedNote``, ``OnsetFrame``) are
 named tuples, which cost about a third of a frozen dataclass to build.
@@ -65,11 +68,10 @@ class ScoreNote(NamedTuple):
     is_melody: bool = False
 
 
-def _check_note(nid: str, onset: float, duration: float, midi: int, tpc: int,
-                seen: set[str], lineno: int | None = None) -> None:
-    """Raise a ValueError, naming line ``lineno`` when given, if the note's
-    fields break a per-note rule; ``seen`` holds the ids before it and
-    gains its own."""
+def _check_note(nid: str, onset: float, duration: float, midi: int,
+                seen: set[str], lineno: int) -> None:
+    """Raise a ValueError naming line ``lineno`` if the note's fields break
+    a per-note rule; ``seen`` holds the ids before it and gains its own."""
     if nid in seen:
         problem = f"duplicate note id {nid!r}"
     # extraction sweeps notes in onset order, which needs real numbers
@@ -79,12 +81,10 @@ def _check_note(nid: str, onset: float, duration: float, midi: int, tpc: int,
         problem = f"note {nid!r}: duration must be finite and > 0, got {duration}"
     elif not 0 <= midi <= 127:
         problem = f"note {nid!r}: midi pitch {midi} out of range"
-    elif (7 * tpc - midi) % 12:
-        problem = f"note {nid!r}: tpc {tpc} cannot spell midi pitch {midi}"
     else:
         seen.add(nid)
         return
-    raise ValueError(problem if lineno is None else f"line {lineno}: {problem}")
+    raise ValueError(f"line {lineno}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -100,25 +100,6 @@ class Score:
     notes: tuple[ScoreNote, ...]
     meter_map: tuple[MeterEntry, ...]
     key: tuple[int, str] | None = None  # (tonic tpc, mode)
-
-    def validate(self) -> None:
-        """Check a score built in memory (parse_score checks notes per line)."""
-        seen: set[str] = set()
-        for n in self.notes:
-            _check_note(n.id, n.onset, n.duration, n.midi_pitch, n.tpc, seen)
-        self._check_layout()
-
-    def _check_layout(self) -> None:
-        if not self.meter_map:
-            raise ValueError("meter map is empty")
-        if self.meter_map[0].start_beat != 0.0:
-            raise ValueError("meter map must start at beat 0")
-        starts = [m.start_beat for m in self.meter_map]
-        if starts != sorted(starts):
-            raise ValueError("meter map entries out of order")
-        onsets = [n.onset for n in self.notes]
-        if onsets != sorted(onsets):
-            raise ValueError("notes not sorted by onset")
 
 
 class PerformedNote(NamedTuple):
@@ -140,10 +121,6 @@ class OnsetFrame(NamedTuple):
     index: int
     beat: float
     notes: tuple[ScoreNote, ...]  # in score order
-
-    @property
-    def note_ids(self) -> frozenset[str]:
-        return frozenset(n.id for n in self.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +159,8 @@ def _repeated_line(meters: list[tuple[float, int, MeterEntry]], i: int,
 
 
 def parse_score(text: str) -> Score:
-    """Parse ``.score.tsv`` content into a validated Score."""
+    """Parse ``.score.tsv`` content into a Score, raising a ValueError
+    that names the line of the first fault."""
     meters: list[tuple[float, int, MeterEntry]] = []  # (start, line, entry) by start
     key: tuple[int, str] | None = None
     raw_notes: list[tuple[int, list[str]]] = []
@@ -274,13 +252,15 @@ def parse_score(text: str) -> Score:
             tpc = _STEP_TPC[step] + 7 * alter
         if melody not in ("0", "1"):
             raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {melody!r}")
-        _check_note(nid, onset, duration, midi, tpc, seen, lineno)
+        _check_note(nid, onset, duration, midi, seen, lineno)
         notes.append(ScoreNote(nid, onset, duration, midi, tpc, melody == "1"))
 
     notes.sort(key=itemgetter(1, 3))  # (onset, midi_pitch)
-    score = Score(tuple(notes), tuple(entry for _, _, entry in meters), key)
-    score._check_layout()
-    return score
+    first_start, first_line, _ = meters[0]
+    if first_start != 0.0:
+        raise ValueError(f"line {first_line}: meter map must start at beat 0, "
+                         f"got {first_start}")
+    return Score(tuple(notes), tuple(entry for _, _, entry in meters), key)
 
 
 def _spelling(tpc: int, midi_pitch: int) -> tuple[str, int, int]:

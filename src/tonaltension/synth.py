@@ -83,7 +83,8 @@ def _respell(tpc: int, rng: np.random.Generator) -> int:
 
 
 def generate_score(rng: np.random.Generator, frames: int) -> Score:
-    """Random score with ``frames`` distinct onsets and a declared key."""
+    """Random score with ``frames`` distinct onsets and a declared key, valid
+    by construction (sorted notes, unique ids, spellings of their pitches)."""
     meter = _METERS[rng.integers(len(_METERS))]
     key_tpc = int(rng.integers(-3, 4))
     step_choices = (0.5, 1.0) if meter.beat_unit == 4 else (1.0, 2.0)
@@ -107,9 +108,7 @@ def generate_score(rng: np.random.Generator, frames: int) -> Score:
                 id=f"n{len(notes)}", onset=beat, duration=dur, midi_pitch=midi,
                 tpc=_respell(derive_tpc(midi, key_tpc), rng), is_melody=midi == top))
         beat += step
-    score = Score(tuple(notes), (meter,), (key_tpc, "major"))
-    score.validate()
-    return score
+    return Score(tuple(notes), (meter,), (key_tpc, "major"))
 
 
 def generate_performance(rng: np.random.Generator, score: Score,
@@ -135,16 +134,12 @@ def generate_performance(rng: np.random.Generator, score: Score,
     vel_walk = np.clip(np.round(
         72 + np.cumsum(rng.normal(0.0, 2.0, size=len(frames)))), 30, 110).astype(int).tolist()
 
-    frame_of = {}
-    for frame in frames:
-        for nid in frame.note_ids:
-            frame_of[nid] = frame.index
     performed = []
-    for n in score.notes:
-        fi = frame_of[n.id]
-        dur = max(0.05, 0.9 * n.duration * bp[fi])
-        vel = min(max(vel_walk[fi] + int(rng.integers(-3, 4)), 1), 127)
-        performed.append(PerformedNote(n.id, onset_sec[fi], dur, vel))
+    for fi, frame in enumerate(frames):  # frames hold the notes in score order
+        for n in frame.notes:
+            dur = max(0.05, 0.9 * n.duration * bp[fi])
+            vel = min(max(vel_walk[fi] + int(rng.integers(-3, 4)), 1), 127)
+            performed.append(PerformedNote(n.id, onset_sec[fi], dur, vel))
     return Performance(tuple(performed))
 
 

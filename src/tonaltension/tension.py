@@ -18,8 +18,8 @@ starts (frame beats only increase), so the sweep costs
 O(notes + frames x cloud size), not O(notes x frames).
 
 Each frame's cloud, center of effect and distances are computed inline
-on plain coordinate tuples, one per tpc, taken from
-``SpiralParams.position``. They run the float operations of
+on plain coordinate tuples, one per tpc, taken from ``pitch_position``
+once per call. They run the float operations of
 ``spiral.cloud_coe`` and ``spiral.distance`` in the same order, so the
 numbers are identical. The diameter is the square root of the largest
 squared pair distance, which equals the largest distance bit for bit
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import SettingError
 from .spiral import SpiralParams, SpiralPoint
-from .spiral import cloud_coe, distance, enharmonic_unit, key_coe
+from .spiral import cloud_coe, distance, enharmonic_unit, key_coe, pitch_position
 from .symbolic import OnsetFrame, Score
 
 
@@ -67,8 +67,6 @@ def estimate_key(score: Score, params: SpiralParams) -> tuple[int, str]:
     """Whole-piece fallback: the key whose center of effect is nearest the
     duration-weighted cloud of all notes. Tonics range over tpc -6..+6,
     both modes; ties pick the lower tonic, major first."""
-    if not score.notes:
-        raise ValueError("cannot estimate a key for an empty score")
     whole = cloud_coe([(n.tpc, n.duration) for n in score.notes], params)
     best = None
     for tonic in range(-6, 7):
@@ -137,7 +135,7 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
             w = merged[tpc]
             point = coords.get(tpc)
             if point is None:
-                p = params.position(tpc)
+                p = pitch_position(tpc, params)
                 point = coords[tpc] = (p.x, p.y, p.z)
             points.append(point)
             sx += w * point[0]

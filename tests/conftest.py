@@ -8,22 +8,23 @@ from tonaltension.symbolic import (MeterEntry, Performance, PerformedNote, Score
 
 METER_44 = MeterEntry(0.0, 4.0, 4, "duple")
 
+# Python 3.12 made sum() of floats compensated; the targets sum with it, so
+# output digests are kept per summation kind of the running interpreter
+SUM_KIND = "compensated" if sum([1.0, 1e100, 1.0, -1e100]) == 2.0 else "left-to-right"
+
 
 def midi_of_tpc(tpc: int, octave: int = 4) -> int:
     return 12 * (octave + 1) + (7 * tpc) % 12
 
 
-def note(nid, onset, dur, tpc=0, octave=4, melody=False, midi=None):
-    midi = midi_of_tpc(tpc, octave) if midi is None else midi
-    return ScoreNote(nid, onset, dur, midi, tpc, melody)
+def note(nid, onset, dur, tpc=0, octave=4, melody=False):
+    return ScoreNote(nid, onset, dur, midi_of_tpc(tpc, octave), tpc, melody)
 
 
 def build_score(notes, meter=METER_44, key=(0, "major")):
     notes = sorted(notes, key=lambda n: (n.onset, n.midi_pitch))
     meters = meter if isinstance(meter, tuple) else (meter,)
-    score = Score(tuple(notes), meters, key)
-    score.validate()
-    return score
+    return Score(tuple(notes), meters, key)
 
 
 def metronomic_performance(score, beat_period=0.5, velocity=80):

@@ -11,7 +11,9 @@ import pytest
 
 from tonaltension import cli
 from tonaltension.model import dumps_model, init_model, load_model
-from tonaltension.symbolic import parse_score
+from tonaltension.symbolic import (parse_performance, parse_score, serialize_performance,
+                                   serialize_score)
+from tonaltension.synth import RULES, SynthConfig, generate_corpus
 from tonaltension.targets import TARGET_NAMES
 
 
@@ -241,10 +243,17 @@ class TestSynth:
                        "--seed", 1, "--out-dir", tmp_path) == 1
         assert "pieces" in capsys.readouterr().err
 
-    def test_scores_parse_back(self, tmp_path):
-        corpus, _ = make_corpus(tmp_path, pieces=2, length=10)
-        score = parse_score((corpus / "piece001.score.tsv").read_text())
-        assert len(score.notes) >= 10
+    def test_scores_parse_back(self, caplog):
+        """No parser check runs on synth's own scores, so every piece it
+        writes must parse back to itself: an unsorted, duplicate or
+        unspellable note would fail here."""
+        with caplog.at_level("WARNING", logger="tonaltension.symbolic"):
+            for rule, seed in itertools.product(RULES, (3, 17, 2024)):
+                cfg = SynthConfig(pieces=4, frames=60, seed=seed, rule=rule)
+                for _, score, perf in generate_corpus(cfg):
+                    assert parse_score(serialize_score(score)) == score
+                    assert parse_performance(serialize_performance(perf), score) == perf
+        assert not caplog.records
 
     def test_tempo_rule_couples_bpr_to_cloud_diameter(self, tmp_path):
         _, feats = make_corpus(tmp_path, pieces=4, length=60, seed=21)
@@ -593,8 +602,9 @@ class TestBadInputs:
         ("#meter 0 4 4 duple\n#meter nan 3 4 triple\n", 2, "meter start must be a finite"),
         ("#meter 0 4 4 duple\n#meter 0 3 4 triple\n", 2,
          "meter start '0' repeats the start of line 1"),
+        ("#meter 2 4 4 duple\n", 1, "meter map must start at beat 0, got 2.0"),
     ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start",
-            "repeated-start"])
+            "repeated-start", "late-start"])
     def test_bad_meter_names_file_and_line(self, tmp_path, capsys, meter, lineno, problem):
         score = tmp_path / "meter.score.tsv"
         score.write_text(meter + "n1\t0\t1\t60\tC\t0\t4\t0\nn2\t1\t1\t62\tD\t0\t4\t0\n")

@@ -26,9 +26,10 @@ import pytest
 
 from tonaltension import cli
 
+from conftest import SUM_KIND
+
 FIXTURES = Path(__file__).parent / "fixtures" / "extract"
 DIGESTS = FIXTURES / "digests.json"
-SUM_KIND = "compensated" if sum([1.0, 1e100, 1.0, -1e100]) == 2.0 else "left-to-right"
 PIECES = ("meters", "unkeyed", "dashes")
 
 # case name -> (extra flags, with --match)

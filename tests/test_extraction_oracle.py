@@ -115,7 +115,7 @@ def oracle_cloud(score, frame, cfg, params):
         by_id = {n.id: n for n in score.notes}
         members = [
             (by_id[i].tpc, min(by_id[i].duration, cfg.width_beats))
-            for i in sorted(frame.note_ids)
+            for i in sorted(n.id for n in frame.notes)
         ]
     return merge_cloud(members, params)
 
@@ -138,7 +138,7 @@ def oracle_track(score, cfg, params):
 
 
 def oracle_pitch(frame, score):
-    ids = frame.note_ids
+    ids = {n.id for n in frame.notes}
     notes = [n for n in score.notes if n.id in ids]
     midis = [n.midi_pitch for n in notes]
     melody = [n.midi_pitch for n in notes if n.is_melody]
@@ -147,7 +147,7 @@ def oracle_pitch(frame, score):
 
 
 def oracle_intervals(frame, score):
-    ids = frame.note_ids
+    ids = {n.id for n in frame.notes}
     midis = sorted(n.midi_pitch for n in score.notes if n.id in ids)
     bass = midis[0]
     classes = sorted({(m - bass) % 12 for m in midis[1:]} - {0})
@@ -175,7 +175,7 @@ def oracle_targets(score, performance):
     by_id = performance.by_score_id()
     kept = []
     for frame in group_onsets(score):
-        ids = frame.note_ids
+        ids = {n.id for n in frame.notes}
         notes = [by_id[n.id] for n in score.notes if n.id in ids and n.id in by_id]
         if notes:
             kept.append((frame, notes))
