@@ -68,8 +68,6 @@ def r2(predicted, actual) -> float:
     """Coefficient of determination 1 - SS_res / SS_tot."""
     predicted = np.asarray(predicted, dtype=float).ravel()
     actual = np.asarray(actual, dtype=float).ravel()
-    if predicted.size != actual.size:
-        raise ValueError(f"length mismatch: {predicted.size} vs {actual.size}")
     if actual.size < 2:
         raise ValueError("r2 needs at least 2 values")
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
@@ -129,8 +127,6 @@ def _training_set(pieces: list[Piece], names, target: str):
     """Each piece's ``names`` columns standardized with the statistics of
     all the pieces, paired with its ``target`` column; returns those
     (xs, ys) pairs and the (mean, std)."""
-    if not pieces:
-        raise ValueError("empty training dataset")
     mean, std = standardize_stats(np.vstack([columns(p, names) for p in pieces]))
     t_idx = TARGET_NAMES.index(target)
     dataset = [(standardized(p, names, mean, std), p.targets[:, t_idx]) for p in pieces]
@@ -192,9 +188,6 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     the one reported. Each experiment's test pieces are predicted by
     their fold models in one ``forward_many`` call.
     """
-    for target, _ in experiments:
-        if target not in TARGET_NAMES:
-            raise ValueError(f"unknown target {target!r}")
     fs_targets = [target for target, feature_set in experiments if feature_set == "FS"]
     selected = fs_select(corpus, fs_targets, seed, fs_fraction, fs_k,
                          fs_count) if fs_targets else {}

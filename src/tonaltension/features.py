@@ -89,15 +89,8 @@ def assemble_features(score: Score, tension: list[TensionFrame] | None,
 
     The active meter of a frame is the last map entry starting no later
     than ONSET_TOLERANCE after its beat."""
-    groups = set(groups)
-    feature_names(groups)  # rejects unknown groups
     want_p, want_m, want_t = "P" in groups, "M" in groups, "T" in groups
-    if want_t and (tension is None or len(tension) != len(frames)):
-        got = "none" if tension is None else str(len(tension))
-        raise ValueError(f"tension track length {got} does not match {len(frames)} frames")
     meters = score.meter_map
-    if want_m and frames and frames[0].beat < meters[0].start_beat:
-        raise ValueError(f"beat {frames[0].beat} precedes the meter map")
     active = 0
     rows = []
     for frame in frames:

@@ -107,18 +107,10 @@ def _mi_discrete_discrete(x: np.ndarray, y: np.ndarray) -> float:
     return float(mi)
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise SettingError("mi_k", f"must be at least 1 neighbor, got {k}")
-
-
 def estimate_mi(x, y, k: int = 3, seed: int = 0) -> float:
     """Mutual information between two sample vectors, in nats, >= 0."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    _check_k(k)
     if x.size < 2 * k + 2:
         raise SettingError("mi_k", f"must leave 2k+2 samples: k={k} needs {2 * k + 2}, "
                                    f"the MI subset has {x.size}")
@@ -162,8 +154,6 @@ def subsample_pieces(piece_ids, fraction: float, seed: int) -> list:
         raise SettingError("fraction", f"must be in (0, 1], got {fraction!r}")
     if seed < 0:
         raise SettingError("fs_seed", f"must be >= 0, got {seed}")
-    if not ids:
-        raise ValueError("no pieces to sample from")
     count = max(1, round(fraction * len(ids)))
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(ids), size=count, replace=False)
@@ -175,12 +165,8 @@ def mi_table(features: np.ndarray, feature_names, targets: np.ndarray,
     """Pairwise MI between pooled feature and target columns."""
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if features.shape[0] != targets.shape[0]:
-        raise ValueError(
-            f"row mismatch: {features.shape[0]} feature rows vs {targets.shape[0]} target rows")
-    if features.shape[0] == 0:
-        raise ValueError("mutual information needs at least one row")
-    _check_k(k)
+    if k < 1:
+        raise SettingError("mi_k", f"must be at least 1 neighbor, got {k}")
     values = np.zeros((features.shape[1], targets.shape[1]))
     for i in range(features.shape[1]):
         for j in range(targets.shape[1]):
@@ -191,12 +177,8 @@ def mi_table(features: np.ndarray, feature_names, targets: np.ndarray,
 def select_features(table: MiTable, target: str, n: int) -> list[str]:
     """Top-n features by MI for one target, descending; ties keep the
     earlier canonical name. The result is a prefix of the full ranking."""
-    if target not in table.cols:
-        raise ValueError(f"unknown target {target!r}; have {table.cols}")
     if n < 1:
         raise SettingError("fs_count", f"must select at least 1 feature, got {n}")
-    if n > len(table.rows):
-        raise ValueError(f"cannot select {n} of {len(table.rows)} features")
     col = table.values[:, table.cols.index(target)]
     order = sorted(range(len(table.rows)), key=lambda i: (-col[i], i))
     return [table.rows[i] for i in order[:n]]

@@ -142,15 +142,11 @@ def _split(flat: np.ndarray, input_dim: int) -> dict[str, np.ndarray]:
         size = math.prod(shape)
         parts[name] = flat[:, pos:pos + size].reshape((n,) + shape)
         pos += size
-    if pos != flat.shape[1]:
-        raise ValueError(f"flat vector has {flat.shape[1]} values, expected {pos}")
     return parts
 
 
 def init_model(input_dim: int, seed: int) -> ModelParams:
     """Glorot-uniform projections; alpha = 1, beta = 0.5, forget bias 1."""
-    if input_dim < 0:
-        raise ValueError(f"input_dim must be >= 0, got {input_dim}")
     rng = np.random.default_rng(seed)
     params = ModelParams(input_dim, np.zeros(_size(input_dim)))
     t = params.tensors()
@@ -170,16 +166,6 @@ def init_model(input_dim: int, seed: int) -> ModelParams:
 
 # ---------------------------------------------------------------------------
 # the stacked scan
-
-
-def _check_sequence(params: ModelParams, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1 and params.input_dim == 0:
-        xs = xs.reshape(len(xs), 0)
-    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
-        raise ValueError(
-            f"sequence shape {xs.shape} does not match input_dim {params.input_dim}")
-    return xs
 
 
 def _unstack(flat: np.ndarray, input_dim: int):
@@ -494,9 +480,6 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
     both directions plus radius + 1 batched reverse steps per direction,
     O(T * radius).
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    xs = _check_sequence(params, xs)
     dirs, v, _ = _unstack(params.flat[None], params.input_dim)
     cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2))
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
@@ -516,7 +499,6 @@ def forward_many(models, seqs) -> list[np.ndarray]:
     """Predictions of models[r] on seqs[r], all from one stacked scan:
     each model flattened at the common width, rows ordered longest first,
     results in the caller's order."""
-    seqs = [_check_sequence(params, xs) for params, xs in zip(models, seqs, strict=True)]
     width = max((params.input_dim for params in models), default=0)
     order = sorted(range(len(seqs)), key=lambda r: -len(seqs[r]))
     flat = np.zeros((len(order), _size(width)))
@@ -582,22 +564,9 @@ class _Run:
     """One model's training: its pieces as (xs, ys) arrays and their
     split, its RNG, early stopping state and log."""
 
-    def __init__(self, dataset, cfg: TrainConfig, seed: int):
-        if not dataset:
-            raise ValueError("empty training dataset")
-        self.pieces = []
-        for i, (xs, ys) in enumerate(dataset):
-            xs = np.asarray(xs, dtype=float)
-            ys = np.asarray(ys, dtype=float).ravel()
-            if xs.ndim != 2:
-                raise ValueError(f"sequences must be 2-D (T, features), got shape {xs.shape}")
-            if i == 0:
-                self.input_dim = xs.shape[1]
-            if xs.shape[1] != self.input_dim or len(ys) != len(xs):
-                raise ValueError(f"dataset item {i}: sequence shape {xs.shape} with "
-                                 f"{len(ys)} targets, expected input_dim {self.input_dim} "
-                                 f"and one target per step")
-            self.pieces.append((xs, ys))
+    def __init__(self, dataset, seed: int):
+        self.pieces = dataset
+        self.input_dim = dataset[0][0].shape[1]
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         n = len(self.pieces)
@@ -605,9 +574,6 @@ class _Run:
         n_val = max(1, round(VALIDATION_FRACTION * n)) if n >= 2 else 0
         self.train_idx = [int(i) for i in perm[n_val:]]
         self.val_idx = [int(i) for i in perm[:n_val]] or self.train_idx
-        empty = [i for i in self.train_idx if len(self.pieces[i][0]) == 0]
-        if cfg.epochs and empty:
-            raise ValueError(f"dataset item {empty[0]} has no time steps")
         self.best_val = np.inf
         self.bad_epochs = 0
         self.stopped = False
@@ -651,7 +617,7 @@ def train_many(datasets, cfg: TrainConfig,
     first of them in list order is raised (its ``model`` is that
     position), as training them one after another would.
     """
-    runs = [_Run(dataset, cfg, seed) for dataset, seed in zip(datasets, seeds, strict=True)]
+    runs = [_Run(dataset, seed) for dataset, seed in zip(datasets, seeds, strict=True)]
     if not runs:
         return []
     # row m of theta, accum and best holds model m flattened at the common
@@ -759,8 +725,6 @@ def dumps_model(params: ModelParams, meta: dict[str, str] | None = None) -> str:
              f"hidden {HIDDEN}",
              f"gate_order {','.join(GATE_ORDER)}"]
     for key, value in (meta or {}).items():
-        if any(c in key for c in " \t\n") or "\n" in str(value):
-            raise ValueError(f"meta key/value not representable: {key!r}")
         lines.append(f"meta {key} {value}")
     for name, tensor in params.tensors().items():
         shape = "x".join(str(s) for s in tensor.shape)

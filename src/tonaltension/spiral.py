@@ -116,12 +116,6 @@ def _weighted_mean(pairs) -> SpiralPoint:
 
 def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
     """Weight-normalized mean position of ``(tpc, weight)`` pairs."""
-    members = list(members)
-    if not members:
-        raise ValueError("center of effect of an empty pitch set is undefined")
-    for tpc, w in members:
-        if not (w > 0):
-            raise ValueError(f"non-positive weight {w} for tpc {tpc}")
     return _weighted_mean((pitch_position(tpc, params), w) for tpc, w in members)
 
 
@@ -152,12 +146,7 @@ def key_coe(tonic_tpc: int, mode: str, params: SpiralParams) -> SpiralPoint:
     Minor keys use a minor tonic triad, a major dominant triad and a minor
     subdominant triad.
     """
-    if mode == "major":
-        minors = (False, False, False)
-    elif mode == "minor":
-        minors = (True, False, True)
-    else:
-        raise ValueError(f"mode must be 'major' or 'minor', got {mode!r}")
+    minors = (True, False, True) if mode == "minor" else (False, False, False)
     k1, k2, k3 = params.key_weights
     return _weighted_mean([
         (_triad_coe(tonic_tpc, minors[0], params), k1),

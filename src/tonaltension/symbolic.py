@@ -14,7 +14,9 @@ Two line-oriented TSV formats:
   from the match are allowed (deletions); performed notes referencing
   unknown ids are not.
 
-``parse_score`` is the one place where a score is checked. A ``Score``
+``parse_score`` and ``parse_performance`` are where score and match
+files are checked, as every file and flag is checked where a command
+reads it. Library functions take in-memory values as given: a ``Score``
 built in memory, as ``synth`` builds its scores, is trusted as it is.
 
 All values are immutable after construction. The records made once per

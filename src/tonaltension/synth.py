@@ -70,8 +70,6 @@ class SynthConfig:
             raise SettingError("frames", f"must be at least 2 per piece, got {self.frames}")
         if self.seed < 0:
             raise SettingError("seed", f"must be >= 0, got {self.seed}")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}; choose from {RULES}")
 
 
 def _respell(tpc: int, rng: np.random.Generator) -> int:

@@ -73,18 +73,11 @@ def average_onsets(performance: Performance, frames: list[OnsetFrame]) -> list[f
 
 
 def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
-    """Beat period ratio series; mean is 1 by construction."""
-    n = len(onsets_sec)
-    if n != len(beats):
-        raise ValueError(f"length mismatch: {n} onsets vs {len(beats)} beats")
-    if n < 2:
-        raise ValueError("beat period ratio needs at least 2 frames")
+    """Beat period ratio series; mean is 1 by construction. ``beats``
+    strictly increase, as frame beats do."""
     bp = []
     for i, (b0, b1, t0, t1) in enumerate(zip(beats, beats[1:], onsets_sec, onsets_sec[1:])):
-        gap = b1 - b0
-        if not gap > 0:
-            raise ValueError(f"beats not strictly increasing at index {i}")
-        period = (t1 - t0) / gap
+        period = (t1 - t0) / (b1 - b0)
         if not period > 0:
             raise ValueError(f"beat period at index {i} is {period!r}, not > 0")
         bp.append(period)
@@ -92,14 +85,12 @@ def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
     total = sum(bp)
     if not math.isfinite(total):
         raise ValueError(f"beat periods sum to {total!r}, not a finite number")
-    mean = total / n
+    mean = total / len(bp)
     return [b / mean for b in bp]
 
 
 def derivative(series: list[float], beats: list[float]) -> list[float]:
     """Backward difference with respect to score position; 0 at index 0."""
-    if len(series) != len(beats):
-        raise ValueError(f"length mismatch: {len(series)} values vs {len(beats)} beats")
     return [0.0] + [(s1 - s0) / (b1 - b0) for s0, s1, b0, b1
                     in zip(series, series[1:], beats, beats[1:])]
 

@@ -89,8 +89,6 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
     frame's own notes are weighted by ``min(duration, width)`` instead,
     merged in id order.
     """
-    if not frames:
-        return []
     tonic, mode = score.key if score.key is not None else estimate_key(score, params)
     key_center = key_coe(tonic, mode, params)
     kx, ky, kz = key_center.x, key_center.y, key_center.z

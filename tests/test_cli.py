@@ -108,7 +108,8 @@ class TestExtract:
         ("spiral.chord_weights", "0.5,0.3", "expected 3 weights"),
         ("spiral.h", "nan", "rise per fifth must be positive"),
         ("spiral.key_weights", None, "missing ['spiral.key_weights']"),
-    ], ids=["weights", "nan-h", "missing-key"])
+        ("spiral.chord_weights", "0.6,0.4,0.0", "w1 >= w2 >= w3 > 0"),
+    ], ids=["weights", "nan-h", "missing-key", "zero-weight"])
     def test_bad_spiral_config_names_the_file(self, tmp_path, capsys, key, value, problem):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=8)
         items = {"spiral.r": "1.0", "spiral.h": "0.5",
@@ -495,6 +496,28 @@ class TestBadInputs:
         assert str(csv_path) in line
         # only a row misalignment is the fault of both files
         assert (str(other) in line) == (old == "\n3,"), line
+
+    @pytest.mark.parametrize("kind,edit,problem", [
+        ("targets", lambda text: text[:text.rstrip("\n").rfind("\n") + 1],
+         "feature and target rows are not aligned"),
+        ("targets", lambda text: text.replace(",vel,", ",loudness,", 1),
+         "unexpected target columns"),
+        ("features", lambda text: text.replace("frame,beat,", "beat,frame,", 1),
+         "header must start with frame,beat"),
+    ], ids=["missing-last-row", "renamed-target", "features-header"])
+    def test_bad_pair_fails_at_load_with_its_problem(self, tmp_path, capsys, kind, edit,
+                                                     problem):
+        _, feats = make_corpus(tmp_path, pieces=1, length=12)
+        csv_path = feats / f"piece000.{kind}.csv"
+        text = csv_path.read_text()
+        assert edit(text) != text
+        csv_path.write_text(edit(text))
+        capsys.readouterr()
+        assert run_cli("train", "--corpus", feats, "--target", "bpr", "--seed", 1,
+                       "--epochs", 1, "--out-dir", tmp_path / "out") == 1
+        line = single_error_line(capsys)
+        assert str(csv_path) in line and problem in line, line
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("feature_std", "0.0"), ("feature_std", "-1.0"), ("feature_mean", "nan"),

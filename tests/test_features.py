@@ -141,13 +141,6 @@ class TestAssemble:
         assert feature_names({"P", "M", "T"}) == CANONICAL_ORDER
         assert all(len(r.values) == 13 for r in rows)
 
-    def test_tension_length_mismatch_rejected(self):
-        score = self.score()
-        frames = group_onsets(score)
-        track = tension_track(score, WindowConfig(), SpiralParams(), frames)
-        with pytest.raises(ValueError, match="match"):
-            assemble_features(score, track[:-1], {"T"}, frames)
-
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
             feature_names({"X"})

@@ -73,18 +73,16 @@ class TestEstimateMi:
         y = rng.normal(size=300)
         assert estimate_mi(x, y, seed=9) == estimate_mi(x, y, seed=9)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_mi(np.zeros(10), np.zeros(11))
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             estimate_mi(np.arange(7.0), np.arange(7.0), k=3)  # needs 2k+2
 
     def test_zero_neighbors_rejected(self, rng):
+        # mi_table, estimate_mi's one caller, checks k
         x = rng.normal(size=50)
+        feats = np.column_stack([x, x + rng.normal(size=50)])
         with pytest.raises(SettingError, match="at least 1 neighbor") as info:
-            estimate_mi(x, x + rng.normal(size=50), k=0)
+            mi_table(feats, ("a", "b"), x[:, None], ("y",), k=0)
         assert info.value.name == "mi_k"
 
 
@@ -112,14 +110,6 @@ class TestMiTable:
     def test_all_zero_column_stays_zero(self):
         table = MiTable(("a",), ("y",), np.zeros((1, 1)))
         assert table.normalized()[0, 0] == 0.0
-
-    def test_row_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mi_table(np.zeros((5, 2)), ("a", "b"), np.zeros((6, 1)), ("y",))
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError):
-            mi_table(np.zeros((0, 2)), ("a", "b"), np.zeros((0, 1)), ("y",))
 
 
 class TestSelectFeatures:
@@ -149,18 +139,10 @@ class TestSelectFeatures:
         n = data.draw(st.integers(min_value=1, max_value=len(values)))
         assert select_features(t, "y", n) == select_features(t, "y", len(values))[:n]
 
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError):
-            select_features(self.table([0.1]), "z", 1)
-
     @pytest.mark.parametrize("n", [0, -2])
     def test_fewer_than_one_rejected(self, n):
         with pytest.raises(SettingError, match="fs_count"):
             select_features(self.table([0.1, 0.2, 0.3]), "y", n)
-
-    def test_too_many_rejected(self):
-        with pytest.raises(ValueError):
-            select_features(self.table([0.1]), "y", 2)
 
 
 class TestSubsample:
@@ -173,7 +155,3 @@ class TestSubsample:
 
     def test_fraction_rounds(self):
         assert len(subsample_pieces(list("abcdefghij"), 0.2, seed=1)) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            subsample_pieces([], 0.2, seed=0)

@@ -12,7 +12,6 @@ positions.
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit as sigmoid
 
@@ -177,9 +176,3 @@ def test_long_piece_matches_oracle():
     acc, _, used, skipped = oracle_sensitivity(params, sequences, 5)
     assert (res.used_positions, res.skipped_positions) == (used, skipped)
     assert np.max(np.abs(res.matrix - acc)) <= 1e-8
-
-
-def test_negative_radius_rejected():
-    params = init_model(2, seed=0)
-    with pytest.raises(ValueError):
-        input_jacobian_band(params, np.zeros((4, 2)), -1)

@@ -63,10 +63,6 @@ class TestComputeBpr:
         b = compute_bpr([2 * o for o in onsets], beats)
         assert b == pytest.approx(a, abs=1e-9)
 
-    def test_needs_two_frames(self):
-        with pytest.raises(ValueError):
-            compute_bpr([1.0], [0.0])
-
     @given(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=2, max_size=40))
     def test_mean_is_one_by_construction(self, gaps):
         onsets = list(np.cumsum([0.0] + gaps))

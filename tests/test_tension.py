@@ -198,11 +198,6 @@ class TestTensionTrack:
         frames = group_onsets(score)
         assert len(tension_track(score, CFG, P, frames)) == len(frames)
 
-    def test_empty_score_empty_track(self):
-        from tonaltension.symbolic import Score, MeterEntry
-        empty = Score((), (MeterEntry(0.0, 4.0, 4, "duple"),), None)
-        assert tension_track(empty, CFG, P, group_onsets(empty)) == []
-
     @settings(deadline=None, max_examples=20)
     @given(st.integers(min_value=-5, max_value=5))
     def test_invariant_under_global_fifth_transposition(self, shift):
