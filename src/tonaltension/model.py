@@ -63,6 +63,23 @@ step-by-step reverse, and each sum over time still runs from a row's last
 step down to step 0, so the gradients (and the sensitivity band, which
 reverses with the same factors) are bit-identical to it; this is what
 keeps trained models, and so every output, byte-identical.
+
+The arrays of a scan and its reverse that grow with a block or a
+sequence come from a workspace (``_Workspace``), not from fresh
+allocations: the projections P, the caches ``gates``, C and H, the
+hoisted alpha P and beta2 P, the padded inputs X and the injected
+gradient dH, the gradient sums and block buffers of ``_scan_grad``, its
+per-block copies and products (h_prev, x, U h, the outer-product
+factors) and every output of ``_factors``. ``train_many`` makes one
+workspace and runs every update step and validation scan from it, so
+after the longest slot no update touches fresh pages; ``forward_many``,
+``input_jacobian_band`` and a direct ``loss_and_gradient`` call make
+their own. Each array is a contiguous view of the shape it had as a
+fresh allocation, so every operation sees the same operands. The ones
+the scan does not overwrite in full are refilled with +0.0 first: P,
+``gates``, C and H with their zero initial step, X (whose columns past
+a row's own width must read 0, so that its W gradient there stays +0.0),
+dH and the gradient sums.
 """
 
 from __future__ import annotations
@@ -195,18 +212,44 @@ def _spans(lengths) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _project(d: _Gates, seqs) -> np.ndarray:
+class _Workspace:
+    """The scratch arrays of one call of ``train_many`` (or of
+    ``forward_many``, ``input_jacobian_band`` or ``loss_and_gradient``),
+    reused by every scan and reverse that call runs: one flat buffer per
+    name, grown to the largest request seen, handed out as the contiguous
+    view of the requested shape that ``np.empty`` would return."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def empty(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """``empty`` refilled with +0.0: nothing of an earlier request
+        survives, as with ``np.zeros``."""
+        out = self.empty(name, shape)
+        out.fill(0.0)
+        return out
+
+
+def _project(d: _Gates, seqs, work: _Workspace) -> np.ndarray:
     """The input projections P (T, n, 1, 4H) of n stacked rows, row r over
     its own (T_r, D_r) sequence: one GEMM of the row's unpadded inputs and
     W columns each, zero past its length."""
-    P = np.zeros((max((len(xs) for xs in seqs), default=0), len(seqs), 1, d.U.shape[1]))
+    P = work.zeros("P", (max((len(xs) for xs in seqs), default=0), len(seqs), 1,
+                         d.U.shape[1]))
     for r, xs in enumerate(seqs):
         W = np.ascontiguousarray(d.W[r, :, :xs.shape[1]])
         P[:len(xs), r, 0] = xs @ W.T
     return P
 
 
-def _scan(d: _Gates, seqs, spans) -> dict:
+def _scan(d: _Gates, seqs, spans, work: _Workspace) -> dict:
     """Scan n stacked rows, row r with its own gate tensors over its own
     sequence, rows ordered longest first; over each span of ``spans`` only
     its leading rows advance. Per-step arrays are (m, 1, .) row vectors,
@@ -216,15 +259,16 @@ def _scan(d: _Gates, seqs, spans) -> dict:
     "gates" (T, 4, n, 1, H), with the i, f, o and g blocks on axis 1, and
     the cell and hidden states "C" and "H"
     (T + 1, n, 1, H) with the zero initial state at index 0 and step t at
-    index t + 1. BPTT recomputes U h bit for bit rather than keeping it."""
+    index t + 1, all views into ``work`` that its next scan overwrites.
+    BPTT recomputes U h bit for bit rather than keeping it."""
     from scipy.special import expit as sigmoid  # here: synth and extract load no scipy
 
-    P = _project(d, seqs)
+    P = _project(d, seqs, work)
     T, n, _, G = P.shape
     H = G // 4
-    gates = np.zeros((T, 4, n, 1, H))  # i, f, o, g after nonlinearity
-    C = np.zeros((T + 1, n, 1, H))
-    Hs = np.zeros((T + 1, n, 1, H))
+    gates = work.zeros("gates", (T, 4, n, 1, H))  # i, f, o, g after nonlinearity
+    C = work.zeros("C", (T + 1, n, 1, H))
+    Hs = work.zeros("H", (T + 1, n, 1, H))
     h = Hs[0]
     c = C[0]
     for start, stop, m in spans:
@@ -242,7 +286,9 @@ def _scan(d: _Gates, seqs, spans) -> dict:
         for begin in range(start, stop, step):
             end = min(stop, begin + step)
             p = P[begin:end, :m]
-            steps = zip(alpha * p, beta2 * p, gates[begin:end, :, :m],
+            alpha_p = np.multiply(alpha, p, out=work.empty("alpha p", p.shape))
+            beta2_p = np.multiply(beta2, p, out=work.empty("beta2 p", p.shape))
+            steps = zip(alpha_p, beta2_p, gates[begin:end, :, :m],
                         C[begin + 1:end + 1, :m], Hs[begin + 1:end + 1, :m])
             for alpha_p, beta2_p, out, c_out, h_out in steps:
                 q = h @ U_T
@@ -275,17 +321,29 @@ class _Factors(NamedTuple):
     dp_da: np.ndarray  # alpha * q + beta2
 
 
-def _factors(gates, c, c_prev, p, q, alpha, beta1, beta2) -> _Factors:
+def _factors(gates, c, c_prev, p, q, alpha, beta1, beta2, work: _Workspace) -> _Factors:
     """Factors of the steps with cached activations ``gates`` (the i, f,
     o and g blocks, each shaped like ``c``), cell state ``c`` (and
     ``c_prev`` before it), input projection ``p`` and recurrent projection
     ``q``; the gate parameters broadcast against them."""
     i, f, o, g = gates
-    tc = np.tanh(c)
-    return _Factors(1.0 - tc * tc, o, f, np.concatenate([g, c_prev, tc, i], axis=-1),
-                    np.concatenate([i, f, o, np.ones_like(c)], axis=-1),  # x * 1.0 is x exactly
-                    1.0 - np.concatenate([i, f, o, g * g], axis=-1),
-                    alpha * p + beta1, alpha * q + beta2)
+    H = c.shape[-1]
+    tc = np.tanh(c, out=work.empty("tanh c", c.shape))
+    dtc = np.multiply(tc, tc, out=work.empty("1 - tanh c^2", c.shape))
+    np.subtract(1.0, dtc, out=dtc)
+    M = np.concatenate([g, c_prev, tc, i], axis=-1, out=work.empty("M", p.shape))
+    N = work.empty("N", p.shape)
+    np.concatenate([i, f, o], axis=-1, out=N[..., :3 * H])
+    N[..., 3 * H:] = 1.0  # x * 1.0 is x exactly
+    K = work.empty("K", p.shape)
+    np.concatenate([i, f, o], axis=-1, out=K[..., :3 * H])
+    np.multiply(g, g, out=K[..., 3 * H:])
+    np.subtract(1.0, K, out=K)
+    dq_da = np.multiply(alpha, p, out=work.empty("dq/da", p.shape))
+    dq_da += beta1
+    dp_da = np.multiply(alpha, q, out=work.empty("dp/da", p.shape))
+    dp_da += beta2
+    return _Factors(dtc, o, f, M, N, K, dq_da, dp_da)
 
 
 def _cell_grad(fac, dh, dc, out=None):
@@ -316,7 +374,7 @@ def _block_steps(m: int) -> int:
 
 
 def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
-               width: int) -> _Gates:
+               width: int, work: _Workspace) -> _Gates:
     """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
     is the loss gradient injected at each step's hidden state. Returns the
     rows' parameter gradients; W gradients are (n, 4H, width), a narrower
@@ -335,16 +393,18 @@ def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
     P, gates, C, Hs = (cache[k] for k in ("P", "gates", "C", "H"))
     T, n, _, G = P.shape
     H = G // 4
-    X = np.zeros((T, n, width))  # the scanned inputs, zero-padded
+    X = work.zeros("X", (T, n, width))  # the scanned inputs, zero-padded
     for r, xs in enumerate(seqs):
         X[:len(xs), r, :xs.shape[1]] = xs
     # the W and U sums are kept transposed, (n, width, 4H) and (n, H, 4H)
-    grads = _Gates(np.zeros((n, width, G)), np.zeros((n, H, G)),
-                   *(np.zeros((n, 1, G)) for _ in range(4)))
-    # each tensor's block buffer, allocated once for the largest block
+    shapes = [(n, width, G), (n, H, G)] + [(n, 1, G)] * 4
+    grads = _Gates(*(work.zeros(f"sum {name}", shape)
+                     for name, shape in zip(_Gates._fields, shapes)))
+    # each tensor's block buffer, sized for the largest block
     size = max(((min(stop - start, _block_steps(m)) + 1) * m for start, stop, m in spans),
                default=0)
-    stores = [np.empty((size,) + t.shape[1:]) for t in grads]
+    stores = [work.empty(f"store {name}", (size,) + t.shape[1:])
+              for name, t in zip(_Gates._fields, grads)]
     dh = np.zeros((0, 1, H))
     dc = np.zeros((0, 1, H))
     for start, stop, m in reversed(spans):
@@ -361,12 +421,15 @@ def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
             slabs = end - begin + 1
             # the block's steps in descending order, its last step first
             p, dH = P[begin:end, :m][::-1], dH_out[begin:end, :m][::-1]
-            h_prev = np.ascontiguousarray(Hs[begin:end, :m][::-1])
-            x = np.ascontiguousarray(X[begin:end, :m][::-1])
-            q = h_prev @ U_T  # one gemv per row and step, as in the scan
+            h_prev = work.empty("h_prev", (end - begin, m, 1, H))
+            np.copyto(h_prev, Hs[begin:end, :m][::-1])
+            x = work.empty("x", (end - begin, m, width))
+            np.copyto(x, X[begin:end, :m][::-1])
+            # one gemv per row and step, as in the scan
+            q = np.matmul(h_prev, U_T, out=work.empty("q", p.shape))
             fac = _factors(np.moveaxis(gates[begin:end, :, :m][::-1], 1, 0),
                            C[begin + 1:end + 1, :m][::-1], C[begin:end, :m][::-1],
-                           p, q, alpha, beta1, beta2)
+                           p, q, alpha, beta1, beta2, work)
             bufs = _Gates(*(s[:slabs * m].reshape((slabs, m) + s.shape[1:]) for s in stores))
             da = bufs.bias[1:]  # a step's bias term is its da
             for step_fac, dH_t, out in zip(zip(*fac[:-1]), dH, da):
@@ -376,9 +439,11 @@ def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
             np.multiply(dap, q, out=bufs.alpha[1:])
             np.multiply(da, q, out=bufs.beta1[1:])
             # outer products dp x^T and dq h_prev^T: no summed index, so only products
-            np.einsum("tmg,tmw->tmwg", (da * fac.dp_da)[:, :, 0], x, out=bufs.W[1:])
-            np.einsum("tmg,tmw->tmwg", (da * fac.dq_da)[:, :, 0], h_prev[:, :, 0],
-                      out=bufs.U[1:])
+            outer = work.empty("outer factor", da.shape)
+            np.einsum("tmg,tmw->tmwg", np.multiply(da, fac.dp_da, out=outer)[:, :, 0], x,
+                      out=bufs.W[1:])
+            np.einsum("tmg,tmw->tmwg", np.multiply(da, fac.dq_da, out=outer)[:, :, 0],
+                      h_prev[:, :, 0], out=bufs.U[1:])
             for acc, buf in zip(sums, bufs):
                 buf[0] = acc
                 np.add.reduce(buf, axis=0, out=acc)  # slab by slab, slab 0 first
@@ -395,31 +460,34 @@ def _prediction(Hs: np.ndarray, v: np.ndarray, out_bias: np.ndarray,
     return hf, hb, hf @ v[r, :H] + hb @ v[r, H:] + out_bias[r]
 
 
-def _predict_rows(flat: np.ndarray, input_dim: int, seqs) -> list[np.ndarray]:
+def _predict_rows(flat: np.ndarray, input_dim: int, seqs,
+                  work: _Workspace) -> list[np.ndarray]:
     """Predictions of n stacked models (rows of ``flat``, flattened at
     ``input_dim``), model r on seqs[r]; models ordered longest first."""
     dirs, v, out_bias = _unstack(flat, input_dim)
     rows = [row for xs in seqs for row in (xs, xs[::-1])]
-    Hs = _scan(dirs, rows, _spans([len(xs) for xs in rows]))["H"]
+    Hs = _scan(dirs, rows, _spans([len(xs) for xs in rows]), work)["H"]
     return [_prediction(Hs, v, out_bias, r, len(xs))[2] for r, xs in enumerate(seqs)]
 
 
-def loss_and_gradient(flat: np.ndarray, input_dim: int,
-                      batch) -> tuple[np.ndarray, np.ndarray]:
+def loss_and_gradient(flat: np.ndarray, input_dim: int, batch,
+                      work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each stacked model's MSE on its own batch item, and its exact gradient.
 
     Row r of ``flat`` (n, size) is model r flattened at ``input_dim``,
     trained on batch[r] = (xs, ys); items are ordered longest first, as
     rows are in _predict_rows. Returns the (n,) MSEs and the (n, size)
     gradients in layout order; a narrower row's W gradient fills only
-    its own columns. ``train_many`` takes every update step this way.
+    its own columns. ``train_many`` takes every update step this way,
+    passing its workspace ``work``; without one, the call makes its own.
     """
+    work = _Workspace() if work is None else work
     dirs, v, out_bias = _unstack(flat, input_dim)
     rows = [row for xs, _ in batch for row in (xs, xs[::-1])]
     spans = _spans([len(xs) for xs in rows])
-    cache = _scan(dirs, rows, spans)
+    cache = _scan(dirs, rows, spans, work)
     T, n, H = cache["H"].shape[0] - 1, len(batch), v.shape[1] // 2
-    dH = np.zeros((T, 2 * n, 1, H))
+    dH = work.zeros("dH", (T, 2 * n, 1, H))
     mse = np.zeros(n)
     g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
     for r, (xs, ys) in enumerate(batch):
@@ -433,7 +501,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int,
         g_out[r, 2 * H] += dy.sum()
         dH[:L, 2 * r, 0] = np.outer(dy, v[r, :H])
         dH[:L, 2 * r + 1, 0] = np.outer(dy[::-1], v[r, H:])
-    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim)
+    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim, work)
     # rows 2r and 2r + 1 are model r's fwd and bwd tensors
     flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for t in grads]
     return mse, np.concatenate(flat_grads + [g_out], axis=1)
@@ -444,7 +512,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int,
 
 
 def _band_sweep(d: _Gates, cache: dict, row: int, v: np.ndarray,
-                radius: int) -> np.ndarray:
+                radius: int, work: _Workspace) -> np.ndarray:
     """Exact d y_tau / d x_{tau-k} for k = 0..radius through row ``row`` of
     a scan of one model (``d`` and ``cache`` as in _scan).
 
@@ -459,7 +527,7 @@ def _band_sweep(d: _Gates, cache: dict, row: int, v: np.ndarray,
     T = P.shape[0]
     Q = (Hs[:-1, None] @ U.T)[:, 0]  # each step's U h: one gemv each, as in the scan
     fac = _factors(np.moveaxis(cache["gates"][:, :, row, 0], 1, 0), C[1:], C[:-1], P, Q,
-                   alpha, beta1, beta2)
+                   alpha, beta1, beta2, work)
     band = np.zeros((T, radius + 1, W.shape[1]))
     dh = np.tile(v, (T, 1))
     dc = np.zeros((T, C.shape[1]))
@@ -481,12 +549,13 @@ def input_jacobian_band(params: ModelParams, xs, radius: int) -> np.ndarray:
     O(T * radius).
     """
     dirs, v, _ = _unstack(params.flat[None], params.input_dim)
-    cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2))
+    work = _Workspace()
+    cache = _scan(dirs, [xs, xs[::-1]], _spans([len(xs)] * 2), work)
     J = np.zeros((xs.shape[0], 2 * radius + 1, params.input_dim))
     # the forward scan reaches back (offsets -radius..0, k steps = offset -k);
     # the backward scan, flipped into tau order, reaches ahead (0..radius)
-    J[:, radius::-1] += _band_sweep(dirs, cache, 0, v[0, :HIDDEN], radius)
-    J[:, radius:] += _band_sweep(dirs, cache, 1, v[0, HIDDEN:], radius)[::-1]
+    J[:, radius::-1] += _band_sweep(dirs, cache, 0, v[0, :HIDDEN], radius, work)
+    J[:, radius:] += _band_sweep(dirs, cache, 1, v[0, HIDDEN:], radius, work)[::-1]
     return J
 
 
@@ -504,7 +573,7 @@ def forward_many(models, seqs) -> list[np.ndarray]:
     flat = np.zeros((len(order), _size(width)))
     for row, r in enumerate(order):
         flat[row, _own_entries(models[r].input_dim, width)] = models[r].flat
-    preds = _predict_rows(flat, width, [seqs[r] for r in order])
+    preds = _predict_rows(flat, width, [seqs[r] for r in order], _Workspace())
     return [preds[row] for row in np.argsort(order)]
 
 
@@ -631,6 +700,7 @@ def train_many(datasets, cfg: TrainConfig,
     accum = np.zeros_like(theta)
     best = theta.copy()
     first_error = len(runs)
+    work = _Workspace()  # every scan and reverse below draws its arrays from it
 
     def diverged(m, what, epoch, index):
         nonlocal first_error
@@ -655,7 +725,7 @@ def train_many(datasets, cfg: TrainConfig,
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
                 slot_losses, grads = loss_and_gradient(theta[rows], width,
-                                                       [pieces[m] for m in slot])
+                                                       [pieces[m] for m in slot], work)
                 for r, m in enumerate(slot):
                     loss = float(slot_losses[r])
                     if not np.isfinite(loss):
@@ -671,7 +741,8 @@ def train_many(datasets, cfg: TrainConfig,
                     np.sqrt(accum[rows]) + RMSPROP_EPSILON)
                 active = [m for m in active if m < first_error]
 
-            for m, (val_mse, culprit) in _validation(theta, width, runs, active).items():
+            for m, (val_mse, culprit) in _validation(theta, width, runs, active,
+                                                     work).items():
                 run = runs[m]
                 if not np.isfinite(val_mse):
                     diverged(m, "validation loss", epoch, culprit)
@@ -693,7 +764,8 @@ def train_many(datasets, cfg: TrainConfig,
             for m, run in enumerate(runs)]
 
 
-def _validation(theta, width, runs, models) -> dict[int, tuple[float, int]]:
+def _validation(theta, width, runs, models,
+                work: _Workspace) -> dict[int, tuple[float, int]]:
     """Pooled MSE of each model on its validation pieces, all models
     together; per model (mse, dataset item at which the pooled error
     became non-finite, or -1)."""
@@ -704,7 +776,7 @@ def _validation(theta, width, runs, models) -> dict[int, tuple[float, int]]:
         items = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
         rows = sorted(items, key=lambda m: -len(runs[m].pieces[items[m]][0]))
         seqs = [runs[m].pieces[items[m]] for m in rows]
-        preds = _predict_rows(theta[rows], width, [xs for xs, _ in seqs])
+        preds = _predict_rows(theta[rows], width, [xs for xs, _ in seqs], work)
         for m, (_, ys), pred in zip(rows, seqs, preds):
             err = pred - ys
             sse[m] += float(err @ err)

@@ -329,11 +329,27 @@ def across_time_blocks():
     return datasets, cfg, list(range(4, 49))
 
 
+def shrinking_slots():
+    """Models of widths 13, 4 and 0 with 3, 5 and 8 training pieces, the
+    narrower ones on shorter pieces: each epoch's update slots shrink in
+    rows (6, then 4, then 2), in length and in the widest model they hold,
+    before the pooled validation and the next epoch's first slot grow them
+    again. Nothing a larger slot left in the shared workspace may reach a
+    smaller one."""
+    rng = np.random.default_rng(9)
+    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n))
+                 for n in rng.integers(low, low + 6, size=count)]
+                for width, count, low in ((13, 4, 30), (4, 6, 14), (0, 9, 2))]
+    cfg = TrainConfig(learning_rate=3e-2, epochs=3, early_stop_patience=3)
+    return datasets, cfg, [10, 11, 12]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 @example(narrow_beside_wide())
 @example(across_time_blocks())
 @example(two_piece_validation())
+@example(shrinking_slots())
 def test_train_many_matches_one_by_one(case):
     datasets, cfg, seeds = case
     got, got_error = outcome(train_many, datasets, cfg, seeds)

@@ -1,10 +1,11 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tonaltension import model as model_mod
+from tonaltension import cli, model as model_mod
 from tonaltension.errors import TrainingDiverged
 from tonaltension.model import (HIDDEN, ModelParams, TrainConfig, dumps_model,
                                 forward, forward_batch, init_model,
@@ -251,9 +252,9 @@ class TestTrain:
         calls = []
         inner = model_mod.loss_and_gradient
 
-        def counted(flat, input_dim, batch):
+        def counted(flat, input_dim, batch, work):
             calls.append(sum(len(xs) for xs, _ in batch))
-            return inner(flat, input_dim, batch)
+            return inner(flat, input_dim, batch, work)
 
         monkeypatch.setattr(model_mod, "loss_and_gradient", counted)
         cfg = TrainConfig(epochs=2, early_stop_patience=100)
@@ -264,6 +265,61 @@ class TestTrain:
         data = [(rng.normal(size=(4, 2)), np.array([0.0, np.nan, 0.0, 0.0]))]
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train(data, TrainConfig(epochs=5, seed=0))
+
+
+class TestWorkspace:
+    """``train_many`` draws the arrays of every scan and reverse from one
+    workspace; nothing an earlier call left there may reach a later one."""
+
+    def stacked(self, rng, width, models):
+        """Models of (input_dim, length) ``models`` flattened at ``width``,
+        longest first, with a batch item each."""
+        flat = np.zeros((len(models), model_mod._size(width)))
+        batch = []
+        for r, (dim, steps) in enumerate(models):
+            flat[r, model_mod._own_entries(dim, width)] = randomized(dim, seed=r).flat
+            batch.append((rng.normal(size=(steps, dim)), rng.normal(size=steps)))
+        return flat, batch
+
+    def test_reused_workspace_matches_a_fresh_one(self, rng):
+        # wide, long and many-row; then narrow, short and one-row; then two
+        # rows of unequal length, more rows than the call before reads
+        calls = [[(13, 40), (13, 33), (9, 25)], [(3, 6)], [(4, 11), (0, 5)]]
+        work = model_mod._Workspace()
+        for models in calls:
+            flat, batch = self.stacked(rng, 13, models)
+            mse, grad = loss_and_gradient(flat, 13, batch, work)
+            fresh_mse, fresh_grad = loss_and_gradient(flat, 13, batch)
+            assert np.array_equal(mse, fresh_mse) and np.array_equal(grad, fresh_grad)
+            for r, (dim, _) in enumerate(models):
+                padded = np.ones(flat.shape[1], dtype=bool)
+                padded[model_mod._own_entries(dim, 13)] = False
+                # +0.0 exactly, as from np.zeros: no -0.0, nothing stale
+                assert not grad[r, padded].any() and not np.signbit(grad[r, padded]).any()
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="calibrated on Linux, where ru_minflt counts minor "
+                               "page faults and glibc hands freed heap tops back")
+    def test_train_call_touches_few_fresh_pages(self, tmp_path):
+        # with fresh scan arrays per update step (about 600 minor faults
+        # each) these 15 updates took about 9,200 faults; the workspace's
+        # first touch keeps the whole call under 1,000
+        import resource  # Unix only
+
+        corpus, feats = tmp_path / "corpus", tmp_path / "features"
+        assert cli.main(["synth", "--pieces", "4", "--length", "250", "--seed", "1",
+                         "--out-dir", str(corpus)]) == 0
+        stems = [corpus / f"piece{i:03d}" for i in range(4)]
+        assert cli.main(["extract", *(f"{s}.score.tsv" for s in stems),
+                         "--match", *(f"{s}.match.tsv" for s in stems),
+                         "--out-dir", str(feats)]) == 0
+        faults = []
+        for run in range(2):  # the first call warms up imports and caches
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(["train", "--corpus", str(feats), "--target", "bpr", "--seed", "1",
+                             "--epochs", "5", "--out-dir", str(tmp_path / f"run{run}")]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] < 1000, faults
 
 
 class TestModelFile:
