@@ -75,11 +75,12 @@ workspace and runs every update step and validation scan from it, so
 after the longest slot no update touches fresh pages; ``forward_many``,
 ``input_jacobian_band`` and a direct ``loss_and_gradient`` call make
 their own. Each array is a contiguous view of the shape it had as a
-fresh allocation, so every operation sees the same operands. The ones
-the scan does not overwrite in full are refilled with +0.0 first: P,
-``gates``, C and H with their zero initial step, X (whose columns past
-a row's own width must read 0, so that its W gradient there stays +0.0),
-dH and the gradient sums.
+fresh allocation, so every operation sees the same operands. Entries
+past a row's length are never read, so P, ``gates`` and dH are left as
+an earlier scan wrote them; the ones read before they are written are
+refilled with +0.0 first: C and H with their zero initial step, X (whose
+columns past a row's own width must read 0, so that its W gradient
+there stays +0.0) and the gradient sums.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ class _Workspace:
 def _project(d: _Gates, seqs, work: _Workspace) -> np.ndarray:
     """The input projections P (T, n, 1, 4H) of n stacked rows, row r over
     its own (T_r, D_r) sequence: one GEMM of the row's unpadded inputs and
-    W columns each, zero past its length."""
-    P = work.zeros("P", (max((len(xs) for xs in seqs), default=0), len(seqs), 1,
+    W columns each, undefined past its length."""
+    P = work.empty("P", (max((len(xs) for xs in seqs), default=0), len(seqs), 1,
                          d.U.shape[1]))
     for r, xs in enumerate(seqs):
         W = np.ascontiguousarray(d.W[r, :, :xs.shape[1]])
@@ -255,18 +256,18 @@ def _scan(d: _Gates, seqs, spans, work: _Workspace) -> dict:
     its leading rows advance. Per-step arrays are (m, 1, .) row vectors,
     so ``h @ U^T`` is one gemv per row, the one ``U @ h`` runs for that
     row alone. Returns the input projections "P" (T, n, 1, 4H) and the
-    per-step caches, zero past a row's length: the gate activations
-    "gates" (T, 4, n, 1, H), with the i, f, o and g blocks on axis 1, and
-    the cell and hidden states "C" and "H"
-    (T + 1, n, 1, H) with the zero initial state at index 0 and step t at
-    index t + 1, all views into ``work`` that its next scan overwrites.
+    per-step caches, defined only within a row's length: the gate
+    activations "gates" (T, 4, n, 1, H), with the i, f, o and g blocks on
+    axis 1, and the cell and hidden states "C" and "H" (T + 1, n, 1, H)
+    with the zero initial state at index 0 and step t at index t + 1, all
+    views into ``work`` that its next scan overwrites.
     BPTT recomputes U h bit for bit rather than keeping it."""
     from scipy.special import expit as sigmoid  # here: synth and extract load no scipy
 
     P = _project(d, seqs, work)
     T, n, _, G = P.shape
     H = G // 4
-    gates = work.zeros("gates", (T, 4, n, 1, H))  # i, f, o, g after nonlinearity
+    gates = work.empty("gates", (T, 4, n, 1, H))  # i, f, o, g after nonlinearity
     C = work.zeros("C", (T + 1, n, 1, H))
     Hs = work.zeros("H", (T + 1, n, 1, H))
     h = Hs[0]
@@ -487,7 +488,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int, batch,
     spans = _spans([len(xs) for xs in rows])
     cache = _scan(dirs, rows, spans, work)
     T, n, H = cache["H"].shape[0] - 1, len(batch), v.shape[1] // 2
-    dH = work.zeros("dH", (T, 2 * n, 1, H))
+    dH = work.empty("dH", (T, 2 * n, 1, H))
     mse = np.zeros(n)
     g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
     for r, (xs, ys) in enumerate(batch):

@@ -21,12 +21,13 @@ HALF_PI = math.pi / 2.0
 # Published spiral-array calibration. The key-weight triple from the
 # literature sums to 0.999, so it is renormalized here to satisfy the
 # sum-to-one contract; centers of effect divide by the weight sum, so the
-# geometry is unchanged.
+# geometry is unchanged. The weight sum is written out left to right, not
+# taken with sum() (see targets._mean_onsets).
 DEFAULT_R = 1.0
 DEFAULT_H = math.sqrt(2.0 / 15.0)
 DEFAULT_CHORD_WEIGHTS = (0.536, 0.274, 0.190)
 _KW = (0.516, 0.315, 0.168)
-DEFAULT_KEY_WEIGHTS = tuple(w / sum(_KW) for w in _KW)
+DEFAULT_KEY_WEIGHTS = tuple(w / (_KW[0] + _KW[1] + _KW[2]) for w in _KW)
 
 
 def _check_weights(name: str, w: tuple[float, float, float]) -> None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .symbolic import OnsetFrame, Performance
@@ -58,7 +60,9 @@ def _matched_frames(performance: Performance, frames: list[OnsetFrame]):
 
 
 def _mean_onsets(kept) -> list[float]:
-    onsets = [sum([n.onset_sec for n in notes]) / len(notes) for _, notes in kept]
+    # reduce, not sum(): Python 3.12 made sum() of floats compensated; a
+    # left-to-right sum gives the same bits on every Python
+    onsets = [reduce(add, [n.onset_sec for n in notes], 0) / len(notes) for _, notes in kept]
     for i, (before, after) in enumerate(zip(onsets, onsets[1:]), start=1):
         if after <= before:
             raise ValueError(
@@ -82,7 +86,7 @@ def compute_bpr(onsets_sec: list[float], beats: list[float]) -> list[float]:
             raise ValueError(f"beat period at index {i} is {period!r}, not > 0")
         bp.append(period)
     bp.append(bp[-1])
-    total = sum(bp)
+    total = reduce(add, bp, 0)  # left to right, as in _mean_onsets
     if not math.isfinite(total):
         raise ValueError(f"beat periods sum to {total!r}, not a finite number")
     mean = total / len(bp)

@@ -8,10 +8,6 @@ from tonaltension.symbolic import (MeterEntry, Performance, PerformedNote, Score
 
 METER_44 = MeterEntry(0.0, 4.0, 4, "duple")
 
-# Python 3.12 made sum() of floats compensated; the targets sum with it, so
-# output digests are kept per summation kind of the running interpreter
-SUM_KIND = "compensated" if sum([1.0, 1e100, 1.0, -1e100]) == 2.0 else "left-to-right"
-
 
 def midi_of_tpc(tpc: int, octave: int = 4) -> int:
     return 12 * (octave + 1) + (7 * tpc) % 12

@@ -7,13 +7,12 @@ line (so the key is estimated), ``-`` spellings derived from the key, an
 onset whose notes are all deleted in the match, and notes listed out of
 onset order. Extraction draws no random numbers, so unlike
 ``test_golden.py`` this test holds under every numpy version and never
-skips. It keeps one table per summation kind of the running Python:
-3.12 made ``sum()`` of floats compensated, and the targets sum the onsets
-of a frame and the beat periods of a piece with it.
+skips. The targets sum floats left to right, not with ``sum()``, which
+Python 3.12 made compensated, so the bytes hold on Python 3.10 to 3.13.
 
-To take this interpreter's table again after a deliberate output change,
-run ``PYTHONPATH=src python tests/test_extract_fixtures.py`` and commit
-the file it writes.
+To take the table again after a deliberate output change, run
+``PYTHONPATH=src python tests/test_extract_fixtures.py`` and commit the
+file it writes.
 """
 
 import hashlib
@@ -25,8 +24,6 @@ from pathlib import Path
 import pytest
 
 from tonaltension import cli
-
-from conftest import SUM_KIND
 
 FIXTURES = Path(__file__).parent / "fixtures" / "extract"
 DIGESTS = FIXTURES / "digests.json"
@@ -75,17 +72,16 @@ ALL_CASES = tuple(CASES) + ("multi-score",)
 
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_extract_outputs_match_committed_digests(case, tmp_path):
-    want = {k: v for k, v in json.loads(DIGESTS.read_text())[SUM_KIND].items()
+    want = {k: v for k, v in json.loads(DIGESTS.read_text()).items()
             if k.startswith(f"{case}/")}
     assert want, f"no committed digests for case {case}"
     assert run_case(case, tmp_path) == want
 
 
 if __name__ == "__main__":
-    tables = json.loads(DIGESTS.read_text())
-    tables[SUM_KIND] = {}
+    table = {"_about": json.loads(DIGESTS.read_text())["_about"]}
     with tempfile.TemporaryDirectory() as tmp:
         for case in ALL_CASES:
-            tables[SUM_KIND].update(run_case(case, Path(tmp)))
-    DIGESTS.write_text(json.dumps(tables, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(tables[SUM_KIND])} {SUM_KIND} digests to {DIGESTS}", file=sys.stderr)
+            table.update(run_case(case, Path(tmp)))
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(table) - 1} digests to {DIGESTS}", file=sys.stderr)

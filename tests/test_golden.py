@@ -7,22 +7,20 @@ or to the arithmetic of extraction fails here. The digests hold for the
 numpy version they were taken under (Generator streams are not promised
 across numpy releases), so the test skips under any other. The synth and
 extract outputs do not depend on the BLAS or the CPU type (they use no
-BLAS product), so there is no such skip. They do depend on the summation
-kind of Python's ``sum()``, which the targets use, so the file keeps one
-table per kind, as ``test_extract_fixtures.py`` does.
-
-The compensated table was taken by writing the synth corpus under
-Python 3.11 with that numpy, then running the same extract calls on it
-under Python 3.12 and 3.13 (extract calls no numpy function); both gave
-the same bytes.
+BLAS product), so there is no such skip. Nor do they depend on the
+Python version: the targets sum floats left to right, not with
+``sum()``, which Python 3.12 made compensated. On a corpus written
+under Python 3.11, the extract calls gave the table's bytes under
+Python 3.10 to 3.13 (extract calls no numpy function, so it ran there
+without this numpy).
 
 The model side (``mi``, ``eval``, ``train`` and ``sensitivity`` of one
 small seeded chain) is pinned too. Its BLAS products change bytes with
 the OpenBLAS core type, so the chain runs in a subprocess with the core
 forced to the recorded one (Haswell), which any x86-64 CPU with AVX2
 runs; numpy's AVX-512 loops give the same bytes as its AVX2 ones there.
-The test skips on other CPUs, under other numpy, scipy or BLAS versions,
-and under the summation kind the digests were not taken under.
+The test skips on other CPUs and under other numpy, scipy or BLAS
+versions.
 """
 
 import hashlib
@@ -37,8 +35,6 @@ import numpy as np
 import pytest
 
 from tonaltension import cli
-
-from conftest import SUM_KIND
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
 
@@ -59,7 +55,7 @@ def test_synth_and_extract_outputs_match_golden_digests(tmp_path):
         for path in sorted(out.iterdir()):
             if path.suffix != ".json":
                 got[f"{rule}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == GOLDEN["sha256"][SUM_KIND]
+    assert got == GOLDEN["sha256"]
 
 
 # the chain of GOLDEN["model"], run in a fresh interpreter; prints the
@@ -117,9 +113,6 @@ def model_key_mismatch() -> str | None:
     blas = f"{blas.get('name')} {blas.get('version')}"
     if blas != want["blas"]:
         return f"model digests taken under BLAS {want['blas']}, running {blas}"
-    if SUM_KIND != want["sum_kind"]:
-        return (f"model digests taken under the {want['sum_kind']} summation kind of sum(), "
-                f"running {SUM_KIND}")
     from numpy._core._multiarray_umath import __cpu_features__ as cpu
 
     if platform.machine().lower() not in ("x86_64", "amd64") or not (

@@ -297,6 +297,51 @@ class TestWorkspace:
                 # +0.0 exactly, as from np.zeros: no -0.0, nothing stale
                 assert not grad[r, padded].any() and not np.signbit(grad[r, padded]).any()
 
+    def test_results_read_no_stale_entry(self, rng, monkeypatch):
+        # P, gates and dH are not refilled between calls: a read past a row's
+        # length, or of any entry not written first, would carry NaN into
+        # the results of the second round
+        flat, batch = self.stacked(rng, 6, [(6, 17), (4, 9)])
+        models, seqs = [randomized(4, seed=1), randomized(6, seed=0)], [batch[1][0], batch[0][0]]
+        want_mse, want_grad = loss_and_gradient(flat, 6, batch)
+        want_preds = model_mod.forward_many(models, seqs)
+        work = model_mod._Workspace()
+        monkeypatch.setattr(model_mod, "_Workspace", lambda: work)  # forward_many's too
+        for _ in range(2):  # the first round makes every buffer
+            for buf in work._flat.values():
+                buf.fill(np.nan)
+            mse, grad = loss_and_gradient(flat, 6, batch)
+            for buf in work._flat.values():
+                buf.fill(np.nan)
+            preds = model_mod.forward_many(models, seqs)
+        assert np.array_equal(mse, want_mse) and np.array_equal(grad, want_grad)
+        assert all(np.array_equal(p, q) for p, q in zip(preds, want_preds))
+
+    def test_python_calls_per_time_step(self):
+        # one model made 3 Python-level calls per step (copyto in the scan,
+        # _cell_grad and its concatenate in the reverse): 485 at T = 100 and
+        # 785 at T = 200. The slope cancels fixed costs and interpreters'
+        # call differences; the bound is 3 plus a margin of 0.5
+        def calls(steps):
+            rng = np.random.default_rng(0)
+            batch = [(rng.normal(size=(steps, 4)), rng.normal(size=steps))]
+            flat = randomized(4, seed=0).flat[None]
+            loss_and_gradient(flat, 4, batch)  # the first call imports scipy.special
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                loss_and_gradient(flat, 4, batch)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert (calls(200) - calls(100)) / 100 <= 3.5
+
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="calibrated on Linux, where ru_minflt counts minor "
                                "page faults and glibc hands freed heap tops back")
