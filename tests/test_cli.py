@@ -331,6 +331,30 @@ class TestEval:
         _, _, rows = cli.read_csv(str(out / "results.csv"))
         assert rows[-1][1] == "FS"
 
+    def test_traced_peak_memory(self, tmp_path):
+        # the Python-level peak (numpy arrays included) of one eval of 45
+        # models: 12.46 MiB while each model held its own standardized copy
+        # of its training pieces; the bound is that plus a margin
+        import tracemalloc
+
+        corpus, feats = tmp_path / "corpus", tmp_path / "features"
+        assert run_cli("synth", "--pieces", 10, "--length", 80, "--seed", 1,
+                       "--out-dir", corpus) == 0
+        stems = [corpus / f"piece{i:03d}" for i in range(10)]
+        assert run_cli("extract", *(f"{s}.score.tsv" for s in stems),
+                       "--match", *(f"{s}.match.tsv" for s in stems), "--out-dir", feats) == 0
+        peaks = []
+        for run in range(2):  # the first call also traces scipy's imports
+            tracemalloc.start()
+            try:
+                assert run_cli("eval", "--corpus", feats, "--targets", "bpr", "--epochs", 2,
+                               "--include-fs", "--seed", 1,
+                               "--out-dir", tmp_path / f"eval{run}") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 13.0, peaks
+
 
 class TestSensitivity:
     def test_zero_output_model_gives_zero_matrix(self, tmp_path):
