@@ -6,6 +6,12 @@ and target matrices (one row per surviving onset frame). Evaluation runs
 k-fold cross-validation over pieces: inputs are standardized with
 training-fold statistics, one model is trained per fold and target, and
 accuracy is the coefficient of determination per test piece.
+
+A fold's training pieces are held once, standardized, for all of its
+models (``_Fold``), and a model is a fold, its column indices and its
+target (``_FoldModel``): training copies a piece's own columns only for
+the update or validation scan that reads them. ``fit`` is the same code
+with one fold that holds every piece.
 """
 
 from __future__ import annotations
@@ -32,17 +38,6 @@ class Piece:
     features: np.ndarray  # (T, F)
     feature_names: tuple[str, ...]
     targets: np.ndarray  # (T, 4), columns in TARGET_NAMES order
-
-
-class _FoldModel(NamedTuple):
-    """One cross-validation model: its experiment, held-out pieces,
-    training pieces, feature columns and their standardization."""
-    experiment: int
-    test_ids: tuple[str, ...]
-    pieces: list[Piece]
-    names: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,14 +118,57 @@ def standardized(piece: Piece, names, mean: np.ndarray, std: np.ndarray) -> np.n
     return (columns(piece, names) - mean) / std
 
 
-def _training_set(pieces: list[Piece], names, target: str):
-    """Each piece's ``names`` columns standardized with the statistics of
-    all the pieces, paired with its ``target`` column; returns those
-    (xs, ys) pairs and the (mean, std)."""
-    mean, std = standardize_stats(np.vstack([columns(p, names) for p in pieces]))
-    t_idx = TARGET_NAMES.index(target)
-    dataset = [(standardized(p, names, mean, std), p.targets[:, t_idx]) for p in pieces]
-    return dataset, mean, std
+class _Fold(NamedTuple):
+    """Training pieces held once for every model that trains on them:
+    some feature columns of each piece, looked up by name, stacked in one
+    column-major matrix and standardized with its per-column ``mean`` and
+    ``std``; piece i is rows bounds[i]:bounds[i + 1].
+
+    Column-major keeps each model's numbers those of standardizing its
+    own columns alone: numpy sums each column as one contiguous run,
+    pairwise, whatever columns sit beside it, so a column's mean and std
+    are bit-equal to those of any column subset that holds it (a
+    row-major matrix sums row by row and gives other bits)."""
+    test_ids: tuple[str, ...]
+    pieces: list[Piece]
+    inputs: np.ndarray  # (frames, columns), Fortran order
+    bounds: list[int]
+    mean: np.ndarray
+    std: np.ndarray
+
+
+def _fold(pieces: list[Piece], names, test_ids=()) -> _Fold:
+    """The fold of ``pieces`` over the ``names`` columns."""
+    bounds = np.cumsum([0] + [len(p.features) for p in pieces]).tolist()
+    inputs = np.empty((bounds[-1], len(names)), order="F")
+    for p, start, stop in zip(pieces, bounds, bounds[1:]):
+        inputs[start:stop] = columns(p, names)
+    mean, std = standardize_stats(inputs)
+    inputs -= mean
+    inputs /= std
+    return _Fold(tuple(test_ids), pieces, inputs, bounds, mean, std)
+
+
+@dataclass(frozen=True)
+class _FoldModel:
+    """One model: its experiment, its fold, the fold's columns it reads
+    (``names``, at ``idx``) and its target column. As a ``train_many``
+    dataset it is the fold's pieces, piece i read as the pair of a copy of
+    its standardized ``idx`` columns (column-major, as the fold) and its
+    target column."""
+    experiment: int
+    fold: _Fold
+    names: tuple[str, ...]
+    idx: list[int]
+    target: int
+
+    def __len__(self) -> int:
+        return len(self.fold.pieces)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        fold = self.fold
+        return (fold.inputs[fold.bounds[i]:fold.bounds[i + 1]][:, self.idx],
+                fold.pieces[i].targets[:, self.target])
 
 
 def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
@@ -138,12 +176,14 @@ def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
     standardize them with these pieces' statistics and train on
     ``target``. Returns (params, log, mean, std); a divergence is
     re-raised naming the piece it happened on."""
-    dataset, mean, std = _training_set(pieces, names, target)
+    fold = _fold(pieces, names)
+    model = _FoldModel(0, fold, tuple(names), list(range(len(names))),
+                       TARGET_NAMES.index(target))
     try:
-        params, train_log = train(dataset, cfg)
+        params, train_log = train(model, cfg)
     except TrainingDiverged as exc:
         raise exc.located(f"piece {pieces[exc.index].id}") from None
-    return params, train_log, mean, std
+    return params, train_log, fold.mean, fold.std
 
 
 def mi_subset(corpus: list[Piece], fraction: float, k: int,
@@ -182,7 +222,8 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
     A feature set is a group label such as ``PM`` (``""`` for none) or ``FS``.
 
     All experiments share one seeded fold plan; fold i trains with seed
-    ``cfg.seed + i``. Every (experiment, fold) model trains in one
+    ``cfg.seed + i``, and its training pieces are held once, over every
+    column an experiment reads. Every (experiment, fold) model trains in one
     ``train_many`` call, so each is bit-identical to training it alone;
     of several diverging models, the first in (experiment, fold) order is
     the one reported. Each experiment's test pieces are predicted by
@@ -193,32 +234,28 @@ def run_cv(corpus: list[Piece], experiments, cfg: TrainConfig, seed: int, k: int
                          fs_count) if fs_targets else {}
     fold_ids = make_folds([p.id for p in corpus], k=k, seed=seed)
     by_id = {p.id: p for p in corpus}
-    folds: list[_FoldModel] = []
-    datasets = []
-    seeds = []
-    for e, (target, feature_set) in enumerate(experiments):
-        names = selected[target] if feature_set == "FS" else feature_names(set(feature_set))
-        for fold_i, test_ids in enumerate(fold_ids):
-            test_set = set(test_ids)
-            pieces = [p for p in corpus if p.id not in test_set]
-            dataset, mean, std = _training_set(pieces, names, target)
-            folds.append(_FoldModel(e, test_ids, pieces, names, mean, std))
-            datasets.append(dataset)
-            seeds.append(cfg.seed + fold_i)
+    plans = [(selected[target] if feature_set == "FS" else feature_names(set(feature_set)),
+              TARGET_NAMES.index(target)) for target, feature_set in experiments]
+    names = tuple(dict.fromkeys(n for cols, _ in plans for n in cols))
+    folds = [_fold([p for p in corpus if p.id not in set(test_ids)], names, test_ids)
+             for test_ids in fold_ids]
+    models = [_FoldModel(e, fold, cols, [names.index(n) for n in cols], t_idx)
+              for e, (cols, t_idx) in enumerate(plans) for fold in folds]
+    seeds = [cfg.seed + fold_i for _ in plans for fold_i in range(len(folds))]
     try:
-        fitted = train_many(datasets, cfg, seeds)
+        fitted = train_many(models, cfg, seeds)
     except TrainingDiverged as exc:
-        raise exc.located(f"piece {folds[exc.model].pieces[exc.index].id}") from None
+        raise exc.located(f"piece {models[exc.model].fold.pieces[exc.index].id}") from None
 
     results = []
-    for e, (target, _) in enumerate(experiments):
-        t_idx = TARGET_NAMES.index(target)
-        tests = [(params, fold, by_id[pid])
-                 for fold, (params, _) in zip(folds, fitted) if fold.experiment == e
-                 for pid in fold.test_ids]
+    for e, (_, t_idx) in enumerate(plans):
+        tests = [(params, model, by_id[pid])
+                 for model, (params, _) in zip(models, fitted) if model.experiment == e
+                 for pid in model.fold.test_ids]
         preds = forward_many([params for params, _, _ in tests],
-                             [standardized(piece, fold.names, fold.mean, fold.std)
-                              for _, fold, piece in tests])
+                             [standardized(piece, model.names, model.fold.mean[model.idx],
+                                           model.fold.std[model.idx])
+                              for _, model, piece in tests])
         per_piece: dict[str, float] = {}
         for (_, _, piece), pred in zip(tests, preds):
             try:

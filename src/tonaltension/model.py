@@ -631,8 +631,8 @@ class TrainLogEntry:
 
 
 class _Run:
-    """One model's training: its pieces as (xs, ys) arrays and their
-    split, its RNG, early stopping state and log."""
+    """One model's training: its dataset and the split of its pieces, its
+    RNG, early stopping state and log."""
 
     def __init__(self, dataset, seed: int):
         self.pieces = dataset
@@ -661,8 +661,8 @@ def _own_entries(input_dim: int, width: int) -> np.ndarray:
 
 
 def train(dataset, cfg: TrainConfig) -> tuple[ModelParams, list[TrainLogEntry]]:
-    """RMSProp over the seeded-shuffled pieces of ``dataset``, a list of
-    (xs (T, F), ys (T,)) pairs, one update per piece.
+    """RMSProp over the seeded-shuffled pieces of ``dataset`` (as in
+    ``train_many``), one update per piece.
 
     A tenth of the pieces (at least one, when two or more exist) is held
     out for early stopping; the returned parameters are the best seen on
@@ -677,6 +677,14 @@ def train_many(datasets, cfg: TrainConfig,
                seeds) -> list[tuple[ModelParams, list[TrainLogEntry]]]:
     """Train one model per dataset under ``cfg``, model m seeded with
     ``seeds[m]`` (``cfg.seed`` is not read), all in lockstep.
+
+    A dataset is a sequence of pieces: ``len(dataset)`` of them, piece i
+    read as ``dataset[i]``, an (xs (T, F), ys (T,)) pair. Pieces are read
+    where an update slot or a validation scan needs them and are dropped
+    after that one ``loss_and_gradient`` or ``_predict_rows`` call, so a
+    dataset may build each pair as it is read: evaluate's fold models copy
+    a piece's own columns out of one matrix that all the models of a fold
+    share, and a list of arrays serves as well.
 
     Each model keeps its own piece order, validation split, RMSProp
     state, clipping and early stopping; at every update slot the models
@@ -726,7 +734,7 @@ def train_many(datasets, cfg: TrainConfig,
                 slot.sort(key=lambda m: -len(pieces[m][0]))
                 rows = np.array(slot)
                 slot_losses, grads = loss_and_gradient(theta[rows], width,
-                                                       [pieces[m] for m in slot], work)
+                                                       [pieces.pop(m) for m in slot], work)
                 for r, m in enumerate(slot):
                     loss = float(slot_losses[r])
                     if not np.isfinite(loss):
@@ -775,11 +783,11 @@ def _validation(theta, width, runs, models,
     culprit = {m: -1 for m in models}
     for k in range(max((len(runs[m].val_idx) for m in models), default=0)):
         items = {m: runs[m].val_idx[k] for m in models if k < len(runs[m].val_idx)}
-        rows = sorted(items, key=lambda m: -len(runs[m].pieces[items[m]][0]))
-        seqs = [runs[m].pieces[items[m]] for m in rows]
-        preds = _predict_rows(theta[rows], width, [xs for xs, _ in seqs], work)
-        for m, (_, ys), pred in zip(rows, seqs, preds):
-            err = pred - ys
+        pieces = {m: runs[m].pieces[items[m]] for m in items}
+        rows = sorted(items, key=lambda m: -len(pieces[m][0]))
+        preds = _predict_rows(theta[rows], width, [pieces[m][0] for m in rows], work)
+        for m, pred in zip(rows, preds):
+            err = pred - pieces.pop(m)[1]
             sse[m] += float(err @ err)
             steps[m] += len(err)
             if culprit[m] < 0 and not np.isfinite(sse[m]):

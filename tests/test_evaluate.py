@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from tonaltension import mi as mi_mod
 from tonaltension.errors import TrainingDiverged
-from tonaltension.evaluate import (Piece, columns, fit, fs_select,
+from tonaltension.evaluate import (Piece, _fold, columns, fit, fs_select,
                                    make_folds, mi_subset, paired_t_test, r2,
                                    run_cv, sensitivity, standardize_stats)
-from tonaltension.features import CANONICAL_ORDER
+from tonaltension.features import CANONICAL_ORDER, feature_names
 from tonaltension.model import TrainConfig, init_model, train
 
 
@@ -168,6 +168,29 @@ class TestCorpusToModel:
             assert str(info.value).endswith(f"epoch 0, piece x{bad}")
             kinds.append(info.value.what)
         assert sorted(kinds) == ["loss"] * 3 + ["validation loss"]
+
+    def test_fold_matrix_keeps_each_column_subsets_numbers(self):
+        # one column-major matrix per fold: a column is one contiguous run,
+        # summed pairwise whatever sits beside it, so every model's mean,
+        # std and standardized rows are those of its own columns alone. A
+        # row-major stack sums row by row and gives other bits
+        pieces = toy_corpus(n_pieces=9, frames=300)
+        fold = _fold(pieces, CANONICAL_ORDER)
+        subsets = [feature_names(set(groups)) for groups in ("P", "M", "T", "PM", "PT", "MT",
+                                                             "PMT")]
+        row_major_differs = False
+        for names in subsets + [(name,) for name in CANONICAL_ORDER]:
+            idx = [CANONICAL_ORDER.index(n) for n in names]
+            stack = np.vstack([columns(p, names) for p in pieces])
+            mean, std = standardize_stats(stack)
+            assert np.array_equal(fold.mean[idx], mean) and np.array_equal(fold.std[idx], std)
+            for p, start, stop in zip(pieces, fold.bounds, fold.bounds[1:]):
+                assert np.array_equal(fold.inputs[start:stop][:, idx],
+                                      (columns(p, names) - mean) / std)
+            row_major = standardize_stats(np.ascontiguousarray(stack))
+            row_major_differs |= not (np.array_equal(row_major[0], mean)
+                                      and np.array_equal(row_major[1], std))
+        assert row_major_differs
 
     def test_mi_subset_rejects_mixed_layouts(self):
         corpus = toy_corpus(n_pieces=4)

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from tonaltension.spiral import (SpiralParams, center_of_effect, distance,
                                  enharmonic_unit, key_coe, pitch_position)
 from tonaltension.tension import WindowConfig, estimate_key, tension_track
-from tonaltension.symbolic import group_onsets
+from tonaltension.symbolic import Score, group_onsets
+from tonaltension.synth import generate_score
 
 from conftest import build_score, note
 
@@ -233,3 +236,39 @@ class TestTensionTrack:
         keyed = tension_track(build_score(list(score.notes), key=(0, "major")), CFG, P, frames)
         fallback = tension_track(score, CFG, P, frames)
         assert [t.t_ts for t in keyed] == [t.t_ts for t in fallback]
+
+    def test_sweep_work_is_linear_in_notes(self):
+        # the sweep visits each active span once per frame it stays active:
+        # a synth score took 597 visits and the same score played twice, the
+        # copy shifted by the score's length, 1198 (ratio 2.007). A sweep that
+        # kept ended notes active would take about 4 times as many; the bound
+        # is today's ratio plus a margin of about 0.1
+        lines, first = inspect.getsourcelines(tension_track)
+        line = first + next(i for i, text in enumerate(lines)
+                            if "onset, end, tpc = span" in text)
+
+        def visits(score):
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                count += event == "line" and frame.f_lineno == line
+                return local
+
+            frames = group_onsets(score)
+            sys.settrace(lambda frame, event, arg:
+                         local if frame.f_code is tension_track.__code__ else None)
+            try:
+                tension_track(score, CFG, P, frames)
+            finally:
+                sys.settrace(None)
+            return count
+
+        score = generate_score(np.random.default_rng(1), 80)
+        length = max(n.onset + n.duration for n in score.notes)
+        twice = Score(score.notes + tuple(n._replace(id=f"{n.id}b", onset=n.onset + length)
+                                          for n in score.notes),
+                      score.meter_map, score.key)
+        once = visits(score)
+        assert once > len(score.notes)
+        assert visits(twice) / once <= 2.1
