@@ -241,8 +241,8 @@ class TestTensionTrack:
         # the sweep visits each active span once per frame it stays active:
         # a synth score took 597 visits and the same score played twice, the
         # copy shifted by the score's length, 1198 (ratio 2.007). A sweep that
-        # kept ended notes active would take about 4 times as many; the bound
-        # is today's ratio plus a margin of about 0.1
+        # kept ended notes active reads a ratio of 3.93; the bound is today's
+        # ratio plus a margin of about 0.1
         lines, first = inspect.getsourcelines(tension_track)
         line = first + next(i for i, text in enumerate(lines)
                             if "onset, end, tpc = span" in text)
@@ -256,12 +256,13 @@ class TestTensionTrack:
                 return local
 
             frames = group_onsets(score)
+            outer = sys.gettrace()
             sys.settrace(lambda frame, event, arg:
                          local if frame.f_code is tension_track.__code__ else None)
             try:
                 tension_track(score, CFG, P, frames)
             finally:
-                sys.settrace(None)
+                sys.settrace(outer)
             return count
 
         score = generate_score(np.random.default_rng(1), 80)
