@@ -9,8 +9,8 @@ accuracy is the coefficient of determination per test piece.
 
 A fold's training pieces are held once, standardized, for all of its
 models (``_Fold``), and a model is a fold, its column indices and its
-target (``_FoldModel``): training copies a piece's own columns only for
-the update or validation scan that reads them. ``fit`` is the same code
+target (``_FoldModel``): training copies a piece's own columns only where
+it reads the piece, and drops the copy after that read. ``fit`` is the same code
 with one fold that holds every piece.
 """
 

@@ -51,36 +51,40 @@ beta2 P over a block and lays each step's gate blocks out contiguously.
 The reverse computes, before a block's steps run, everything that is a
 function of the forward cache and the parameters alone: the recurrent
 projections U h, the derivatives alpha p + beta1 and alpha q + beta2,
-1 - tanh(c)^2 and the gate-derivative factors (``_factors``). Its steps
-then carry only (dh, dc) and store each step's gate gradient da. After
-the steps, the six parameter-gradient terms of the block are formed in
-bulk and added to the running sums slab by slab, from the block's last
-step down (``_scan_grad``). A block holds BLOCK_ROW_STEPS row-steps, so
-one model's two rows take a whole piece of up to 360 steps at once, while
-a stack of 45 models keeps blocks of 8 steps. Each entry still gets
-the same floating-point operations in the same order as in a
-step-by-step reverse, and each sum over time still runs from a row's last
-step down to step 0, so the gradients (and the sensitivity band, which
-reverses with the same factors) are bit-identical to it; this is what
-keeps trained models, and so every output, byte-identical.
+1 - tanh(c)^2, the gate-derivative factors (``_factors``) and the
+gradient injected at each hidden state, dy v. Its steps then carry only
+(dh, dc) and store each step's gate gradient da. After the steps, the
+six parameter-gradient terms of the block are formed in bulk and added
+to the running sums slab by slab, from the block's last step down
+(``_scan_grad``); the W and U terms, outer products and the largest,
+a chunk of CHUNK_ROW_STEPS row-steps at a time. A block holds
+BLOCK_ROW_STEPS row-steps, so one model's two rows take a whole piece of
+up to 360 steps at once, while a stack of 45 models keeps blocks of 8
+steps. Each entry still gets the same floating-point operations in the
+same order as in a step-by-step reverse, and each sum over time still
+runs from a row's last step down to step 0, so the gradients (and the
+sensitivity band, which reverses with the same factors) are
+bit-identical to it; this is what keeps trained models, and so every
+output, byte-identical.
 
 The arrays of a scan and its reverse that grow with a block or a
 sequence come from a workspace (``_Workspace``), not from fresh
 allocations: the projections P, the caches ``gates``, C and H, the
-hoisted alpha P and beta2 P, the padded inputs X and the injected
-gradient dH, the gradient sums and block buffers of ``_scan_grad``, its
-per-block copies and products (h_prev, x, U h, the outer-product
-factors) and every output of ``_factors``. ``train_many`` makes one
-workspace and runs every update step and validation scan from it, so
-after the longest slot no update touches fresh pages; ``forward_many``,
+hoisted alpha P and beta2 P, the padded inputs X, each row's output
+gradient dy, the gradient sums and term buffers of ``_scan_grad``, its
+per-block copies and products (the injected gradient, h_prev, x, U h,
+the outer-product factors) and every output of ``_factors``.
+``train_many`` makes one workspace, sizes its sequence-long buffers for
+the longest piece and the largest slot before the first update, and
+runs every update step and validation scan from it; ``forward_many``,
 ``input_jacobian_band`` and a direct ``loss_and_gradient`` call make
 their own. Each array is a contiguous view of the shape it had as a
-fresh allocation, so every operation sees the same operands. Entries
-past a row's length are never read, so P, ``gates`` and dH are left as
-an earlier scan wrote them; the ones read before they are written are
-refilled with +0.0 first: C and H with their zero initial step, X (whose
-columns past a row's own width must read 0, so that its W gradient
-there stays +0.0) and the gradient sums.
+fresh allocation, so every operation sees the same operands. A call
+refills with +0.0 only what it reads before writing: C and H at their
+zero initial step, X in the columns past a narrower row's width (so that
+its W gradient there stays +0.0) and the gradient sums. Every other
+entry is written before it is read, and entries past a row's length are
+never read.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ RMSPROP_EPSILON = 1e-8
 GRADIENT_CLIP_NORM = 5.0  # global norm over a model's own gradient entries
 VALIDATION_FRACTION = 0.1  # of the training pieces, held out for early stopping
 BLOCK_ROW_STEPS = 720  # rows x steps per block of a scan: 360 steps at 2 rows, 8 at 90
+CHUNK_ROW_STEPS = 180  # rows x steps per chunk of a block's W and U terms: 90 at 2 rows, 2 at 90
 GATE_ORDER = ("input", "forget", "output", "candidate")
 
 _FILE_MAGIC = "tonaltension-model"
@@ -230,6 +235,18 @@ class _Workspace:
             flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
 
+    def reserve(self, steps: int, rows: int, width: int) -> None:
+        """Grow the sequence-long buffers (P, ``gates``, C, H, X and dy) to
+        their size in a scan and reverse of ``rows`` rows over ``steps``
+        steps at input width ``width``, so that no call of at most that
+        size grows them again."""
+        G = 4 * HIDDEN
+        for name, shape in (("P", (steps, rows, 1, G)), ("gates", (steps, 4, rows, 1, HIDDEN)),
+                            ("C", (steps + 1, rows, 1, HIDDEN)),
+                            ("H", (steps + 1, rows, 1, HIDDEN)),
+                            ("X", (steps, rows, width)), ("dy", (steps, rows))):
+            self.empty(name, shape)
+
     def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """``empty`` refilled with +0.0: nothing of an earlier request
         survives, as with ``np.zeros``."""
@@ -268,10 +285,11 @@ def _scan(d: _Gates, seqs, spans, work: _Workspace) -> dict:
     T, n, _, G = P.shape
     H = G // 4
     gates = work.empty("gates", (T, 4, n, 1, H))  # i, f, o, g after nonlinearity
-    C = work.zeros("C", (T + 1, n, 1, H))
-    Hs = work.zeros("H", (T + 1, n, 1, H))
-    h = Hs[0]
-    c = C[0]
+    C = work.empty("C", (T + 1, n, 1, H))
+    Hs = work.empty("H", (T + 1, n, 1, H))
+    h, c = Hs[0], C[0]
+    h.fill(0.0)  # the zero initial state; every later entry is written before it is read
+    c.fill(0.0)
     for start, stop, m in spans:
         U_T = d.U[:m].swapaxes(1, 2)
         alpha, beta1, beta2, bias = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2, d.bias))
@@ -367,45 +385,68 @@ def _cell_grad(fac, dh, dc, out=None):
     return da, da * dq_da, dc * f
 
 
-def _block_steps(m: int) -> int:
-    """Steps per block of the scan and its reverse for m rows:
-    BLOCK_ROW_STEPS // m, at least 1. A block's whole-array operations
-    then touch a bounded amount of memory, whatever the row count."""
-    return max(1, BLOCK_ROW_STEPS // m)
+def _block_steps(m: int, row_steps: int = BLOCK_ROW_STEPS) -> int:
+    """Steps per block of the scan and its reverse for m rows,
+    BLOCK_ROW_STEPS // m and at least 1; with ``row_steps``
+    CHUNK_ROW_STEPS, steps per chunk of a block's W and U terms. A block's
+    (or chunk's) whole-array operations then touch a bounded amount of
+    memory, whatever the row count."""
+    return max(1, row_steps // m)
 
 
-def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
+def _scan_grad(d: _Gates, cache: dict, seqs, dy: np.ndarray, v: np.ndarray, spans,
                width: int, work: _Workspace) -> _Gates:
-    """BPTT through n stacked rows as scanned by _scan; dH_out (T, n, 1, H)
-    is the loss gradient injected at each step's hidden state. Returns the
-    rows' parameter gradients; W gradients are (n, 4H, width), a narrower
-    row filling only its own columns.
+    """BPTT through n stacked rows as scanned by _scan; dy (T, n) is each
+    row's loss gradient at its output at each step and v (n, 1, H) its
+    output weights, so the gradient injected at row r's hidden state at
+    step t is dy[t, r] * v[r]. Returns the rows' parameter gradients; W
+    gradients are (n, 4H, width), a narrower row filling only its own
+    columns.
 
     The steps of a span are reversed in blocks of ``_block_steps(m)``,
-    last block first. A block first computes its factors (``_factors``),
-    in descending step order, then runs its steps: each does only the
-    recurrence (da, dc and dh = dq U) and stores da. After the steps, the
-    block's six parameter-gradient terms are formed with whole-array
-    products into buffers whose slab 0 holds the running sum and slab k
-    the term of the block's k-th step from its end; one
+    last block first. A block first computes its factors (``_factors``)
+    and its injected gradients, in descending step order, then runs its
+    steps: each does only the recurrence (da, dc and dh = dq U) and stores
+    da. After the steps, the block's parameter-gradient terms are formed
+    with whole-array products into buffers whose slab 0 holds the running
+    sum and slab k the term of the k-th step from its end; one
     ``np.add.reduce`` over the slabs, which adds them one by one, then
-    continues each sum. So every sum over time still runs from a row's
-    own last step down to step 0, as for that row alone."""
+    continues each sum. The W and U terms, outer products and the largest,
+    are formed and summed this way a chunk of
+    ``_block_steps(m, CHUNK_ROW_STEPS)`` steps at a time, from the block's
+    last step down. So every sum over time still runs from a row's own
+    last step down to step 0, as for that row alone."""
     P, gates, C, Hs = (cache[k] for k in ("P", "gates", "C", "H"))
     T, n, _, G = P.shape
     H = G // 4
-    X = work.zeros("X", (T, n, width))  # the scanned inputs, zero-padded
+    X = work.empty("X", (T, n, width))  # the scanned inputs, zero past a row's width
     for r, xs in enumerate(seqs):
         X[:len(xs), r, :xs.shape[1]] = xs
+        X[:len(xs), r, xs.shape[1]:] = 0.0
     # the W and U sums are kept transposed, (n, width, 4H) and (n, H, 4H)
     shapes = [(n, width, G), (n, H, G)] + [(n, 1, G)] * 4
     grads = _Gates(*(work.zeros(f"sum {name}", shape)
                      for name, shape in zip(_Gates._fields, shapes)))
-    # each tensor's block buffer, sized for the largest block
-    size = max(((min(stop - start, _block_steps(m)) + 1) * m for start, stop, m in spans),
-               default=0)
-    stores = [work.empty(f"store {name}", (size,) + t.shape[1:])
-              for name, t in zip(_Gates._fields, grads)]
+
+    def largest(row_steps):
+        # slabs x rows of the largest block, or chunk, of ``row_steps``
+        return max(((min(stop - start, _block_steps(m, row_steps)) + 1) * m
+                    for start, stop, m in spans), default=0)
+
+    # each tensor's term buffer: W's and U's sized for the largest chunk,
+    # the others for the largest block
+    stores = _Gates(*(work.empty(f"store {name}", (largest(budget),) + t.shape[1:])
+                      for name, t, budget in zip(_Gates._fields, grads,
+                                                 [CHUNK_ROW_STEPS] * 2 + [BLOCK_ROW_STEPS] * 4)))
+
+    def slabs(store, count, m):
+        # a term buffer as the running sum and ``count`` steps' terms of m rows
+        return store[:(count + 1) * m].reshape((count + 1, m) + store.shape[1:])
+
+    def continue_sum(acc, buf):
+        buf[0] = acc
+        np.add.reduce(buf, axis=0, out=acc)  # slab by slab, slab 0 first
+
     dh = np.zeros((0, 1, H))
     dc = np.zeros((0, 1, H))
     for start, stop, m in reversed(spans):
@@ -415,39 +456,46 @@ def _scan_grad(d: _Gates, cache: dict, seqs, dH_out: np.ndarray, spans,
         U = d.U[:m]
         U_T = U.swapaxes(1, 2)
         alpha, beta1, beta2 = (t[:m, None] for t in (d.alpha, d.beta1, d.beta2))
-        sums = [t[:m] for t in grads]
-        step = _block_steps(m)
+        sums = _Gates(*(t[:m] for t in grads))
+        step, chunk = _block_steps(m), _block_steps(m, CHUNK_ROW_STEPS)
         for end in range(stop, start, -step):
             begin = max(start, end - step)
-            slabs = end - begin + 1
+            steps = end - begin
             # the block's steps in descending order, its last step first
-            p, dH = P[begin:end, :m][::-1], dH_out[begin:end, :m][::-1]
-            h_prev = work.empty("h_prev", (end - begin, m, 1, H))
+            p = P[begin:end, :m][::-1]
+            dH = np.multiply(dy[begin:end, :m, None, None][::-1], v[:m],
+                             out=work.empty("dH", (steps, m, 1, H)))
+            h_prev = work.empty("h_prev", (steps, m, 1, H))
             np.copyto(h_prev, Hs[begin:end, :m][::-1])
-            x = work.empty("x", (end - begin, m, width))
+            x = work.empty("x", (steps, m, width))
             np.copyto(x, X[begin:end, :m][::-1])
             # one gemv per row and step, as in the scan
             q = np.matmul(h_prev, U_T, out=work.empty("q", p.shape))
             fac = _factors(np.moveaxis(gates[begin:end, :, :m][::-1], 1, 0),
                            C[begin + 1:end + 1, :m][::-1], C[begin:end, :m][::-1],
                            p, q, alpha, beta1, beta2, work)
-            bufs = _Gates(*(s[:slabs * m].reshape((slabs, m) + s.shape[1:]) for s in stores))
-            da = bufs.bias[1:]  # a step's bias term is its da
+            terms = _Gates(None, None, *(slabs(s, steps, m) for s in stores[2:]))
+            da = terms.bias[1:]  # a step's bias term is its da
             for step_fac, dH_t, out in zip(zip(*fac[:-1]), dH, da):
                 _, dq, dc = _cell_grad(step_fac, dh + dH_t, dc, out)
                 dh = dq @ U
-            dap = np.multiply(da, p, out=bufs.beta2[1:])
-            np.multiply(dap, q, out=bufs.alpha[1:])
-            np.multiply(da, q, out=bufs.beta1[1:])
-            # outer products dp x^T and dq h_prev^T: no summed index, so only products
-            outer = work.empty("outer factor", da.shape)
-            np.einsum("tmg,tmw->tmwg", np.multiply(da, fac.dp_da, out=outer)[:, :, 0], x,
-                      out=bufs.W[1:])
-            np.einsum("tmg,tmw->tmwg", np.multiply(da, fac.dq_da, out=outer)[:, :, 0],
-                      h_prev[:, :, 0], out=bufs.U[1:])
-            for acc, buf in zip(sums, bufs):
-                buf[0] = acc
-                np.add.reduce(buf, axis=0, out=acc)  # slab by slab, slab 0 first
+            dap = np.multiply(da, p, out=terms.beta2[1:])
+            np.multiply(dap, q, out=terms.alpha[1:])
+            np.multiply(da, q, out=terms.beta1[1:])
+            for acc, buf in zip(sums[2:], terms[2:]):
+                continue_sum(acc, buf)
+            # the outer products dp x^T and dq h_prev^T (no summed index, so
+            # only products), a chunk of steps at a time from the block's end
+            for first in range(0, steps, chunk):
+                last = min(steps, first + chunk)
+                outer = work.empty("outer factor", (last - first, m, G))
+                for acc, store, factor, y in ((sums.W, stores.W, fac.dp_da, x),
+                                              (sums.U, stores.U, fac.dq_da, h_prev[:, :, 0])):
+                    buf = slabs(store, last - first, m)
+                    np.einsum("tmg,tmw->tmwg",
+                              np.multiply(da[first:last, :, 0], factor[first:last, :, 0],
+                                          out=outer), y[first:last], out=buf[1:])
+                    continue_sum(acc, buf)
     return grads._replace(W=grads.W.swapaxes(1, 2), U=grads.U.swapaxes(1, 2))
 
 
@@ -488,7 +536,7 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int, batch,
     spans = _spans([len(xs) for xs in rows])
     cache = _scan(dirs, rows, spans, work)
     T, n, H = cache["H"].shape[0] - 1, len(batch), v.shape[1] // 2
-    dH = work.empty("dH", (T, 2 * n, 1, H))
+    dy_rows = work.empty("dy", (T, 2 * n))  # each row's output gradient, in its scan order
     mse = np.zeros(n)
     g_out = np.zeros((n, 2 * H + 1))  # out.v, out.bias
     for r, (xs, ys) in enumerate(batch):
@@ -500,9 +548,11 @@ def loss_and_gradient(flat: np.ndarray, input_dim: int, batch,
         g_out[r, :H] += hf.T @ dy
         g_out[r, H:2 * H] += hb.T @ dy
         g_out[r, 2 * H] += dy.sum()
-        dH[:L, 2 * r, 0] = np.outer(dy, v[r, :H])
-        dH[:L, 2 * r + 1, 0] = np.outer(dy[::-1], v[r, H:])
-    grads = _scan_grad(dirs, cache, rows, dH, spans, input_dim, work)
+        dy_rows[:L, 2 * r] = dy
+        dy_rows[:L, 2 * r + 1] = dy[::-1]
+    # row 2r reads v[r, :H] and row 2r + 1 v[r, H:]
+    grads = _scan_grad(dirs, cache, rows, dy_rows, v.reshape(2 * n, 1, H), spans,
+                       input_dim, work)
     # rows 2r and 2r + 1 are model r's fwd and bwd tensors
     flat_grads = [t[k::2].reshape(n, -1) for k in (0, 1) for t in grads]
     return mse, np.concatenate(flat_grads + [g_out], axis=1)
@@ -640,6 +690,7 @@ class _Run:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         n = len(self.pieces)
+        self.steps = max(len(self.pieces[i][0]) for i in range(n))  # its longest piece
         perm = self.rng.permutation(n)
         n_val = max(1, round(VALIDATION_FRACTION * n)) if n >= 2 else 0
         self.train_idx = [int(i) for i in perm[n_val:]]
@@ -679,12 +730,13 @@ def train_many(datasets, cfg: TrainConfig,
     ``seeds[m]`` (``cfg.seed`` is not read), all in lockstep.
 
     A dataset is a sequence of pieces: ``len(dataset)`` of them, piece i
-    read as ``dataset[i]``, an (xs (T, F), ys (T,)) pair. Pieces are read
-    where an update slot or a validation scan needs them and are dropped
-    after that one ``loss_and_gradient`` or ``_predict_rows`` call, so a
-    dataset may build each pair as it is read: evaluate's fold models copy
-    a piece's own columns out of one matrix that all the models of a fold
-    share, and a list of arrays serves as well.
+    read as ``dataset[i]``, an (xs (T, F), ys (T,)) pair. Each piece is
+    read once up front for its length, which sizes the shared workspace,
+    and then where an update slot or a validation scan needs it; each read
+    is dropped after that use, so a dataset may build each pair as it is
+    read: evaluate's fold models copy a piece's own columns out of one
+    matrix that all the models of a fold share, and a list of arrays
+    serves as well.
 
     Each model keeps its own piece order, validation split, RMSProp
     state, clipping and early stopping; at every update slot the models
@@ -710,6 +762,8 @@ def train_many(datasets, cfg: TrainConfig,
     best = theta.copy()
     first_error = len(runs)
     work = _Workspace()  # every scan and reverse below draws its arrays from it
+    if cfg.epochs:  # the first slot holds every model; any slot may hold the longest piece
+        work.reserve(max(run.steps for run in runs), 2 * len(runs), width)
 
     def diverged(m, what, epoch, index):
         nonlocal first_error

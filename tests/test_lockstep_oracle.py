@@ -344,12 +344,43 @@ def shrinking_slots():
     return datasets, cfg, [10, 11, 12]
 
 
+def uneven_chunks():
+    """The fewest models whose rows take blocks that the reverse's W and U
+    chunks split unevenly, on pieces that run through a whole block and on
+    into the next; rows of different lengths also cross block and chunk
+    edges at different steps."""
+    models = next(k for k in range(1, 50)
+                  if model_mod._block_steps(2 * k)
+                  % model_mod._block_steps(2 * k, model_mod.CHUNK_ROW_STEPS))
+    block = model_mod._block_steps(2 * models)
+    rng = np.random.default_rng(13)
+    datasets = [[(rng.normal(size=(n, width)), rng.normal(size=n))
+                 for n in rng.integers(block + 1, block + 12, size=2)]
+                for width in (WIDTHS * models)[-models:]]
+    cfg = TrainConfig(learning_rate=3e-2, epochs=2, early_stop_patience=2)
+    return datasets, cfg, list(range(20, 20 + models))
+
+
+def one_model_chunks():
+    """One model on pieces of twice its W and U chunk plus one step: each
+    reverse block sums those terms in three chunks, the last of one step."""
+    chunk = model_mod._block_steps(2, model_mod.CHUNK_ROW_STEPS)
+    assert 2 * chunk + 1 <= model_mod._block_steps(2)
+    rng = np.random.default_rng(14)
+    datasets = [[(rng.normal(size=(2 * chunk + 1, 6)), rng.normal(size=2 * chunk + 1))
+                 for _ in range(3)]]
+    cfg = TrainConfig(learning_rate=3e-2, epochs=2, early_stop_patience=2)
+    return datasets, cfg, [15]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jobs())
 @example(narrow_beside_wide())
 @example(across_time_blocks())
 @example(two_piece_validation())
 @example(shrinking_slots())
+@example(uneven_chunks())
+@example(one_model_chunks())
 def test_train_many_matches_one_by_one(case):
     datasets, cfg, seeds = case
     got, got_error = outcome(train_many, datasets, cfg, seeds)

@@ -298,9 +298,11 @@ class TestWorkspace:
                 assert not grad[r, padded].any() and not np.signbit(grad[r, padded]).any()
 
     def test_results_read_no_stale_entry(self, rng, monkeypatch):
-        # P, gates and dH are not refilled between calls: a read past a row's
-        # length, or of any entry not written first, would carry NaN into
-        # the results of the second round
+        # calls refill only what they read before writing: C and H at their
+        # initial step, X in the columns past a narrower row's width, and the
+        # gradient sums. Every buffer is NaN before each call, so a read past
+        # a row's length, or of any other entry not written first, would
+        # carry NaN into the results of the second round
         flat, batch = self.stacked(rng, 6, [(6, 17), (4, 9)])
         models, seqs = [randomized(4, seed=1), randomized(6, seed=0)], [batch[1][0], batch[0][0]]
         want_mse, want_grad = loss_and_gradient(flat, 6, batch)
@@ -348,23 +350,33 @@ class TestWorkspace:
     def test_train_call_touches_few_fresh_pages(self, tmp_path):
         # with fresh scan arrays per update step (about 600 minor faults
         # each) these 15 updates took about 9,200 faults; the workspace's
-        # first touch keeps the whole call under 1,000
+        # first touch keeps the whole call under 1,000. Pieces of 240-262
+        # frames took about 1,190 when each new longest slot regrew the
+        # workspace; sized once, before the first update, they stay under it
         import resource  # Unix only
 
-        corpus, feats = tmp_path / "corpus", tmp_path / "features"
-        assert cli.main(["synth", "--pieces", "4", "--length", "250", "--seed", "1",
-                         "--out-dir", str(corpus)]) == 0
-        stems = [corpus / f"piece{i:03d}" for i in range(4)]
-        assert cli.main(["extract", *(f"{s}.score.tsv" for s in stems),
-                         "--match", *(f"{s}.match.tsv" for s in stems),
-                         "--out-dir", str(feats)]) == 0
-        faults = []
-        for run in range(2):  # the first call warms up imports and caches
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            assert cli.main(["train", "--corpus", str(feats), "--target", "bpr", "--seed", "1",
-                             "--epochs", "5", "--out-dir", str(tmp_path / f"run{run}")]) == 0
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert faults[1] < 1000, faults
+        for case, length, frames in (("equal", 250, None), ("ragged", 262, (240, 262, 251, 246))):
+            corpus, feats = tmp_path / case / "corpus", tmp_path / case / "features"
+            assert cli.main(["synth", "--pieces", "4", "--length", str(length), "--seed", "1",
+                             "--out-dir", str(corpus)]) == 0
+            stems = [corpus / f"piece{i:03d}" for i in range(4)]
+            assert cli.main(["extract", *(f"{s}.score.tsv" for s in stems),
+                             "--match", *(f"{s}.match.tsv" for s in stems),
+                             "--out-dir", str(feats)]) == 0
+            for i, keep in enumerate(frames or ()):  # a piece's first ``keep`` frames
+                for kind in ("features", "targets"):
+                    path = feats / f"piece{i:03d}.{kind}.csv"
+                    lines = path.read_text().splitlines(keepends=True)
+                    header = sum(line.startswith("#") for line in lines) + 1
+                    path.write_text("".join(lines[:header + keep]))
+            faults = []
+            for run in range(2):  # the first call warms up imports and caches
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert cli.main(["train", "--corpus", str(feats), "--target", "bpr",
+                                 "--seed", "1", "--epochs", "5",
+                                 "--out-dir", str(tmp_path / case / f"run{run}")]) == 0
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            assert faults[1] < 1000, (case, faults)
 
 
 class TestModelFile:
