@@ -388,10 +388,10 @@ def cmd_synth(args) -> list[OutputFile]:
                             seed=args.seed, rule=args.rule)
     spiral = _spiral_from_args(args)
     window = _window_from_args(args)
-    corpus = synth.generate_corpus(cfg, spiral, window)
     header = [("rule", cfg.rule)] + spiral.header_items() + window.header_items()
     files = []
-    for piece_id, score, perf in corpus:
+    for piece_id, score, perf in synth.generate_corpus(cfg, spiral, window):
+        # only the two text bodies outlive the piece's objects
         files.append(OutputFile(os.path.join(args.out_dir, f"{piece_id}.score.tsv"),
                                 list(header), serialize_score(score)))
         files.append(OutputFile(os.path.join(args.out_dir, f"{piece_id}.match.tsv"),

@@ -186,11 +186,12 @@ def fit(pieces: list[Piece], names, target: str, cfg: TrainConfig):
     return params, train_log, fold.mean, fold.std
 
 
-def mi_subset(corpus: list[Piece], fraction: float, k: int,
-              seed: int) -> tuple[list[Piece], mi_mod.MiTable]:
-    """MI between every feature and target column, pooled over a seeded
-    random subset of the pieces; returns the subset and the table. All
-    pieces must share one feature layout."""
+def mi_subset(corpus: list[Piece], fraction: float, k: int, seed: int,
+              targets=TARGET_NAMES) -> tuple[list[Piece], mi_mod.MiTable]:
+    """MI between every feature column and each of ``targets``, pooled over
+    a seeded random subset of the pieces; returns the subset and the table.
+    All pieces must share one feature layout. Each pair is estimated on its
+    own, so a target's column does not depend on the other targets."""
     names = corpus[0].feature_names
     for p in corpus:
         if p.feature_names != names:
@@ -200,17 +201,18 @@ def mi_subset(corpus: list[Piece], fraction: float, k: int,
     subset_ids = set(mi_mod.subsample_pieces([p.id for p in corpus], fraction, seed))
     subset = [p for p in corpus if p.id in subset_ids]
     feats = np.vstack([p.features for p in subset])
-    targs = np.vstack([p.targets for p in subset])
-    table = mi_mod.mi_table(feats, names, targs, TARGET_NAMES, k=k, seed=seed)
+    cols = [TARGET_NAMES.index(t) for t in targets]
+    targs = np.vstack([p.targets[:, cols] for p in subset])
+    table = mi_mod.mi_table(feats, names, targs, targets, k=k, seed=seed)
     return subset, table
 
 
 def fs_select(corpus: list[Piece], targets, seed: int, fraction: float = 0.2,
               k: int = 3, count: int = 10) -> dict[str, tuple[str, ...]]:
     """Univariate selection: for each of ``targets``, the top features by
-    MI with it, all read from one MI table estimated on a seeded random
-    subset of pieces."""
-    _, table = mi_subset(corpus, fraction, k, seed)
+    MI with it, all read from one MI table of just those targets, estimated
+    on a seeded random subset of pieces."""
+    _, table = mi_subset(corpus, fraction, k, seed, targets)
     n = min(count, len(table.rows))
     return {t: tuple(mi_mod.select_features(table, t, n)) for t in targets}
 

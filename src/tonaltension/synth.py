@@ -26,6 +26,7 @@ the per-note cost.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +143,15 @@ def generate_performance(rng: np.random.Generator, score: Score,
 
 
 def generate_corpus(cfg: SynthConfig, spiral: SpiralParams | None = None,
-                    window: WindowConfig | None = None):
-    """List of (piece_id, Score, Performance), deterministic in the seed."""
+                    window: WindowConfig | None = None) -> Iterator[tuple[str, Score, Performance]]:
+    """Yield (piece_id, Score, Performance) for each piece, deterministic in
+    the seed. A piece is built only when the caller asks for it, so a caller
+    that serializes each piece as it arrives holds one piece's objects at a
+    time. The pieces draw from one Generator in turn, so each is the same
+    whether the caller takes them one by one or as a list."""
     spiral = spiral or SpiralParams()
     window = window or WindowConfig()
     rng = np.random.default_rng(cfg.seed)
-    out = []
     for i in range(cfg.pieces):
         score = generate_score(rng, cfg.frames)
-        perf = generate_performance(rng, score, cfg, spiral, window)
-        out.append((f"piece{i:03d}", score, perf))
-    return out
+        yield f"piece{i:03d}", score, generate_performance(rng, score, cfg, spiral, window)

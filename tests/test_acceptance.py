@@ -117,7 +117,7 @@ def test_criterion_3_expressive_parameter_suite():
         assert all(abs(r.bpr - 1.0) < 1e-12 for r in rows)
         assert all(r.d_bpr == 0.0 for r in rows)
 
-        corpus = generate_corpus(SynthConfig(pieces=100, frames=20, seed=31))
+        corpus = list(generate_corpus(SynthConfig(pieces=100, frames=20, seed=31)))
         for _, piece_score, perf in corpus:
             piece_rows = extract_targets(perf, group_onsets(piece_score))
             bpr = [r.bpr for r in piece_rows]

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tonaltension import cli
+from tonaltension import cli, synth
 from tonaltension.model import dumps_model, init_model, load_model
 from tonaltension.symbolic import (parse_performance, parse_score, serialize_performance,
                                    serialize_score)
@@ -256,6 +256,35 @@ class TestSynth:
                     assert parse_score(serialize_score(score)) == score
                     assert parse_performance(serialize_performance(perf), score) == perf
         assert not caplog.records
+
+    def test_builds_a_piece_only_when_asked(self, monkeypatch):
+        calls = []
+        build = synth.generate_score
+        monkeypatch.setattr(synth, "generate_score",
+                            lambda *args: calls.append(args) or build(*args))
+        next(generate_corpus(SynthConfig(pieces=5, frames=12, seed=1)))
+        assert len(calls) == 1
+
+    def test_traced_peak_grows_by_text_not_objects(self, tmp_path):
+        # the Python-level peak of an in-process synth of 8 pieces over
+        # that of 2 (300 frames each): 3.5 (0.67 -> 2.31 MiB) while every
+        # piece's Score and Performance lived until the write, 1.6
+        # (0.55 -> 0.87 MiB) once each piece is serialized as it is built
+        # and only its two text bodies are kept
+        import tracemalloc
+
+        def peak(pieces, out):
+            tracemalloc.start()
+            try:
+                assert run_cli("synth", "--pieces", pieces, "--length", 300, "--seed", 1,
+                               "--out-dir", tmp_path / out) == 0
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        peak(2, "warm-up")  # the first call also traces first-use allocations
+        two, eight = peak(2, "two"), peak(8, "eight")
+        assert eight / two <= 2.0, (two, eight)
 
     def test_tempo_rule_couples_bpr_to_cloud_diameter(self, tmp_path):
         _, feats = make_corpus(tmp_path, pieces=4, length=60, seed=21)

@@ -9,6 +9,7 @@ from tonaltension.evaluate import (Piece, _fold, columns, fit, fs_select,
                                    run_cv, sensitivity, standardize_stats)
 from tonaltension.features import CANONICAL_ORDER, feature_names
 from tonaltension.model import TrainConfig, init_model, train
+from tonaltension.targets import TARGET_NAMES
 
 
 class TestMakeFolds:
@@ -203,6 +204,14 @@ class TestCorpusToModel:
         subset, table = mi_subset(toy_corpus(n_pieces=8), 0.5, 3, seed=2)
         assert len(subset) == 4
         assert table.rows == tuple(CANONICAL_ORDER) and table.values.shape == (13, 4)
+
+    def test_one_target_table_is_that_column_of_the_full_table(self):
+        corpus = toy_corpus(n_pieces=8)
+        _, full = mi_subset(corpus, 0.5, 3, seed=2)
+        for j, target in enumerate(TARGET_NAMES):
+            _, one = mi_subset(corpus, 0.5, 3, seed=2, targets=(target,))
+            assert one.cols == (target,) and one.values.shape == (13, 1)
+            assert np.array_equal(one.values[:, 0], full.values[:, j])
 
 
 class TestRunCv:
