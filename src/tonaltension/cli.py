@@ -257,14 +257,24 @@ def _parse_groups(text: str) -> set[str]:
 def _spiral_from_args(args) -> SpiralParams:
     if not args.spiral_config:
         return SpiralParams()
-    items = {}
+    known = [key for key, _ in SpiralParams().header_items()]
+    items, lines = {}, {}
     with _naming(args.spiral_config):
         with open(args.spiral_config) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line and not line.startswith("#") and "=" in line:
-                    key, value = line.split("=", 1)
-                    items[key.strip()] = value.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in known:
+                    raise ValueError(f"line {lineno}: unknown key {key!r}, "
+                                     f"expected one of {known}")
+                if key in lines:
+                    raise ValueError(f"line {lineno}: {key} repeats the key of "
+                                     f"line {lines[key]}")
+                items[key], lines[key] = value, lineno
         return SpiralParams.from_header_items(items)
 
 

@@ -8,7 +8,8 @@ Pitch classes live on a helix indexed by their line-of-fifths position k
 so adjacent fifths are a quarter turn apart and enharmonic respellings
 (k vs k+12) sit exactly 12*h apart on the same vertical. Chords and keys
 are weighted means ("centers of effect") of pitch points; tonal closeness
-is plain Euclidean distance in this space.
+is plain Euclidean distance in this space. Points are plain ``(x, y, z)``
+tuples.
 """
 
 from __future__ import annotations
@@ -87,40 +88,38 @@ class SpiralParams:
         )
 
 
-@dataclass(frozen=True)
-class SpiralPoint:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"non-finite spiral coordinates: {self}")
+Point = tuple[float, float, float]
 
 
-def pitch_position(tpc: int, params: SpiralParams) -> SpiralPoint:
+def pitch_position(tpc: int, params: SpiralParams) -> Point:
     """Position of line-of-fifths index ``tpc`` on the helix."""
     angle = tpc * HALF_PI
-    return SpiralPoint(params.r * math.sin(angle), params.r * math.cos(angle), tpc * params.h)
+    return (params.r * math.sin(angle), params.r * math.cos(angle), tpc * params.h)
 
 
-def _weighted_mean(pairs) -> SpiralPoint:
-    """Weight-normalized mean of ``(point, weight)`` pairs."""
+def weighted_mean(points, weights) -> Point:
+    """Weight-normalized mean of ``points``, summed in the order given;
+    raises ValueError if the mean is not finite."""
     sx = sy = sz = total = 0.0
-    for p, w in pairs:
-        sx += w * p.x
-        sy += w * p.y
-        sz += w * p.z
+    for (x, y, z), w in zip(points, weights):
+        sx += w * x
+        sy += w * y
+        sz += w * z
         total += w
-    return SpiralPoint(sx / total, sy / total, sz / total)
+    center = (sx / total, sy / total, sz / total)
+    if not (math.isfinite(center[0]) and math.isfinite(center[1])
+            and math.isfinite(center[2])):
+        raise ValueError(f"non-finite spiral coordinates: {center}")
+    return center
 
 
-def center_of_effect(members, params: SpiralParams) -> SpiralPoint:
+def center_of_effect(members, params: SpiralParams) -> Point:
     """Weight-normalized mean position of ``(tpc, weight)`` pairs."""
-    return _weighted_mean((pitch_position(tpc, params), w) for tpc, w in members)
+    return weighted_mean([pitch_position(tpc, params) for tpc, _ in members],
+                         [w for _, w in members])
 
 
-def cloud_coe(members, params: SpiralParams) -> SpiralPoint:
+def cloud_coe(members, params: SpiralParams) -> Point:
     """Center of effect of a pitch cloud: ``(tpc, weight)`` pairs whose
     equal tpcs are first merged by summing their weights in the order
     given, then weighted in tpc order."""
@@ -130,17 +129,16 @@ def cloud_coe(members, params: SpiralParams) -> SpiralPoint:
     return center_of_effect(sorted(merged.items()), params)
 
 
-def _triad_coe(root_tpc: int, minor: bool, params: SpiralParams) -> SpiralPoint:
+def _triad_coe(root_tpc: int, minor: bool, params: SpiralParams) -> Point:
     # chord weights apply to (root, fifth, third); thirds sit at root+4
     # (major) or root-3 (minor) on the line of fifths
-    w1, w2, w3 = params.chord_weights
     third = root_tpc - 3 if minor else root_tpc + 4
-    return center_of_effect(
-        [(root_tpc, w1), (root_tpc + 1, w2), (third, w3)], params
-    )
+    members = (root_tpc, root_tpc + 1, third)
+    return weighted_mean([pitch_position(tpc, params) for tpc in members],
+                         params.chord_weights)
 
 
-def key_coe(tonic_tpc: int, mode: str, params: SpiralParams) -> SpiralPoint:
+def key_coe(tonic_tpc: int, mode: str, params: SpiralParams) -> Point:
     """Center of effect of a key: key-weighted mean of the tonic, dominant
     and subdominant triad centers.
 
@@ -148,17 +146,15 @@ def key_coe(tonic_tpc: int, mode: str, params: SpiralParams) -> SpiralPoint:
     subdominant triad.
     """
     minors = (True, False, True) if mode == "minor" else (False, False, False)
-    k1, k2, k3 = params.key_weights
-    return _weighted_mean([
-        (_triad_coe(tonic_tpc, minors[0], params), k1),
-        (_triad_coe(tonic_tpc + 1, minors[1], params), k2),
-        (_triad_coe(tonic_tpc - 1, minors[2], params), k3),
-    ])
+    return weighted_mean([_triad_coe(tonic_tpc, minors[0], params),
+                          _triad_coe(tonic_tpc + 1, minors[1], params),
+                          _triad_coe(tonic_tpc - 1, minors[2], params)],
+                         params.key_weights)
 
 
-def distance(a: SpiralPoint, b: SpiralPoint) -> float:
+def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two spiral-array points."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
 def enharmonic_unit(params: SpiralParams) -> float:

@@ -3,7 +3,7 @@
 Two line-oriented TSV formats:
 
 * ``.score.tsv``: ``#meter <start_beat> <B> <unit> <class>`` header lines
-  (repeatable), an optional ``#key <tpc> <major|minor>`` line, then one
+  (repeatable), at most one ``#key <tpc> <major|minor>`` line, then one
   note per line ``id  onset  duration  midi  step  alter  octave  melody``.
   A note stores its MIDI pitch and its line-of-fifths index (tpc), the
   two pitch facts that extraction reads; ``step/alter/octave`` is the
@@ -165,6 +165,7 @@ def parse_score(text: str) -> Score:
     that names the line of the first fault."""
     meters: list[tuple[float, int, MeterEntry]] = []  # (start, line, entry) by start
     key: tuple[int, str] | None = None
+    key_line = 0
     raw_notes: list[tuple[int, list[str]]] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -201,6 +202,8 @@ def parse_score(text: str) -> Score:
                                  f"the start of line {earlier}")
             meters.insert(i, (start, lineno, MeterEntry(start, beats, unit, mclass)))
         elif line.startswith("#key"):
+            if key is not None:
+                raise ValueError(f"line {lineno}: #key repeats the key of line {key_line}")
             fields = line.split()
             if len(fields) != 3 or fields[2] not in ("major", "minor"):
                 raise ValueError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
@@ -212,7 +215,7 @@ def parse_score(text: str) -> Score:
             # within -15..19, which serialize_score writes with |alter| <= 2
             if not -9 <= tonic <= 13:
                 raise ValueError(f"line {lineno}: key tpc {tonic} outside -9..13")
-            key = (tonic, fields[2])
+            key, key_line = (tonic, fields[2]), lineno
         # any other line starting with "#" is a comment
 
     if not meters:

@@ -17,13 +17,7 @@ window ends, and an active list drops notes that end before the window
 starts (frame beats only increase), so the sweep costs
 O(notes + frames x cloud size), not O(notes x frames).
 
-Each frame's cloud, center of effect and distances are computed inline
-on plain coordinate tuples, one per tpc, taken from ``pitch_position``
-once per call. They run the float operations of
-``spiral.cloud_coe`` and ``spiral.distance`` in the same order, so the
-numbers are identical. The diameter is the square root of the largest
-squared pair distance, which equals the largest distance bit for bit
-because the square root is correctly rounded and monotone.
+Centers of effect and distances come from ``spiral.py``.
 """
 
 from __future__ import annotations
@@ -33,8 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SettingError
-from .spiral import SpiralParams, SpiralPoint
-from .spiral import cloud_coe, distance, enharmonic_unit, key_coe, pitch_position
+from .spiral import SpiralParams
+from .spiral import (cloud_coe, distance, enharmonic_unit, key_coe, pitch_position,
+                     weighted_mean)
 from .symbolic import OnsetFrame, Score
 
 
@@ -91,7 +86,6 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
     """
     tonic, mode = score.key if score.key is not None else estimate_key(score, params)
     key_center = key_coe(tonic, mode, params)
-    kx, ky, kz = key_center.x, key_center.y, key_center.z
     unit = enharmonic_unit(params)
     width = cfg.width_beats
     held = cfg.include_held
@@ -126,37 +120,24 @@ def tension_track(score: Score, cfg: WindowConfig, params: SpiralParams,
             for n in sorted(frame.notes, key=lambda n: n.id):
                 merged[n.tpc] = merged.get(n.tpc, 0.0) + min(n.duration, width)
 
-        # center of effect: weighted mean of member points in tpc order
-        points = []
-        sx = sy = sz = total = 0.0
-        for tpc in sorted(merged):
-            w = merged[tpc]
-            point = coords.get(tpc)
-            if point is None:
-                p = pitch_position(tpc, params)
-                point = coords[tpc] = (p.x, p.y, p.z)
-            points.append(point)
-            sx += w * point[0]
-            sy += w * point[1]
-            sz += w * point[2]
-            total += w
-        cx, cy, cz = sx / total, sy / total, sz / total
-        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(cz)):
-            SpiralPoint(cx, cy, cz)  # raises the non-finite coordinates error
+        tpcs = sorted(merged)
+        for tpc in tpcs:
+            if tpc not in coords:
+                coords[tpc] = pitch_position(tpc, params)
+        points = [coords[tpc] for tpc in tpcs]
+        center = weighted_mean(points, [merged[tpc] for tpc in tpcs])
 
-        widest = 0.0  # largest squared distance between two members
+        # largest squared distance between two members; its square root is
+        # the largest distance bit for bit, since sqrt is correctly rounded
+        # and monotone
+        widest = 0.0
         for i, (ax, ay, az) in enumerate(points):
             for bx, by, bz in points[i + 1:]:
                 d2 = (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
                 if d2 > widest:
                     widest = d2
-        if prev is None:
-            t_cm = 0.0
-        else:
-            px, py, pz = prev
-            t_cm = math.sqrt((px - cx) ** 2 + (py - cy) ** 2 + (pz - cz) ** 2) / unit
-        out.append(TensionFrame(
-            math.sqrt(widest) / unit, t_cm,
-            math.sqrt((cx - kx) ** 2 + (cy - ky) ** 2 + (cz - kz) ** 2) / unit))
-        prev = (cx, cy, cz)
+        t_cm = 0.0 if prev is None else distance(prev, center) / unit
+        out.append(TensionFrame(math.sqrt(widest) / unit, t_cm,
+                                distance(center, key_center) / unit))
+        prev = center
     return out

@@ -110,14 +110,20 @@ class TestExtract:
         ("spiral.h", "nan", "rise per fifth must be positive"),
         ("spiral.key_weights", None, "missing ['spiral.key_weights']"),
         ("spiral.chord_weights", "0.6,0.4,0.0", "w1 >= w2 >= w3 > 0"),
-    ], ids=["weights", "nan-h", "missing-key", "zero-weight"])
+        ("this line has no equals", "", "line 6: expected key=value, got "
+                                        "'this line has no equals'"),
+        ("spiral.radius", "7", "line 6: unknown key 'spiral.radius'"),
+        ("spiral.r ", "2.0", "line 6: spiral.r repeats the key of line 2"),
+    ], ids=["weights", "nan-h", "missing-key", "zero-weight", "no-equals", "unknown-key",
+            "repeated-key"])
     def test_bad_spiral_config_names_the_file(self, tmp_path, capsys, key, value, problem):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=8)
         items = {"spiral.r": "1.0", "spiral.h": "0.5",
                  "spiral.chord_weights": "0.5,0.3,0.2",
                  "spiral.key_weights": "0.5,0.3,0.2", key: value}
         cfg = tmp_path / "spiral.cfg"
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in items.items() if v is not None))
+        cfg.write_text("# calibration\n" + "".join(
+            f"{k}={v}\n" if v else f"{k}\n" for k, v in items.items() if v is not None))
         capsys.readouterr()
         assert run_cli("extract", corpus / "piece000.score.tsv", "--spiral-config", cfg,
                        "--out-dir", tmp_path / "out") == 1
@@ -720,8 +726,10 @@ class TestBadInputs:
         ("#meter 0 4 4 duple\n#meter 0 3 4 triple\n", 2,
          "meter start '0' repeats the start of line 1"),
         ("#meter 2 4 4 duple\n", 1, "meter map must start at beat 0, got 2.0"),
+        ("#meter 0 4 4 duple\n#key 0 major\n#key 2 minor\n", 3,
+         "#key repeats the key of line 2"),
     ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start",
-            "repeated-start", "late-start"])
+            "repeated-start", "late-start", "repeated-key"])
     def test_bad_meter_names_file_and_line(self, tmp_path, capsys, meter, lineno, problem):
         score = tmp_path / "meter.score.tsv"
         score.write_text(meter + "n1\t0\t1\t60\tC\t0\t4\t0\nn2\t1\t1\t62\tD\t0\t4\t0\n")

@@ -2,15 +2,16 @@
 
 The oracle below is the per-frame code as it stood before the sweep: every
 frame rescans every note of the score and the whole meter map, and every
-cloud is a ``Cloud`` whose center of effect is a ``SpiralPoint`` built
-from freshly built member points. The oracle keeps its own copies of that
-record, of the per-frame helpers that ``tension_track`` now does inline
-(the window cloud, its diameter, momentum and strain) and of the meter
-map search. Outputs must be equal, not close, because the sweep keeps
+cloud is a ``Cloud`` whose center of effect is an ``(x, y, z)`` tuple
+built from freshly built member points. The oracle keeps its own copies
+of that record, of the per-frame helpers (the window cloud, its
+diameter, momentum and strain), of the Euclidean distance and of the
+meter map search. Outputs must be equal, not close, because the sweep keeps
 the overlap expression, the merge order, the float operations of each
 distance and mean, and the meter search's tolerance.
 """
 
+import math
 from typing import NamedTuple
 
 import pytest
@@ -20,8 +21,8 @@ from tonaltension import cli
 from tonaltension.features import (METRICAL_FEATURES, PITCH_FEATURES,
                                    assemble_features, feature_names,
                                    metrical_features)
-from tonaltension.spiral import (SpiralParams, SpiralPoint, distance,
-                                 enharmonic_unit, key_coe, pitch_position)
+from tonaltension.spiral import (SpiralParams, enharmonic_unit, key_coe,
+                                 pitch_position)
 from tonaltension.symbolic import (ONSET_TOLERANCE, MeterEntry, group_onsets,
                                    parse_performance, parse_score)
 from tonaltension.targets import compute_bpr, derivative
@@ -42,7 +43,7 @@ class Cloud(NamedTuple):
     effect."""
 
     members: tuple[tuple[int, float], ...]
-    coe: SpiralPoint
+    coe: tuple[float, float, float]
 
 
 def merge_cloud(members, params):
@@ -54,12 +55,17 @@ def merge_cloud(members, params):
     items = tuple(sorted(merged.items()))
     sx = sy = sz = total = 0.0
     for tpc, w in items:
-        p = pitch_position(tpc, params)
-        sx += w * p.x
-        sy += w * p.y
-        sz += w * p.z
+        x, y, z = pitch_position(tpc, params)
+        sx += w * x
+        sy += w * y
+        sz += w * z
         total += w
-    return Cloud(items, SpiralPoint(sx / total, sy / total, sz / total))
+    return Cloud(items, (sx / total, sy / total, sz / total))
+
+
+def distance(a, b):
+    """Euclidean distance between two points."""
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
 
 
 def cloud_diameter(cloud, params):

@@ -16,7 +16,7 @@ member_lists = st.lists(st.tuples(tpcs, weights), min_size=1, max_size=8)
 
 
 def xyz(point):
-    return np.array([point.x, point.y, point.z])
+    return np.array(point)
 
 
 def oracle_position(tpc, params=P):
@@ -29,25 +29,25 @@ def oracle_position(tpc, params=P):
 class TestPitchPosition:
     def test_c_sits_on_positive_y(self):
         p = pitch_position(0, P)
-        assert (p.x, p.y, p.z) == (0.0, P.r, 0.0)
+        assert p == (0.0, P.r, 0.0)
 
     def test_g_is_a_quarter_turn_up(self):
         p = pitch_position(1, P)
-        assert p.x == pytest.approx(P.r, abs=1e-15)
-        assert p.y == pytest.approx(0.0, abs=1e-15)
-        assert p.z == pytest.approx(P.h, abs=1e-15)
+        assert p[0] == pytest.approx(P.r, abs=1e-15)
+        assert p[1] == pytest.approx(0.0, abs=1e-15)
+        assert p[2] == pytest.approx(P.h, abs=1e-15)
 
     def test_twelve_fifths_share_xy(self):
         a, b = pitch_position(0, P), pitch_position(12, P)
-        assert (a.x, a.y) == pytest.approx((b.x, b.y), abs=1e-12)
-        assert b.z - a.z == pytest.approx(12 * P.h, abs=1e-12)
+        assert a[:2] == pytest.approx(b[:2], abs=1e-12)
+        assert b[2] - a[2] == pytest.approx(12 * P.h, abs=1e-12)
 
     @given(tpcs)
     def test_four_fifths_is_one_turn(self, k):
         a, b = pitch_position(k, P), pitch_position(k + 4, P)
-        assert a.x == pytest.approx(b.x, abs=1e-9)
-        assert a.y == pytest.approx(b.y, abs=1e-9)
-        assert b.z - a.z == pytest.approx(4 * P.h, abs=1e-12)
+        assert a[0] == pytest.approx(b[0], abs=1e-9)
+        assert a[1] == pytest.approx(b[1], abs=1e-9)
+        assert b[2] - a[2] == pytest.approx(4 * P.h, abs=1e-12)
 
 
 class TestCenterOfEffect:

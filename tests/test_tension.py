@@ -70,7 +70,7 @@ class TestMakeCloud:
         # weigh inf, and the weighted mean is nan
         notes = [note("a", 1e308, 1e308, 0), note("b", 1e308, 1e308, 4)]
         with pytest.raises(ValueError, match=r"^non-finite spiral coordinates: "
-                                             r"SpiralPoint\(x=nan, y=nan, z=nan\)$"):
+                                             r"\(nan, nan, nan\)$"):
             track(notes, WindowConfig(width_beats=math.inf))
 
     def test_nonpositive_width_rejected(self):
