@@ -31,6 +31,15 @@ _KW = (0.516, 0.315, 0.168)
 DEFAULT_KEY_WEIGHTS = tuple(w / (_KW[0] + _KW[1] + _KW[2]) for w in _KW)
 
 
+# the SpiralParams lengths, by field, and their names in errors
+_LENGTHS = {"r": "radius", "h": "rise per fifth"}
+
+
+def _check_length(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_weights(name: str, w: tuple[float, float, float]) -> None:
     w1, w2, w3 = w
     if not (w1 >= w2 >= w3 > 0):
@@ -50,12 +59,24 @@ class SpiralParams:
     key_weights: tuple[float, float, float] = DEFAULT_KEY_WEIGHTS
 
     def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"radius must be positive, got {self.r}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"rise per fifth must be positive, got {self.h}")
+        _check_length(_LENGTHS["r"], self.r)
+        _check_length(_LENGTHS["h"], self.h)
         _check_weights("chord_weights", tuple(self.chord_weights))
         _check_weights("key_weights", tuple(self.key_weights))
+        # Every tpc extraction places lies in -15..19 (see
+        # symbolic.parse_score), and -15 and 19 are its farthest pair:
+        # opposite on the circle, at the two ends of the rise. Centers of
+        # effect are weighted means of such points, so no distance that
+        # extraction takes exceeds theirs; if theirs, over the enharmonic
+        # unit, is finite, so is every tension feature.
+        try:
+            span = (distance(pitch_position(-15, self), pitch_position(19, self))
+                    / enharmonic_unit(self))
+        except OverflowError:  # from a ** 2 in distance
+            span = math.inf
+        if not math.isfinite(span):
+            raise ValueError(f"radius {self.r} and rise per fifth {self.h} put spiral "
+                             f"distances over the enharmonic unit out of float range")
 
     def header_items(self) -> list[tuple[str, str]]:
         """Flat key=value pairs for embedding in CSV comment headers."""
@@ -68,24 +89,29 @@ class SpiralParams:
             ("spiral.key_weights", kw),
         ]
 
-    @classmethod
-    def from_header_items(cls, items: dict[str, str]) -> "SpiralParams":
-        def triple(s):
-            parts = tuple(float(p) for p in s.split(","))
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 weights, got {s!r}")
-            return parts
 
-        missing = [k for k in ("spiral.r", "spiral.h", "spiral.chord_weights",
-                               "spiral.key_weights") if k not in items]
-        if missing:
-            raise ValueError(f"spiral calibration is missing {missing}")
-        return cls(
-            r=float(items["spiral.r"]),
-            h=float(items["spiral.h"]),
-            chord_weights=triple(items["spiral.chord_weights"]),
-            key_weights=triple(items["spiral.key_weights"]),
-        )
+def parse_calibration_item(key: str,
+                           text: str) -> tuple[str, float | tuple[float, float, float]]:
+    """The SpiralParams field that calibration item ``key``, as
+    ``header_items`` names it, sets and its value read from ``text``;
+    raises ValueError if the value breaks that field's own rule. The
+    overflow rule, which needs both lengths, is left to SpiralParams."""
+    field = key.removeprefix("spiral.")
+    if field in _LENGTHS:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"bad {key} value {text!r}") from None
+        _check_length(_LENGTHS[field], value)
+        return field, value
+    try:
+        weights = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {key} value {text!r}") from None
+    if len(weights) != 3:
+        raise ValueError(f"expected 3 weights, got {text!r}")
+    _check_weights(field, weights)
+    return field, weights
 
 
 Point = tuple[float, float, float]

@@ -25,8 +25,12 @@ named tuples, which cost about a third of a frozen dataclass to build.
 The parsers convert a line's numbers (a note's onset, duration and MIDI
 pitch; a performed note's times and velocity; a meter's three numbers)
 in one ``try`` and work out which field is bad only when that fails.
-``parse_score`` keeps the ``#meter`` entries sorted by start as it reads
-them, so a repeated start is found among a line's neighbours there.
+``parse_score`` reads a score in one pass: it checks each line and
+builds each note's ``ScoreNote`` where it reads the line, so the first
+fault in line order is the one reported; only ``-`` spellings wait for
+the end, since a ``#key`` line may follow the notes. It keeps the
+``#meter`` entries sorted by start as it reads them, so a repeated start
+is found among a line's neighbours there.
 """
 
 from __future__ import annotations
@@ -166,99 +170,101 @@ def parse_score(text: str) -> Score:
     meters: list[tuple[float, int, MeterEntry]] = []  # (start, line, entry) by start
     key: tuple[int, str] | None = None
     key_line = 0
-    raw_notes: list[tuple[int, list[str]]] = []
+    notes: list[ScoreNote] = []
+    unspelled: list[int] = []  # indices into notes of "-" spellings
+    seen: set[str] = set()
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.startswith("#"):
-            if line.strip():
-                fields = line.split("\t")
-                if len(fields) != 8:
-                    raise ValueError(f"line {lineno}: expected 8 tab-separated fields, "
-                                     f"got {len(fields)}")
-                raw_notes.append((lineno, fields))
-        elif line.startswith("#meter"):
+        if line.startswith("#"):
             fields = line.split()
-            if len(fields) != 5:
-                raise ValueError(f"line {lineno}: #meter expects 4 fields, got {len(fields) - 1}")
+            if fields[0] == "#meter":
+                if len(fields) != 5:
+                    raise ValueError(f"line {lineno}: #meter expects 4 fields, "
+                                     f"got {len(fields) - 1}")
+                try:
+                    start, beats, unit = float(fields[1]), float(fields[2]), int(fields[3])
+                except ValueError:
+                    raise ValueError(_bad_number(lineno, (fields[1], "meter start", float),
+                                                 (fields[2], "beats per bar", float),
+                                                 (fields[3], "beat unit", int))) from None
+                mclass = fields[4]
+                if mclass not in ("duple", "triple", "other"):
+                    raise ValueError(f"line {lineno}: unknown meter class {mclass!r}")
+                if not (math.isfinite(start) and start >= 0):
+                    raise ValueError(f"line {lineno}: meter start must be a finite number >= 0, "
+                                     f"got {fields[1]!r}")
+                if not (math.isfinite(beats) and beats > 0):
+                    raise ValueError(f"line {lineno}: beats per bar must be a finite number > 0, "
+                                     f"got {fields[2]!r}")
+                i = bisect_left(meters, (start,))
+                earlier = _repeated_line(meters, i, start)
+                if earlier is not None:
+                    raise ValueError(f"line {lineno}: meter start {fields[1]!r} repeats "
+                                     f"the start of line {earlier}")
+                meters.insert(i, (start, lineno, MeterEntry(start, beats, unit, mclass)))
+            elif fields[0] == "#key":
+                if key is not None:
+                    raise ValueError(f"line {lineno}: #key repeats the key of "
+                                     f"line {key_line}")
+                if len(fields) != 3 or fields[2] not in ("major", "minor"):
+                    raise ValueError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
+                try:
+                    tonic = int(fields[1])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad key tpc {fields[1]!r}") from None
+                # -9..13 holds every real key; derived spellings then stay
+                # within -15..19, which serialize_score writes with |alter| <= 2
+                if not -9 <= tonic <= 13:
+                    raise ValueError(f"line {lineno}: key tpc {tonic} outside -9..13")
+                key, key_line = (tonic, fields[2]), lineno
+            # any other line starting with "#" is a comment
+        elif line.strip():
+            fields = line.split("\t")
+            if len(fields) != 8:
+                raise ValueError(f"line {lineno}: expected 8 tab-separated fields, "
+                                 f"got {len(fields)}")
+            nid, onset, duration, midi, spelled_step, alter, octave, melody = fields
             try:
-                start, beats, unit = float(fields[1]), float(fields[2]), int(fields[3])
+                onset, duration, midi = float(onset), float(duration), int(midi)
             except ValueError:
-                raise ValueError(_bad_number(lineno, (fields[1], "meter start", float),
-                                             (fields[2], "beats per bar", float),
-                                             (fields[3], "beat unit", int))) from None
-            mclass = fields[4]
-            if mclass not in ("duple", "triple", "other"):
-                raise ValueError(f"line {lineno}: unknown meter class {mclass!r}")
-            if not (math.isfinite(start) and start >= 0):
-                raise ValueError(f"line {lineno}: meter start must be a finite number >= 0, "
-                                 f"got {fields[1]!r}")
-            if not (math.isfinite(beats) and beats > 0):
-                raise ValueError(f"line {lineno}: beats per bar must be a finite number > 0, "
-                                 f"got {fields[2]!r}")
-            i = bisect_left(meters, (start,))
-            earlier = _repeated_line(meters, i, start)
-            if earlier is not None:
-                raise ValueError(f"line {lineno}: meter start {fields[1]!r} repeats "
-                                 f"the start of line {earlier}")
-            meters.insert(i, (start, lineno, MeterEntry(start, beats, unit, mclass)))
-        elif line.startswith("#key"):
-            if key is not None:
-                raise ValueError(f"line {lineno}: #key repeats the key of line {key_line}")
-            fields = line.split()
-            if len(fields) != 3 or fields[2] not in ("major", "minor"):
-                raise ValueError(f"line {lineno}: #key expects '<tpc> <major|minor>'")
-            try:
-                tonic = int(fields[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad key tpc {fields[1]!r}") from None
-            # -9..13 holds every real key; derived spellings then stay
-            # within -15..19, which serialize_score writes with |alter| <= 2
-            if not -9 <= tonic <= 13:
-                raise ValueError(f"line {lineno}: key tpc {tonic} outside -9..13")
-            key, key_line = (tonic, fields[2]), lineno
-        # any other line starting with "#" is a comment
+                raise ValueError(_bad_number(lineno, (onset, "onset", float),
+                                             (duration, "duration", float),
+                                             (midi, "midi pitch", int))) from None
+            if spelled_step == "-" or alter == "-" or octave == "-":
+                tpc = 0  # derived from the key after the loop
+                unspelled.append(len(notes))
+            else:
+                step = spelled_step.upper()
+                if step not in _STEP_TPC:
+                    raise ValueError(f"line {lineno}: bad step {spelled_step!r}")
+                try:
+                    alter = int(alter)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad alter {alter!r}") from None
+                if not -2 <= alter <= 2:
+                    raise ValueError(f"line {lineno}: alter {alter} outside -2..2")
+                try:
+                    octave = int(octave)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad octave {octave!r}") from None
+                implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
+                if implied != midi:
+                    raise ValueError(f"line {lineno}: spelling {step} {alter} {octave} "
+                                     f"implies midi {implied}, stored {midi}")
+                tpc = _STEP_TPC[step] + 7 * alter
+            if melody not in ("0", "1"):
+                raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {melody!r}")
+            _check_note(nid, onset, duration, midi, seen, lineno)
+            notes.append(ScoreNote(nid, onset, duration, midi, tpc, melody == "1"))
 
     if not meters:
         raise ValueError("score file has no #meter line")
-    if not raw_notes:
+    if not notes:
         raise ValueError("score file has no notes")
-
+    # a #key line may follow the notes, so "-" spellings wait for the loop's end
     key_tpc = key[0] if key else 0
-    notes = []
-    seen: set[str] = set()
-    for lineno, f in raw_notes:
-        nid, onset, duration, midi, spelled_step, alter, octave, melody = f
-        try:
-            onset, duration, midi = float(onset), float(duration), int(midi)
-        except ValueError:
-            raise ValueError(_bad_number(lineno, (onset, "onset", float),
-                                         (duration, "duration", float),
-                                         (midi, "midi pitch", int))) from None
-        if spelled_step == "-" or alter == "-" or octave == "-":
-            tpc = derive_tpc(midi, key_tpc)
-        else:
-            step = spelled_step.upper()
-            if step not in _STEP_TPC:
-                raise ValueError(f"line {lineno}: bad step {spelled_step!r}")
-            try:
-                alter = int(alter)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad alter {alter!r}") from None
-            if not -2 <= alter <= 2:
-                raise ValueError(f"line {lineno}: alter {alter} outside -2..2")
-            try:
-                octave = int(octave)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad octave {octave!r}") from None
-            implied = 12 * (octave + 1) + _STEP_SEMITONE[step] + alter
-            if implied != midi:
-                raise ValueError(f"line {lineno}: spelling {step} {alter} {octave} "
-                                 f"implies midi {implied}, stored {midi}")
-            tpc = _STEP_TPC[step] + 7 * alter
-        if melody not in ("0", "1"):
-            raise ValueError(f"line {lineno}: melody flag must be 0 or 1, got {melody!r}")
-        _check_note(nid, onset, duration, midi, seen, lineno)
-        notes.append(ScoreNote(nid, onset, duration, midi, tpc, melody == "1"))
+    for i in unspelled:
+        notes[i] = notes[i]._replace(tpc=derive_tpc(notes[i].midi_pitch, key_tpc))
 
     notes.sort(key=itemgetter(1, 3))  # (onset, midi_pitch)
     first_start, first_line, _ = meters[0]

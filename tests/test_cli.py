@@ -1,4 +1,5 @@
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -105,17 +106,29 @@ class TestExtract:
                        "--out-dir", tmp_path) == 1
         assert "error:" in capsys.readouterr().err
 
+    # the file: a comment, then spiral.r, spiral.h and the two weight
+    # triples on lines 2-5, any new key on line 6; an overflow of r and h
+    # together names line 3, the later of their two lines
     @pytest.mark.parametrize("key,value,problem", [
-        ("spiral.chord_weights", "0.5,0.3", "expected 3 weights"),
-        ("spiral.h", "nan", "rise per fifth must be positive"),
+        ("spiral.chord_weights", "0.5,0.3", "line 4: expected 3 weights"),
+        ("spiral.h", "nan", "line 3: rise per fifth must be positive"),
         ("spiral.key_weights", None, "missing ['spiral.key_weights']"),
-        ("spiral.chord_weights", "0.6,0.4,0.0", "w1 >= w2 >= w3 > 0"),
+        ("spiral.chord_weights", "0.6,0.4,0.0", "line 4: chord_weights must satisfy "
+                                                "w1 >= w2 >= w3 > 0"),
         ("this line has no equals", "", "line 6: expected key=value, got "
                                         "'this line has no equals'"),
         ("spiral.radius", "7", "line 6: unknown key 'spiral.radius'"),
         ("spiral.r ", "2.0", "line 6: spiral.r repeats the key of line 2"),
+        ("spiral.h", " ", "line 3: bad spiral.h value ''"),
+        ("spiral.key_weights", "0.5,x,0.2", "line 5: bad spiral.key_weights value '0.5,x,0.2'"),
+        ("spiral.h", "1e308", "line 3: radius 1.0 and rise per fifth 1e+308 put spiral "
+                              "distances over the enharmonic unit out of float range"),
+        ("spiral.h", "1e200", "line 3: radius 1.0 and rise per fifth 1e+200 put"),
+        ("spiral.r", "1e200", "line 3: radius 1e+200 and rise per fifth 0.5 put"),
+        ("spiral.h", "1e-310", "line 3: radius 1.0 and rise per fifth 1e-310 put"),
     ], ids=["weights", "nan-h", "missing-key", "zero-weight", "no-equals", "unknown-key",
-            "repeated-key"])
+            "repeated-key", "empty-h", "bad-weight", "huge-h", "overflowing-h",
+            "overflowing-r", "tiny-h"])
     def test_bad_spiral_config_names_the_file(self, tmp_path, capsys, key, value, problem):
         corpus, _ = make_corpus(tmp_path, pieces=1, length=8)
         items = {"spiral.r": "1.0", "spiral.h": "0.5",
@@ -728,8 +741,14 @@ class TestBadInputs:
         ("#meter 2 4 4 duple\n", 1, "meter map must start at beat 0, got 2.0"),
         ("#meter 0 4 4 duple\n#key 0 major\n#key 2 minor\n", 3,
          "#key repeats the key of line 2"),
+        # a header is matched on its first field: these two are comments
+        ("#keyboard reduction\n#meter 2 4 4 duple\n", 2,
+         "meter map must start at beat 0, got 2.0"),
+        ("#meter 0 4 4 duple\n#metered\n#key 0 major\n#key 2 minor\n", 4,
+         "#key repeats the key of line 3"),
     ], ids=["inf-beats", "nan-beats", "inf-start", "negative-start", "nan-second-start",
-            "repeated-start", "late-start", "repeated-key"])
+            "repeated-start", "late-start", "repeated-key", "keyboard-comment",
+            "metered-comment"])
     def test_bad_meter_names_file_and_line(self, tmp_path, capsys, meter, lineno, problem):
         score = tmp_path / "meter.score.tsv"
         score.write_text(meter + "n1\t0\t1\t60\tC\t0\t4\t0\nn2\t1\t1\t62\tD\t0\t4\t0\n")
@@ -852,6 +871,32 @@ def test_out_of_range_input_setting_names_its_flag(tmp_path, capsys, argv, flag)
 
 # flags that name a file or directory the command reads
 INPUT_FLAGS = {"score", "match", "spiral_config", "model", "corpus"}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["synth", "--pieces", "1", "--length", "5", "--seed", "1"], 0),
+    (["synth", "--pieces", "0", "--length", "5", "--seed", "1"], 1),
+], ids=["exit-0", "error-exit"])
+def test_main_restores_the_callers_collector_thresholds(tmp_path, capsys, argv, code):
+    seen = []
+    synth_command = cli.cmd_synth
+
+    def command(args):  # the synth command, recording the thresholds it ran under
+        seen.append(gc.get_threshold())
+        return synth_command(args)
+
+    saved = gc.get_threshold()
+    try:
+        gc.set_threshold(555, 7, 9)  # not CPython's default, so a reset would show
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "cmd_synth", command)
+            assert run_cli(*argv, "--out-dir", tmp_path / "out") == code
+        assert gc.get_threshold() == (555, 7, 9)
+    finally:
+        gc.set_threshold(*saved)
+    assert seen == [(cli.GC_YOUNG_THRESHOLD, 7, 9)]
+    if code:
+        single_error_line(capsys)
 
 
 def test_digest_covers_every_setting_and_input(tmp_path):

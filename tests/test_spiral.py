@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from tonaltension.spiral import (DEFAULT_H, SpiralParams, center_of_effect,
                                  distance, enharmonic_unit, key_coe,
-                                 cloud_coe, pitch_position)
+                                 cloud_coe, parse_calibration_item, pitch_position)
 
 P = SpiralParams()
 
@@ -183,8 +184,24 @@ class TestSpiralParams:
             SpiralParams(r=0.0)
 
     def test_header_round_trip(self):
-        items = dict(P.header_items())
-        assert SpiralParams.from_header_items(items) == P
+        fields = dict(parse_calibration_item(key, text) for key, text in P.header_items())
+        assert SpiralParams(**fields) == P
+
+    # the farthest pair of tpc -15..19 is -15 and 19: 2r apart across the
+    # circle and 34h apart in height. A ** 2 of either gap past the largest
+    # float's square root overflows, and at r = 1 a tiny h makes the
+    # distance of about 2 over the enharmonic unit 12h overflow.
+    @pytest.mark.parametrize("field,edge,past", [
+        ("r", math.sqrt(sys.float_info.max) / 2, 1.0),
+        ("h", math.sqrt(sys.float_info.max) / 34, 1.0),
+        ("h", 1.0 / 6.0 / sys.float_info.max, -1.0),
+    ], ids=["large-r", "large-h", "small-h"])
+    def test_overflowing_calibration_rejected_past_its_edge(self, field, edge, past):
+        kept = SpiralParams(**{field: edge * (1.0 - past * 1e-9)})
+        far = (pitch_position(-15, kept), pitch_position(19, kept))
+        assert math.isfinite(distance(*far) / enharmonic_unit(kept))
+        with pytest.raises(ValueError, match="out of float range"):
+            SpiralParams(**{field: edge * (1.0 + past * 1e-9)})
 
     def test_cloud_merges_duplicate_tpcs(self):
         coe = cloud_coe([(4, 1.0), (0, 1.0), (0, 2.0)], P)

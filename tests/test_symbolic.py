@@ -129,6 +129,17 @@ class TestParseScore:
         text = "#meter 0 4 4 duple\n#key 3 major\nn1\t0\t1\t61\t-\t-\t-\t0\n"
         assert parse_score(text).notes[0].tpc == 7  # C# in A major
 
+    def test_unspelled_note_takes_a_later_key(self):
+        text = "#meter 0 4 4 duple\nn1\t0\t1\t61\t-\t-\t-\t0\n#key 2 major\n"
+        assert parse_score(text).notes[0].tpc == 7  # C# in D major
+
+    def test_first_fault_in_line_order_is_reported(self):
+        text = ("#meter 0 4 4 duple\nn1\t0\t1\t60\tC\t0\t4\t0\n"
+                "n2\tX\t1\t62\tD\t0\t4\t0\n#meter 4 0 4 duple\n")
+        with pytest.raises(ValueError) as err:
+            parse_score(text)
+        assert str(err.value) == "line 3: bad onset 'X'"
+
     def test_spelling_midi_mismatch_rejected(self):
         text = "#meter 0 4 4 duple\nn1\t0\t1\t61\tC\t0\t4\t0\n"
         with pytest.raises(ValueError, match="implies midi"):
