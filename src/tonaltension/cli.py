@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, evaluate, model as model_mod, synth
 from .errors import SettingError, TrainingDiverged
 from .features import assemble_features, feature_names
-from .spiral import SpiralParams, parse_calibration_item
+from .spiral import SpiralParams, read_calibration
 from .symbolic import (group_onsets, parse_performance, parse_score,
                        serialize_performance, serialize_score)
 from .targets import TARGET_NAMES, targets as extract_targets
@@ -175,16 +175,33 @@ def read_csv(path: str) -> tuple[dict[str, str], list[str], list[list[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# corpus loading
+# reading input files
 
 
-def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.ndarray:
+@contextlib.contextmanager
+def _naming(path: str):
+    """Put ``path`` in front of a ValueError raised while reading it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read(path: str, parse, *args):
+    """``parse(text, *args)`` of the file at ``path``; a ValueError, such
+    as a byte that is not UTF-8, names the file."""
+    with _naming(path):
+        with open(path) as fh:
+            return parse(fh.read(), *args)
+
+
+def _numeric_rows(columns: list[str], rows: list[list[str]]) -> np.ndarray:
     """CSV string rows -> (rows, columns) float matrix; ragged rows and
-    non-numeric or non-finite cells raise ValueError naming the file,
-    the frame and the column."""
+    non-numeric or non-finite cells raise ValueError naming the frame and
+    the column."""
     for k, row in enumerate(rows):
         if len(row) != len(columns):
-            raise ValueError(f"{path}: data row {k + 1} (frame {row[0]}) has "
+            raise ValueError(f"data row {k + 1} (frame {row[0]}) has "
                              f"{len(row)} cells, expected {len(columns)}")
     try:
         data = np.array([[float(v) for v in r] for r in rows], dtype=float)
@@ -198,9 +215,20 @@ def _numeric_rows(path: str, columns: list[str], rows: list[list[str]]) -> np.nd
                 except ValueError:
                     ok = False
                 if not ok:
-                    raise ValueError(f"{path}: frame {row[0]}, column {name}: "
+                    raise ValueError(f"frame {row[0]}, column {name}: "
                                      f"{cell!r} is not a finite number")
     return data.reshape(len(rows), len(columns))
+
+
+def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """The columns and float matrix of a features or targets CSV."""
+    with _naming(path):
+        _, columns, rows = read_csv(path)
+        if columns[:2] != ["frame", "beat"]:
+            raise ValueError("header must start with frame,beat")
+        if not rows:
+            raise ValueError("no data rows")
+        return columns, _numeric_rows(columns, rows)
 
 
 def _corpus_pairs(corpus_dir: str) -> tuple[list[tuple[str, str, str]], list[str]]:
@@ -227,22 +255,15 @@ def load_corpus(corpus_dir: str) -> list[evaluate.Piece]:
         log.warning("skipping %s: no targets file", stem)
     pieces = []
     for stem, fpath, tpath in pairs:
-        _, fcols, frows = read_csv(fpath)
-        _, tcols, trows = read_csv(tpath)
-        for path, cols, rows in ((fpath, fcols, frows), (tpath, tcols, trows)):
-            if cols[:2] != ["frame", "beat"]:
-                raise ValueError(f"{path}: header must start with frame,beat")
-            if not rows:
-                raise ValueError(f"{path}: no data rows")
-        fdata = _numeric_rows(fpath, fcols, frows)
-        tdata = _numeric_rows(tpath, tcols, trows)
+        fcols, fdata = _read_table(fpath)
+        tcols, tdata = _read_table(tpath)
         if not np.array_equal(fdata[:, 0], tdata[:, 0]):
             raise ValueError(f"{fpath}, {tpath}: feature and target rows are not aligned")
-        names = tuple(fcols[2:])
-        target_names = tuple(tcols[2:])
-        if target_names != TARGET_NAMES:
-            raise ValueError(f"{tpath}: unexpected target columns {target_names}")
-        pieces.append(evaluate.Piece(stem, fdata[:, 2:].copy(), names, tdata[:, 2:].copy()))
+        with _naming(tpath):
+            if tuple(tcols[2:]) != TARGET_NAMES:
+                raise ValueError(f"unexpected target columns {tuple(tcols[2:])}")
+        pieces.append(evaluate.Piece(stem, fdata[:, 2:].copy(), tuple(fcols[2:]),
+                                     tdata[:, 2:].copy()))
     if not pieces:
         raise ValueError(f"no feature/target CSV pairs found in {corpus_dir}")
     return pieces
@@ -260,40 +281,7 @@ def _parse_groups(text: str) -> set[str]:
 
 
 def _spiral_from_args(args) -> SpiralParams:
-    if not args.spiral_config:
-        return SpiralParams()
-    known = [key for key, _ in SpiralParams().header_items()]
-    values, lines = {}, {}
-    with _naming(args.spiral_config):
-        with open(args.spiral_config) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ValueError(f"line {lineno}: unknown key {key!r}, "
-                                     f"expected one of {known}")
-                if key in lines:
-                    raise ValueError(f"line {lineno}: {key} repeats the key of "
-                                     f"line {lines[key]}")
-                try:
-                    field, parsed = parse_calibration_item(key, value)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                values[field], lines[key] = parsed, lineno
-        missing = [key for key in known if key not in lines]
-        if missing:
-            raise ValueError(f"spiral calibration is missing {missing}")
-        try:
-            return SpiralParams(**values)
-        except ValueError as exc:
-            # each value passed its own check, so the two lengths together
-            # overflow: blame the line that completed the pair
-            last = max(lines["spiral.r"], lines["spiral.h"])
-            raise ValueError(f"line {last}: {exc}") from None
+    return _read(args.spiral_config, read_calibration) if args.spiral_config else SpiralParams()
 
 
 def _window_from_args(args) -> WindowConfig:
@@ -331,15 +319,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-@contextlib.contextmanager
-def _naming(path: str):
-    """Put ``path`` in front of a ValueError raised while reading it."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _stem(score_path: str) -> str:
@@ -380,9 +359,8 @@ def cmd_extract(args) -> list[OutputFile]:
 
 def _extract_piece(score_path, match_path, groups, spiral, window, out_dir) -> list[OutputFile]:
     names = feature_names(groups)
+    score = _read(score_path, parse_score)
     with _naming(score_path):
-        with open(score_path) as fh:
-            score = parse_score(fh.read())
         frames = group_onsets(score)
         track = tension_track(score, window, spiral, frames) if "T" in groups else None
         rows = assemble_features(score, track, groups, frames)
@@ -393,9 +371,8 @@ def _extract_piece(score_path, match_path, groups, spiral, window, out_dir) -> l
 
     files = []
     if match_path:
+        perf = _read(match_path, parse_performance, score)
         with _naming(match_path):
-            with open(match_path) as fh:
-                perf = parse_performance(fh.read(), score)
             target_rows = extract_targets(perf, frames)
         surviving = {t.frame_index for t in target_rows}
         rows = [r for r in rows if r.frame_index in surviving]
@@ -522,8 +499,7 @@ def cmd_eval(args) -> list[OutputFile]:
                   "p_value", "cohens_d"), rows))]
 
 
-def _standardization(path: str, meta: dict, key: str, count: int,
-                     positive: bool) -> np.ndarray:
+def _standardization(meta: dict, key: str, count: int, positive: bool) -> np.ndarray:
     """The ``count`` finite numbers (all > 0 when ``positive``) of a model
     file's ``key`` metadata."""
     if not count:
@@ -534,22 +510,22 @@ def _standardization(path: str, meta: dict, key: str, count: int,
         values = None
     if (values is None or values.shape != (count,) or not np.isfinite(values).all()
             or (positive and (values <= 0).any())):
-        raise ValueError(f"{path}: meta {key} must hold {count} finite numbers"
+        raise ValueError(f"meta {key} must hold {count} finite numbers"
                          + (" > 0" if positive else ""))
     return values
 
 
 def cmd_sensitivity(args) -> list[OutputFile]:
-    params, meta = model_mod.load_model(args.model)
+    params, meta = _read(args.model, model_mod.loads_model)
     names = tuple(n for n in meta.get("feature_names", "").split(",") if n)
-    if len(names) != params.input_dim:
-        raise ValueError(f"{args.model}: model file lists {len(names)} features "
-                         f"but input_dim is {params.input_dim}")
-    if names and not ("feature_mean" in meta and "feature_std" in meta):
-        raise ValueError(
-            f"{args.model}: model file lacks feature standardization metadata")
-    mean, std = (_standardization(args.model, meta, key, len(names), positive)
-                 for key, positive in (("feature_mean", False), ("feature_std", True)))
+    with _naming(args.model):
+        if len(names) != params.input_dim:
+            raise ValueError(f"model file lists {len(names)} features "
+                             f"but input_dim is {params.input_dim}")
+        if names and not ("feature_mean" in meta and "feature_std" in meta):
+            raise ValueError("model file lacks feature standardization metadata")
+        mean, std = (_standardization(meta, key, len(names), positive)
+                     for key, positive in (("feature_mean", False), ("feature_std", True)))
     pieces = load_corpus(args.corpus)
     sequences = [evaluate.standardized(p, names, mean, std) for p in pieces]
     longest = max(len(xs) for xs in sequences)

@@ -942,9 +942,8 @@ def loads_model(text: str) -> tuple[ModelParams, dict[str, str]]:
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, str]]:
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return loads_model(text)
-    except ValueError as exc:
+        with open(path) as fh:
+            return loads_model(fh.read())
+    except ValueError as exc:  # an undecodable byte too
         raise ValueError(f"{path}: {exc}") from None

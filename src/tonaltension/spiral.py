@@ -90,28 +90,50 @@ class SpiralParams:
         ]
 
 
-def parse_calibration_item(key: str,
-                           text: str) -> tuple[str, float | tuple[float, float, float]]:
-    """The SpiralParams field that calibration item ``key``, as
-    ``header_items`` names it, sets and its value read from ``text``;
-    raises ValueError if the value breaks that field's own rule. The
-    overflow rule, which needs both lengths, is left to SpiralParams."""
-    field = key.removeprefix("spiral.")
-    if field in _LENGTHS:
+def read_calibration(text: str) -> SpiralParams:
+    """The SpiralParams of a calibration file's text: ``key=value`` lines
+    that set each key ``header_items`` writes once, between blank and
+    ``#`` comment lines. Raises ValueError naming the line at fault, or
+    the keys missing."""
+    known = {key: key.removeprefix("spiral.") for key, _ in SpiralParams().header_items()}
+    values, lines = {}, {}
+    # only "\n" ends a line, as in iterating over a text-mode file
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
         try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"bad {key} value {text!r}") from None
-        _check_length(_LENGTHS[field], value)
-        return field, value
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in known:
+                raise ValueError(f"unknown key {key!r}, expected one of {list(known)}")
+            if key in lines:
+                raise ValueError(f"{key} repeats the key of line {lines[key]}")
+            field = known[key]
+            try:
+                parsed = (float(value) if field in _LENGTHS
+                          else tuple(float(p) for p in value.split(",")))
+            except ValueError:
+                raise ValueError(f"bad {key} value {value!r}") from None
+            if field in _LENGTHS:
+                _check_length(_LENGTHS[field], parsed)
+            elif len(parsed) != 3:
+                raise ValueError(f"expected 3 weights, got {value!r}")
+            else:
+                _check_weights(field, parsed)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        values[field], lines[key] = parsed, lineno
+    missing = [key for key in known if key not in lines]
+    if missing:
+        raise ValueError(f"spiral calibration is missing {missing}")
     try:
-        weights = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad {key} value {text!r}") from None
-    if len(weights) != 3:
-        raise ValueError(f"expected 3 weights, got {text!r}")
-    _check_weights(field, weights)
-    return field, weights
+        return SpiralParams(**values)
+    except ValueError as exc:
+        # each value passed its own check, so the two lengths together
+        # overflow: blame the line that completed the pair
+        raise ValueError(f"line {max(lines['spiral.r'], lines['spiral.h'])}: {exc}") from None
 
 
 Point = tuple[float, float, float]

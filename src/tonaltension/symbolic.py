@@ -151,16 +151,9 @@ def _repeated_line(meters: list[tuple[float, int, MeterEntry]], i: int,
     start, whose start lies within ONSET_TOLERANCE of ``start``, which
     sorts in at index ``i``; None if there is none. The starts in
     ``meters`` are more than the tolerance apart (a repeat fails at once),
-    so only the few neighbours of index ``i`` are compared."""
-    close = []
-    k = i - 1
-    while k >= 0 and start - meters[k][0] <= ONSET_TOLERANCE:
-        close.append(meters[k][1])
-        k -= 1
-    k = i
-    while k < len(meters) and meters[k][0] - start <= ONSET_TOLERANCE:
-        close.append(meters[k][1])
-        k += 1
+    so only the two neighbours of index ``i`` can be that close."""
+    close = [line for stored, line, _ in meters[max(i - 1, 0):i + 1]
+             if abs(stored - start) <= ONSET_TOLERANCE]
     return min(close, default=None)
 
 

@@ -535,6 +535,25 @@ def poison_cell(csv_path, frame, column, text):
 
 
 class TestBadInputs:
+    # the byte 0xff is not UTF-8; test_input_mutation pins it in score,
+    # match, features/targets CSV and model files read by extract, train
+    # and sensitivity
+    @pytest.mark.parametrize("command", ["extract", "mi"])
+    def test_undecodable_file_names_the_file(self, tmp_path, capsys, command):
+        corpus, feats = make_corpus(tmp_path, pieces=1, length=12)
+        if command == "extract":
+            bad = tmp_path / "spiral.cfg"
+            bad.write_bytes(b"\xffspiral.r=1.0\n")
+            argv = ["extract", corpus / "piece000.score.tsv", "--spiral-config", bad]
+        else:
+            bad = feats / "piece000.features.csv"
+            bad.write_bytes(b"\xff" + bad.read_bytes())
+            argv = ["mi", "--corpus", feats, "--fs-seed", 1]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out-dir", tmp_path / "out") == 1
+        assert single_error_line(capsys).startswith(f"error: {bad}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_each_missing_tensor_fails_cleanly(self, tmp_path, capsys):
         _, feats = make_corpus(tmp_path, pieces=1, length=12)
         good = canonical_model(tmp_path / "good.txt").read_text().splitlines()

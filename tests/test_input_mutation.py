@@ -2,7 +2,7 @@
 
 Hypothesis edits the text of a model file, of a features or targets CSV,
 and of a score or match file: characters replaced, deleted or inserted (digits, signs, separators,
-letters of nan/inf, newlines), lines deleted or duplicated. Loading the
+letters of nan/inf, newlines, a byte that is not UTF-8), lines deleted or duplicated. Loading the
 result must succeed or raise ValueError; a command on it must exit 0, or
 exit 1 printing exactly one ``error:`` line and no traceback. When the
 file does not load, that line names it.
@@ -13,29 +13,35 @@ import io
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tonaltension import cli
 from tonaltension.features import CANONICAL_ORDER
 from tonaltension.model import dumps_model, init_model, loads_model
 from tonaltension.symbolic import parse_performance, parse_score
 
-ALPHABET = "0123456789.-+eE, naif#x\n"
+# "\udcff" is written as the byte 0xff (surrogateescape), which is not UTF-8
+ALPHABET = "0123456789.-+eE, naif#x\n\udcff"
+OPS = ("replace", "delete", "insert", "drop_line", "dup_line")
+
+# one to three edits (operation, position, width, new text); a position
+# wraps round the length of the text, or its number of lines
+edits = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2 ** 16), st.integers(1, 4),
+                           st.text(ALPHABET, min_size=1, max_size=4)),
+                 min_size=1, max_size=3)
+NOT_UTF8 = [("insert", 0, 1, "\udcff")]
 
 
-@st.composite
-def mutated(draw, text):
-    for _ in range(draw(st.integers(1, 3))):
-        lines = text.splitlines(keepends=True)
-        op = draw(st.sampled_from(["replace", "delete", "insert", "drop_line", "dup_line"]))
+def mutated(text: str, edits) -> str:
+    for op, pos, width, new in edits:
         if op in ("drop_line", "dup_line"):
-            k = draw(st.integers(0, len(lines) - 1))
-            lines[k:k + 1] = [] if op == "drop_line" else [lines[k], lines[k]]
-            text = "".join(lines)
+            lines = text.splitlines(keepends=True)
+            if lines:
+                k = pos % len(lines)
+                lines[k:k + 1] = [] if op == "drop_line" else [lines[k], lines[k]]
+                text = "".join(lines)
             continue
-        pos = draw(st.integers(0, max(len(text) - 1, 0)))
-        width = draw(st.integers(1, 4))
-        new = draw(st.text(ALPHABET, min_size=1, max_size=4))
+        pos %= max(len(text), 1)
         if op == "replace":
             text = text[:pos] + new + text[pos + width:]
         elif op == "delete":
@@ -43,6 +49,10 @@ def mutated(draw, text):
         else:
             text = text[:pos] + new + text[pos:]
     return text
+
+
+def write(path, text: str) -> None:
+    path.write_text(text, errors="surrogateescape")
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -84,29 +94,31 @@ MUTATION_SETTINGS = settings(max_examples=60, deadline=None,
 
 
 @MUTATION_SETTINGS
-@given(data=st.data())
-def test_mutated_model_file(corpus, data):
-    text = data.draw(mutated((corpus / "model.txt").read_text()))
+@given(edits=edits)
+@example(edits=NOT_UTF8)
+def test_mutated_model_file(corpus, edits):
+    path = corpus / "mutated-model.txt"
+    write(path, mutated((corpus / "model.txt").read_text(), edits))
     try:
-        loads_model(text)
+        loads_model(path.read_text())
         loaded = True
     except ValueError:
         loaded = False
-    path = corpus / "mutated-model.txt"
-    path.write_text(text)
     rc, err = run_main(["sensitivity", "--model", path, "--corpus", corpus / "feats",
                         "--radius", 1, "--out-dir", corpus / "sens"])
     assert_clean_exit(rc, err, must_fail=not loaded, path=path)
 
 
 @MUTATION_SETTINGS
-@given(kind=st.sampled_from(["features", "targets"]), data=st.data())
-def test_mutated_corpus_csv(corpus, kind, data):
+@given(kind=st.sampled_from(["features", "targets"]), edits=edits)
+@example(kind="features", edits=NOT_UTF8)
+@example(kind="targets", edits=NOT_UTF8)
+def test_mutated_corpus_csv(corpus, kind, edits):
     feats = corpus / "mutated-feats"
     shutil.rmtree(feats, ignore_errors=True)
     shutil.copytree(corpus / "feats", feats)
     target = feats / f"piece000.{kind}.csv"
-    target.write_text(data.draw(mutated(target.read_text())))
+    write(target, mutated(target.read_text(), edits))
     try:
         cli.load_corpus(str(feats))
         loaded = True
@@ -118,11 +130,13 @@ def test_mutated_corpus_csv(corpus, kind, data):
 
 
 @MUTATION_SETTINGS
-@given(kind=st.sampled_from(["score", "match"]), data=st.data())
-def test_mutated_score_or_match(corpus, kind, data):
+@given(kind=st.sampled_from(["score", "match"]), edits=edits)
+@example(kind="score", edits=NOT_UTF8)
+@example(kind="match", edits=NOT_UTF8)
+def test_mutated_score_or_match(corpus, kind, edits):
     paths = {k: corpus / "corpus" / f"piece000.{k}.tsv" for k in ("score", "match")}
     target = corpus / f"mutated.{kind}.tsv"
-    target.write_text(data.draw(mutated(paths[kind].read_text())))
+    write(target, mutated(paths[kind].read_text(), edits))
     paths[kind] = target
     # the file that fails to load: the score, or the match file read against it
     try:

@@ -475,3 +475,9 @@ class TestModelFile:
         path.write_text("tonaltension-model v1\ninput_dim 2\n")
         with pytest.raises(ValueError, match="broken.txt: missing 'hidden'"):
             load_model(path)
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xfftonaltension-model v1\n")
+        with pytest.raises(ValueError, match="binary.txt: "):
+            load_model(path)

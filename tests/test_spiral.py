@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from tonaltension.spiral import (DEFAULT_H, SpiralParams, center_of_effect,
                                  distance, enharmonic_unit, key_coe,
-                                 cloud_coe, parse_calibration_item, pitch_position)
+                                 cloud_coe, pitch_position, read_calibration)
 
 P = SpiralParams()
 
@@ -184,8 +184,8 @@ class TestSpiralParams:
             SpiralParams(r=0.0)
 
     def test_header_round_trip(self):
-        fields = dict(parse_calibration_item(key, text) for key, text in P.header_items())
-        assert SpiralParams(**fields) == P
+        text = "".join(f"{key}={value}\n" for key, value in P.header_items())
+        assert read_calibration(text) == P
 
     # the farthest pair of tpc -15..19 is -15 and 19: 2r apart across the
     # circle and 34h apart in height. A ** 2 of either gap past the largest
